@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the substrate kernels every partitioner
 //! is built on: spmv, Lanczos Fiedler solves, matching + coarsening, FM
-//! passes, percolation, and incremental move bookkeeping.
+//! passes, percolation, incremental move bookkeeping, and the
+//! fusion–fission step loop (core loop and agglomeration).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ff_atc::{FabopConfig, FabopInstance};
@@ -131,13 +132,36 @@ fn bench_ff_steps(c: &mut Criterion) {
     };
     // One persistent run with an unbounded budget: each iteration advances
     // the same search by 64 steps, so this measures the steady-state cost
-    // of the step loop (atom pick, reaction, bookkeeping) — the hot path
-    // the ROADMAP's `live_atoms` item targets.
+    // of the core loop (atom pick, reaction, bookkeeping), where few parts
+    // are live and the reaction dominates.
     let mut run = FusionFission::new(g, cfg, 1).start();
     run.advance(5_000); // past agglomeration, into the core loop
     c.bench_function("ff_core_steps_x64_762", |b| {
         b.iter(|| {
             run.advance(64);
+            black_box(run.steps())
+        })
+    });
+}
+
+fn bench_ff_agglomerate(c: &mut Criterion) {
+    use ff_core::{FusionFission, FusionFissionConfig};
+    use ff_graph::generators::planted_partition_sparse;
+    use ff_metaheur::StopCondition;
+    let g = planted_partition_sparse(8, 250, 0.03, 1e-4, 1);
+    let cfg = FusionFissionConfig {
+        objective: Objective::Cut,
+        stop: StopCondition::steps(u64::MAX),
+        ..FusionFissionConfig::standard(8)
+    };
+    // A fresh run from 2000 singletons until the live part count first
+    // reaches k: Algorithm 2's agglomeration, where most part slots are
+    // live and the molecule improves on nearly every step. This is where
+    // per-step work that scales with the slot count shows.
+    c.bench_function("ff_core_agglomerate_2k", |b| {
+        b.iter(|| {
+            let mut run = FusionFission::new(&g, cfg, 1).start();
+            while run.best_at_target().is_none() && run.step_once() {}
             black_box(run.steps())
         })
     });
@@ -152,6 +176,7 @@ criterion_group!(
     bench_mincut,
     bench_percolation,
     bench_move_bookkeeping,
-    bench_ff_steps
+    bench_ff_steps,
+    bench_ff_agglomerate
 );
 criterion_main!(benches);

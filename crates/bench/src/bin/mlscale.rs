@@ -10,22 +10,27 @@
 //!     [--groups 100] [--group-size 1000] [--p-in 0.008] [--p-out 2e-5] \
 //!     [--seed 1]
 //!
-//! # Head-to-head on the same in-memory instance: flat FF and multilevel
-//! # FF get the *same* per-island step budget; report value + wall-clock
-//! # for both. With --assert, fail unless multilevel matches flat's final
-//! # energy in ≤ 25% of flat's wall-clock (the ISSUE acceptance bar):
+//! # Head-to-head on the same in-memory instance: multilevel FF runs
+//! # with the per-island step budget, then flat FF gets four times its
+//! # wall-clock (steps unbounded); report value + wall-clock for both.
+//! # With --assert, fail unless multilevel matches or beats flat's final
+//! # energy, i.e. reaches it in ≤ 25% of flat's wall-clock:
 //! cargo run -p ff-bench --release --bin mlscale -- compare \
 //!     [--groups 100] [--group-size 1000] [--p-in 0.008] [--p-out 2e-5] \
 //!     [--k 8] [--steps 20000] [--islands 2] [--seed 1] \
 //!     [--coarsen-until 3000] [--objective cut] [--assert]
 //! ```
 //!
-//! Both runs are purely step-bounded, so each side's *partition* is
-//! deterministic; only the wall-clock ratio varies by machine.
+//! The multilevel run is step-bounded, so its partition is deterministic.
+//! Flat gets a wall-clock budget rather than the same step budget: a
+//! flat step from singletons is cheap, so equal step budgets would pit
+//! the full V-cycle against a flat run stopped early in agglomeration,
+//! far from k parts.
 
 use ff_engine::{MultilevelOpts, Solver};
 use ff_graph::generators::planted_partition_sparse;
 use ff_graph::Graph;
+use ff_metaheur::StopCondition;
 use ff_partition::Objective;
 use std::time::Instant;
 
@@ -116,16 +121,6 @@ fn compare(p: &Params) -> bool {
     let g = generate(p);
 
     let started = Instant::now();
-    let flat = base_solver(&g, p).run().expect("flat config");
-    let t_flat = started.elapsed();
-    println!(
-        "flat:       value {:.6}  time {:.2}s  steps {}",
-        flat.best_value,
-        t_flat.as_secs_f64(),
-        flat.steps
-    );
-
-    let started = Instant::now();
     let ml = base_solver(&g, p)
         .multilevel(MultilevelOpts {
             coarsen_until: p.coarsen_until,
@@ -143,27 +138,33 @@ fn compare(p: &Params) -> bool {
         info.levels,
         info.coarse_vertices
     );
-    let ratio = t_ml.as_secs_f64() / t_flat.as_secs_f64();
+
+    let started = Instant::now();
+    let flat = base_solver(&g, p)
+        .stop(StopCondition::time(t_ml * 4))
+        .run()
+        .expect("flat config");
+    let t_flat = started.elapsed();
+    println!(
+        "flat:       value {:.6}  time {:.2}s  steps {}",
+        flat.best_value,
+        t_flat.as_secs_f64(),
+        flat.steps
+    );
     println!(
         "speed ratio {:.3} (multilevel / flat wall-clock), quality delta {:+.6}",
-        ratio,
+        t_ml.as_secs_f64() / t_flat.as_secs_f64(),
         ml.best_value - flat.best_value
     );
 
     let quality_ok = ml.best_value <= flat.best_value;
-    let time_ok = ratio <= 0.25;
-    if p.assert_bar {
-        if !quality_ok {
-            eprintln!(
-                "mlscale: FAIL — multilevel value {:.6} worse than flat {:.6}",
-                ml.best_value, flat.best_value
-            );
-        }
-        if !time_ok {
-            eprintln!("mlscale: FAIL — wall-clock ratio {ratio:.3} > 0.25");
-        }
+    if p.assert_bar && !quality_ok {
+        eprintln!(
+            "mlscale: FAIL — multilevel value {:.6} worse than flat {:.6} after 4× the wall-clock",
+            ml.best_value, flat.best_value
+        );
     }
-    quality_ok && time_ok
+    quality_ok
 }
 
 fn main() {

@@ -22,6 +22,7 @@ use ff_partition::{CutState, Partition};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The fusion–fission runner.
@@ -66,6 +67,8 @@ impl FusionFissionResult {
 
 /// Per-run mutable search state shared by both phases.
 struct Search<'g> {
+    /// The current molecule. Its undo journal runs from the best
+    /// molecule whenever `best_molecule` is empty.
     st: CutState<'g>,
     laws: LawTable,
     rng: ChaCha8Rng,
@@ -74,11 +77,13 @@ struct Search<'g> {
     trace: AnytimeTrace,
     best_at_k: Option<(f64, Partition)>,
     best_energy: f64,
-    best_molecule: Partition,
+    /// The best molecule once materialized. While empty, it is the
+    /// journal base of `st`.
+    best_molecule: OnceLock<Partition>,
     best_value_per_k: BTreeMap<usize, f64>,
-    /// Scratch buffer for the live-atom scan; reused every step so the
-    /// hot loop performs no per-step allocation.
-    atoms_scratch: Vec<u32>,
+    /// The current molecule's objective value; cleared by every change
+    /// to `st`'s sums (reaction, compaction, reheat).
+    value: Option<f64>,
 }
 
 impl<'g> FusionFission<'g> {
@@ -144,8 +149,12 @@ impl<'g> FusionFission<'g> {
             None => Partition::singletons(g),
         };
         let skip_agglomeration = self.warm_start.is_some();
+        // Until something beats it, the best molecule is the initial one:
+        // the journal base.
+        let mut st = CutState::new(g, init_part);
+        st.mark_journal_base();
         let s = Search {
-            st: CutState::new(g, init_part.clone()),
+            st,
             laws: LawTable::new(n),
             rng: ChaCha8Rng::seed_from_u64(self.seed),
             step: 0,
@@ -153,9 +162,9 @@ impl<'g> FusionFission<'g> {
             trace: AnytimeTrace::with_tag(cfg.objective),
             best_at_k: None,
             best_energy: f64::INFINITY,
-            best_molecule: init_part,
+            best_molecule: OnceLock::new(),
             best_value_per_k: BTreeMap::new(),
-            atoms_scratch: Vec::new(),
+            value: None,
         };
         // Phase 1 uses no temperature, no secondary fissions, and the
         // sharpest (frozen) α, so every undersized atom fuses.
@@ -205,9 +214,17 @@ pub struct FusionFissionRun<'g> {
 }
 
 impl<'g> FusionFissionRun<'g> {
-    fn energy_of_current(&self) -> f64 {
+    /// The current molecule's objective value: one fold over the part
+    /// sums per change of the molecule, shared by every reader.
+    fn value_of_current(&mut self) -> f64 {
+        let s = &mut self.s;
+        *s.value
+            .get_or_insert_with(|| s.st.objective(self.cfg.objective))
+    }
+
+    fn energy_of_current(&mut self) -> f64 {
         scaled_energy(
-            self.s.st.objective(self.cfg.objective),
+            self.value_of_current(),
             self.cfg.objective,
             self.s.st.partition().num_nonempty_parts(),
             self.cfg.k,
@@ -215,26 +232,19 @@ impl<'g> FusionFissionRun<'g> {
         )
     }
 
-    /// Picks a uniformly random live (non-empty) atom, reusing the
-    /// per-run scratch buffer — the step loop's former top allocation.
+    /// Picks a uniformly random live (non-empty) atom: the r-th live part
+    /// id in ascending order for a uniform draw r.
     fn pick_live_atom(&mut self) -> u32 {
-        let Search {
-            st,
-            rng,
-            atoms_scratch,
-            ..
-        } = &mut self.s;
-        atoms_scratch.clear();
-        let part = st.partition();
-        atoms_scratch.extend((0..part.num_parts() as u32).filter(|&p| part.part_size(p) > 0));
-        atoms_scratch[rng.gen_range(0..atoms_scratch.len())]
+        let part = self.s.st.partition();
+        let r = self.s.rng.gen_range(0..part.num_nonempty_parts());
+        part.nth_live_part(r)
     }
 
     /// Records the current molecule into best-trackers and the trace.
     fn observe(&mut self) {
+        let value = self.value_of_current();
         let s = &mut self.s;
         let live = s.st.partition().num_nonempty_parts();
-        let value = s.st.objective(self.cfg.objective);
         let entry = s.best_value_per_k.entry(live).or_insert(f64::INFINITY);
         if value < *entry {
             *entry = value;
@@ -247,8 +257,18 @@ impl<'g> FusionFissionRun<'g> {
             self.cfg.use_energy_scaling,
         );
         if energy < s.best_energy {
+            // The current molecule becomes the best one, kept as the
+            // journal base rather than copied.
             s.best_energy = energy;
-            s.best_molecule = s.st.partition().clone();
+            s.best_molecule.take();
+            s.st.mark_journal_base();
+        } else if s.best_molecule.get().is_some()
+            || s.st.journal_len() >= s.st.partition().num_vertices()
+        {
+            // Materialize a journaled best before its journal outgrows
+            // O(n); a materialized best needs no journal.
+            s.best_molecule.get_or_init(|| s.st.journal_base());
+            s.st.mark_journal_base();
         }
         if live == self.cfg.k && s.best_at_k.as_ref().is_none_or(|(bv, _)| value < *bv) {
             s.best_at_k = Some((value, s.st.partition().clone()));
@@ -261,6 +281,7 @@ impl<'g> FusionFissionRun<'g> {
     fn do_fusion(&mut self, atom: u32, t_norm: f64) -> Option<(usize, usize)> {
         let s = &mut self.s;
         let partner = select_partner(&s.st, atom, t_norm, self.cfg.size_bias, &mut s.rng)?;
+        s.value = None;
         let merged = fuse(&mut s.st, atom, partner);
         let size = s.st.partition().part_size(merged);
         let law = s.laws.law(Reaction::Fusion, size);
@@ -282,6 +303,7 @@ impl<'g> FusionFissionRun<'g> {
         let s = &mut self.s;
         let size_before = s.st.partition().part_size(atom);
         let new_half = fission_split(&mut s.st, atom, self.cfg.splitter, &mut s.rng)?;
+        s.value = None;
         let law = s.laws.law(Reaction::Fission, size_before);
         // Ejection from the larger half, which has the loosest nucleons.
         let bigger = if s.st.partition().part_size(atom) >= s.st.partition().part_size(new_half) {
@@ -310,16 +332,16 @@ impl<'g> FusionFissionRun<'g> {
     }
 
     /// Compacts away accumulated empty part slots when they dominate.
+    /// Compaction renumbers parts, which ends the journal, so a journaled
+    /// best molecule is materialized first.
     fn maybe_compact(&mut self) {
         let s = &mut self.s;
         let total = s.st.partition().num_parts();
         let live = s.st.partition().num_nonempty_parts();
         if total > 2 * live + 64 {
-            let g = self.g;
-            let old = std::mem::replace(&mut s.st, CutState::new(g, Partition::singletons(g)));
-            let mut p = old.into_partition();
-            p.compact();
-            s.st = CutState::new(g, p);
+            s.best_molecule.get_or_init(|| s.st.journal_base());
+            s.st.compact();
+            s.value = None;
         }
     }
 
@@ -393,11 +415,16 @@ impl<'g> FusionFissionRun<'g> {
         self.observe();
         self.maybe_compact();
 
-        // Cool; reheat-restart from the best molecule when frozen.
+        // Cool; reheat-restart from the best molecule when frozen. The
+        // restarted molecule is the best one, so it is the journal base
+        // again and the best needs no copy of its own.
         self.t -= self.dt;
         if self.t <= cfg.t_min {
             self.t = cfg.t_max;
-            self.s.st = CutState::new(self.g, self.s.best_molecule.clone());
+            let s = &mut self.s;
+            let best = s.best_molecule.take();
+            s.st.reset(best.unwrap_or_else(|| s.st.journal_base()));
+            s.value = None;
         }
     }
 
@@ -466,8 +493,17 @@ impl<'g> FusionFissionRun<'g> {
 
     /// The molecule holding [`FusionFissionRun::best_energy`] — the
     /// reheat-restart point.
+    ///
+    /// The search does not copy a molecule when it improves on the best;
+    /// it keeps an undo journal back to it instead. The best molecule is
+    /// materialized lazily: the first read after an improvement costs one
+    /// partition clone plus a rewind of the moves made since (at most
+    /// about n of them), and later reads until the next improvement are
+    /// free.
     pub fn best_molecule(&self) -> &Partition {
-        &self.s.best_molecule
+        self.s
+            .best_molecule
+            .get_or_init(|| self.s.st.journal_base())
     }
 
     /// Best `(value, partition)` seen with exactly the target k parts.
@@ -524,7 +560,7 @@ impl<'g> FusionFissionRun<'g> {
         );
         if energy < self.s.best_energy {
             self.s.best_energy = energy;
-            self.s.best_molecule = molecule;
+            self.s.best_molecule = OnceLock::from(molecule);
             true
         } else {
             false
@@ -549,7 +585,7 @@ impl<'g> FusionFissionRun<'g> {
             self.g.num_vertices(),
             "molecule size mismatch"
         );
-        let child = crate::ops::overlap_combine(self.g, &self.s.best_molecule, foreign, self.cfg.k);
+        let child = crate::ops::overlap_combine(self.g, self.best_molecule(), foreign, self.cfg.k);
         let adopted_child = self.inject(&child);
         let adopted_foreign = self.inject(foreign);
         adopted_child || adopted_foreign
@@ -569,8 +605,11 @@ impl<'g> FusionFissionRun<'g> {
             None => {
                 // Target k never visited (tiny budgets): fall back to the
                 // best molecule regardless of its part count.
-                let v = self.cfg.objective.evaluate(self.g, &s.best_molecule);
-                (v, s.best_molecule.clone())
+                let best = s
+                    .best_molecule
+                    .into_inner()
+                    .unwrap_or_else(|| s.st.journal_base());
+                (self.cfg.objective.evaluate(self.g, &best), best)
             }
         };
         best.compact();
@@ -586,12 +625,43 @@ impl<'g> FusionFissionRun<'g> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FissionSplitter;
-    use ff_graph::generators::{planted_partition, random_geometric, two_cliques_bridge};
+    use ff_graph::generators::{
+        planted_partition, planted_partition_sparse, random_geometric, two_cliques_bridge,
+    };
     use ff_metaheur::StopCondition;
     use ff_partition::Objective;
+
+    #[test]
+    fn cut_from_singletons_golden() {
+        // Pinned output of a Cut run from singletons: agglomeration, then
+        // the core loop. Any change to these values is a change of the
+        // search, not of its speed.
+        let g = planted_partition_sparse(4, 500, 0.02, 1e-3, 3);
+        let cfg = FusionFissionConfig {
+            objective: Objective::Cut,
+            stop: StopCondition::steps(2500),
+            ..FusionFissionConfig::standard(4)
+        };
+        let res = FusionFission::new(&g, cfg, 7).run();
+        // FNV-1a over the little-endian assignment.
+        let digest = res
+            .best
+            .assignment()
+            .iter()
+            .flat_map(|a| a.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        assert_eq!(digest, 0x8cbc_7fb3_daa2_c7c4);
+        assert_eq!(res.best_value.to_bits(), 0x4094_5200_0000_0000); // 1300.5
+        assert_eq!(res.steps, 2500);
+    }
 
     #[test]
     fn finds_two_clique_bisection() {

@@ -6,12 +6,13 @@ use ff_metaheur::percolation::{percolation_with_seeds, spread_seeds, Percolation
 use ff_partition::{CutState, Partition};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Total connection weight from part `a` to every other part, sorted by
-/// ascending part id (deterministic order). O(|a| · deg).
+/// ascending part id (deterministic order). Each part's weights are
+/// summed in member-then-edge order. O(|a| · deg · log deg).
 pub fn part_connections(st: &CutState, a: u32) -> Vec<(u32, f64)> {
-    let mut conn: HashMap<u32, f64> = HashMap::new();
+    let mut conn: BTreeMap<u32, f64> = BTreeMap::new();
     for &v in st.partition().part_members_unordered(a) {
         for (u, w) in st.graph().edges_of(v) {
             let pu = st.partition().part_of(u);
@@ -20,9 +21,7 @@ pub fn part_connections(st: &CutState, a: u32) -> Vec<(u32, f64)> {
             }
         }
     }
-    let mut out: Vec<(u32, f64)> = conn.into_iter().collect();
-    out.sort_unstable_by_key(|&(p, _)| p);
-    out
+    conn.into_iter().collect()
 }
 
 /// Selects a fusion partner for atom `a`.

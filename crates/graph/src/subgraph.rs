@@ -4,7 +4,7 @@
 //! fusion–fission fission operator (split one atom with percolation run on
 //! that atom's induced subgraph).
 
-use crate::{Graph, GraphBuilder, VertexId};
+use crate::{Graph, VertexId};
 
 /// An induced subgraph together with the mapping back to the parent graph.
 #[derive(Clone, Debug)]
@@ -27,6 +27,11 @@ impl Subgraph {
 /// duplicates rejected). Vertex weights carry over; only edges with both
 /// endpoints in `members` survive.
 ///
+/// The parent's rows are already strictly sorted, loop-free and
+/// symmetric, so each row is copied straight into the CSR, re-sorted by
+/// subgraph id only when `members` is not ascending. The result equals
+/// what [`crate::GraphBuilder`] assembles from the same edges.
+///
 /// # Panics
 ///
 /// Panics on out-of-range or duplicate member ids.
@@ -38,18 +43,28 @@ pub fn induced_subgraph(g: &Graph, members: &[VertexId]) -> Subgraph {
         assert!(to_sub[v as usize] == VertexId::MAX, "duplicate member {v}");
         to_sub[v as usize] = i as VertexId;
     }
-    let mut b = GraphBuilder::new(members.len());
-    for (i, &v) in members.iter().enumerate() {
-        b.set_vertex_weight(i as VertexId, g.vertex_weight(v));
-        for (u, w) in g.edges_of(v) {
-            let su = to_sub[u as usize];
-            if su != VertexId::MAX && u > v {
-                b.add_edge(i as VertexId, su, w);
-            }
+    let mut xadj = Vec::with_capacity(members.len() + 1);
+    xadj.push(0);
+    let mut adjncy = Vec::new();
+    let mut adjwgt = Vec::new();
+    let mut row: Vec<(VertexId, f64)> = Vec::new();
+    for &v in members {
+        row.clear();
+        row.extend(
+            g.edges_of(v)
+                .map(|(u, w)| (to_sub[u as usize], w))
+                .filter(|&(su, _)| su != VertexId::MAX),
+        );
+        if !row.is_sorted_by_key(|&(su, _)| su) {
+            row.sort_unstable_by_key(|&(su, _)| su);
         }
+        adjncy.extend(row.iter().map(|&(su, _)| su));
+        adjwgt.extend(row.iter().map(|&(_, w)| w));
+        xadj.push(adjncy.len());
     }
+    let vwgt = members.iter().map(|&v| g.vertex_weight(v)).collect();
     Subgraph {
-        graph: b.build(),
+        graph: Graph::from_csr(xadj, adjncy, adjwgt, vwgt),
         to_parent: members.to_vec(),
     }
 }
@@ -94,6 +109,62 @@ mod tests {
         assert_eq!(s.graph.vertex_weight(0), 6.0);
         assert_eq!(s.graph.vertex_weight(1), 1.0);
         assert_eq!(s.graph.num_edges(), 0);
+    }
+
+    /// The subgraph as `GraphBuilder` assembles it from the same edges.
+    fn built_reference(g: &Graph, members: &[VertexId]) -> Graph {
+        let mut to_sub = vec![VertexId::MAX; g.num_vertices()];
+        for (i, &v) in members.iter().enumerate() {
+            to_sub[v as usize] = i as VertexId;
+        }
+        let mut b = crate::GraphBuilder::new(members.len());
+        for (i, &v) in members.iter().enumerate() {
+            b.set_vertex_weight(i as VertexId, g.vertex_weight(v));
+            for (u, w) in g.edges_of(v) {
+                if to_sub[u as usize] != VertexId::MAX && u > v {
+                    b.add_edge(i as VertexId, to_sub[u as usize], w);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn direct_csr_matches_builder_for_any_member_order() {
+        use rand::prelude::*;
+        use rand_chacha::ChaCha8Rng;
+        let mut b = crate::GraphBuilder::new(60);
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        for v in 0..60 {
+            b.set_vertex_weight(v, rng.gen_range(0.5..2.0));
+            for _ in 0..4 {
+                b.add_edge(v, rng.gen_range(0..60u32), rng.gen_range(0.1..3.0));
+            }
+        }
+        let g = b.build();
+        for round in 0..20 {
+            let mut members: Vec<VertexId> = (0..60).filter(|_| rng.gen_bool(0.6)).collect();
+            if round % 2 == 1 {
+                members.shuffle(&mut rng);
+            }
+            let s = induced_subgraph(&g, &members);
+            let r = built_reference(&g, &members);
+            assert_eq!(s.graph.xadj(), r.xadj(), "round {round}");
+            assert_eq!(s.graph.adjncy(), r.adjncy(), "round {round}");
+            let bits = |h: &Graph| h.adjwgt().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&s.graph), bits(&r), "round {round}");
+            for v in r.vertices() {
+                assert_eq!(s.graph.vertex_weight(v), r.vertex_weight(v));
+                assert_eq!(
+                    s.graph.degree_weight(v).to_bits(),
+                    r.degree_weight(v).to_bits()
+                );
+            }
+            assert_eq!(
+                s.graph.total_edge_weight().to_bits(),
+                r.total_edge_weight().to_bits()
+            );
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! the internal edge weight — so `assoc(A, V)` equals the degree-weight sum
 //! of A, matching Shi–Malik.
 
-use crate::partition::Partition;
+use crate::partition::{Partition, Undo};
 use ff_graph::{Graph, VertexId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The three partitioning criteria of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -69,6 +69,15 @@ impl std::fmt::Display for Objective {
 /// st.move_vertex(1, 1);
 /// assert_eq!(st.cut(), 1.0);
 /// ```
+///
+/// ## Undo journal
+///
+/// [`CutState::mark_journal_base`] starts an undo journal: every later
+/// move and added part is recorded, so [`CutState::journal_base`] can
+/// rebuild the partition as it was at the mark, bit for bit, without the
+/// caller snapshotting it eagerly. The journal holds one record per edit
+/// since the mark. [`CutState::compact`] and [`CutState::reset`] move the
+/// mark to their result.
 #[derive(Clone, Debug)]
 pub struct CutState<'g> {
     g: &'g Graph,
@@ -76,6 +85,9 @@ pub struct CutState<'g> {
     /// Per-part sums, interleaved so the two values a move touches per
     /// part share a cache line.
     sums: Vec<PartSums>,
+    /// Undo records since the journal base, oldest first; `None` while
+    /// no journal was started.
+    journal: Option<Vec<Undo>>,
 }
 
 /// Interleaved per-part cut bookkeeping: `ext` = cut(P_p, V − P_p),
@@ -90,8 +102,24 @@ impl<'g> CutState<'g> {
     /// Builds the state in O(m).
     pub fn new(g: &'g Graph, part: Partition) -> Self {
         assert_eq!(part.num_vertices(), g.num_vertices(), "partition size");
-        let k = part.num_parts();
-        let mut sums = vec![PartSums::default(); k];
+        let mut st = CutState {
+            g,
+            part,
+            sums: Vec::new(),
+            journal: None,
+        };
+        st.rebuild_sums();
+        st
+    }
+
+    /// Recomputes every part's sums from scratch in O(m), vertex by
+    /// vertex in ascending order, so the floats depend only on the
+    /// partition. Moves the journal base here.
+    fn rebuild_sums(&mut self) {
+        let (g, part) = (self.g, &self.part);
+        self.sums.clear();
+        self.sums.resize(part.num_parts(), PartSums::default());
+        let sums = &mut self.sums;
         for v in g.vertices() {
             let pv = part.part_of(v) as usize;
             for (u, w) in g.edges_of(v) {
@@ -102,7 +130,56 @@ impl<'g> CutState<'g> {
                 }
             }
         }
-        CutState { g, part, sums }
+        if let Some(journal) = &mut self.journal {
+            journal.clear();
+        }
+    }
+
+    /// Replaces the partition in place, recomputing the sums in O(m):
+    /// the same state as `CutState::new(g, part)`, keeping this state's
+    /// buffers. The journal base moves to `part`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` is for a different vertex count.
+    pub fn reset(&mut self, part: Partition) {
+        assert_eq!(part.num_vertices(), self.g.num_vertices(), "partition size");
+        self.part = part;
+        self.rebuild_sums();
+    }
+
+    /// Renumbers parts densely ([`Partition::compact`]) and recomputes
+    /// the sums in O(m): the same state as `CutState::new` of the
+    /// compacted partition. Part ids change, so the journal base moves to
+    /// the compacted partition. Returns the old→new id map.
+    pub fn compact(&mut self) -> Vec<u32> {
+        let remap = self.part.compact();
+        self.rebuild_sums();
+        remap
+    }
+
+    /// Makes the current partition the journal base and records every
+    /// later edit, starting the journal if none runs. The buffer is
+    /// kept, so a long run allocates it once.
+    pub fn mark_journal_base(&mut self) {
+        self.journal.get_or_insert_with(Vec::new).clear();
+    }
+
+    /// Edits recorded since the journal base (0 without a journal).
+    pub fn journal_len(&self) -> usize {
+        self.journal.as_ref().map_or(0, Vec::len)
+    }
+
+    /// The partition at the journal base, rebuilt by undoing the
+    /// recorded edits, newest first, on a copy of the current one. It is
+    /// bit-identical to a clone taken at the mark: assignment, part
+    /// weights, member order and part count. O(n + journal length).
+    pub fn journal_base(&self) -> Partition {
+        let mut p = self.part.clone();
+        for &undo in self.journal.iter().flatten().rev() {
+            p.undo(undo);
+        }
+        p
     }
 
     /// The underlying partition.
@@ -186,15 +263,14 @@ impl<'g> CutState<'g> {
     }
 
     /// Weight from `v` into each part among its neighbors, sorted by
-    /// ascending part id (deterministic order). O(deg v · log deg v).
+    /// ascending part id (deterministic order). Each part's weights are
+    /// summed in edge order. O(deg v · log deg v).
     pub fn connection_weights(&self, v: VertexId) -> Vec<(u32, f64)> {
-        let mut conn: HashMap<u32, f64> = HashMap::new();
+        let mut conn: BTreeMap<u32, f64> = BTreeMap::new();
         for (u, w) in self.g.edges_of(v) {
             *conn.entry(self.part.part_of(u)).or_insert(0.0) += w;
         }
-        let mut out: Vec<(u32, f64)> = conn.into_iter().collect();
-        out.sort_unstable_by_key(|&(p, _)| p);
-        out
+        conn.into_iter().collect()
     }
 
     /// Objective change if `v` moved to part `to`, without applying it.
@@ -263,12 +339,18 @@ impl<'g> CutState<'g> {
             s.ext += degw - 2.0 * conn_to;
             s.int2 += 2.0 * conn_to;
         }
+        if let Some(journal) = &mut self.journal {
+            journal.push(self.part.undo_of_move(v, to));
+        }
         self.part.move_vertex(self.g, v, to);
     }
 
     /// Appends a new empty part to the partition and the cached sums.
     pub fn add_part(&mut self) -> u32 {
         self.sums.push(PartSums::default());
+        if let Some(journal) = &mut self.journal {
+            journal.push(Undo::AddPart);
+        }
         self.part.add_part()
     }
 

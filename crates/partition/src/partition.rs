@@ -12,7 +12,11 @@ use rand_chacha::ChaCha8Rng;
 /// away empty parts when a caller needs dense non-empty ids.
 ///
 /// Per-part vertex counts and vertex weights are maintained on every move,
-/// so they are always O(1) reads.
+/// so they are always O(1) reads. So is the live (non-empty) part count,
+/// [`Partition::num_nonempty_parts`]. A liveness index over the part slots
+/// answers [`Partition::nth_live_part`], the r-th non-empty part in
+/// ascending id order, in O(log P) for P part slots; a move that empties
+/// or fills a part pays the same O(log P) to keep it current.
 ///
 /// ```
 /// use ff_graph::generators::path;
@@ -34,6 +38,109 @@ pub struct Partition {
     members: Vec<Vec<VertexId>>,
     /// Index of each vertex inside its part's member list.
     pos: Vec<u32>,
+    /// Which part slots are non-empty.
+    live: LiveIndex,
+}
+
+/// Order-statistic index over part slots: a Fenwick tree of 0/1 liveness
+/// flags plus their total, so the live count is O(1) and both flipping a
+/// flag and selecting the r-th live slot are O(log P).
+#[derive(Clone, Debug, PartialEq)]
+struct LiveIndex {
+    /// 1-based Fenwick array: `tree[i - 1]` counts the live slots among
+    /// `(i - lowbit(i), i]`.
+    tree: Vec<u32>,
+    count: usize,
+}
+
+impl LiveIndex {
+    /// Builds the index over `flags` (one per slot) in O(P).
+    fn from_flags(flags: impl Iterator<Item = bool>) -> Self {
+        let mut tree: Vec<u32> = flags.map(u32::from).collect();
+        let count = tree.iter().map(|&f| f as usize).sum();
+        for i in 1..=tree.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= tree.len() {
+                tree[parent - 1] += tree[i - 1];
+            }
+        }
+        LiveIndex { tree, count }
+    }
+
+    /// Appends one slot. Its node sums itself and its children
+    /// `i − 1, i − 2, i − 4, …` below `lowbit(i)`.
+    fn push(&mut self, live: bool) {
+        let i = self.tree.len() + 1;
+        let low = i & i.wrapping_neg();
+        let mut node = u32::from(live);
+        let mut step = 1;
+        while step < low {
+            node += self.tree[i - step - 1];
+            step <<= 1;
+        }
+        self.tree.push(node);
+        self.count += usize::from(live);
+    }
+
+    /// Drops the last slot, which must be dead: no node above it exists,
+    /// so nothing else changes.
+    fn pop_dead(&mut self) {
+        self.tree.pop();
+    }
+
+    /// Flips `slot` to `live`; the caller guarantees it was `!live`.
+    fn set(&mut self, slot: u32, live: bool) {
+        let mut i = slot as usize + 1;
+        while i <= self.tree.len() {
+            if live {
+                self.tree[i - 1] += 1;
+            } else {
+                self.tree[i - 1] -= 1;
+            }
+            i += i & i.wrapping_neg();
+        }
+        if live {
+            self.count += 1;
+        } else {
+            self.count -= 1;
+        }
+    }
+
+    /// The `r`-th live slot (0-based, ascending): the Fenwick descent to
+    /// the longest prefix holding at most `r` live slots.
+    fn nth(&self, r: usize) -> u32 {
+        assert!(r < self.count, "live part {r} of {}", self.count);
+        let len = self.tree.len();
+        let mut pos = 0;
+        let mut rem = r as u32;
+        let mut step = if len == 0 { 0 } else { 1 << len.ilog2() };
+        while step > 0 {
+            let next = pos + step;
+            if next <= len && self.tree[next - 1] <= rem {
+                pos = next;
+                rem -= self.tree[next - 1];
+            }
+            step >>= 1;
+        }
+        pos as u32
+    }
+}
+
+/// How to undo one [`Partition`] edit exactly: assignment, part weights
+/// (bit for bit), member order and slot count. Recorded before the edit.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Undo {
+    /// `v` left part `from`, where it sat at `slot` of the member list.
+    /// `from_weight` and `to_weight` are both parts' weights before.
+    Move {
+        v: VertexId,
+        from: u32,
+        slot: u32,
+        from_weight: f64,
+        to_weight: f64,
+    },
+    /// An empty part was appended.
+    AddPart,
 }
 
 impl PartialEq for Partition {
@@ -65,11 +172,13 @@ impl Partition {
             pos[v] = members[p as usize].len() as u32;
             members[p as usize].push(v as VertexId);
         }
+        let live = LiveIndex::from_flags(members.iter().map(|m| !m.is_empty()));
         Partition {
             assignment,
             part_weight,
             members,
             pos,
+            live,
         }
     }
 
@@ -106,9 +215,21 @@ impl Partition {
         self.members.len()
     }
 
-    /// Number of non-empty parts.
+    /// Number of non-empty parts. O(1).
+    #[inline]
     pub fn num_nonempty_parts(&self) -> usize {
-        self.members.iter().filter(|m| !m.is_empty()).count()
+        self.live.count
+    }
+
+    /// The `r`-th non-empty part in ascending id order (0-based), i.e.
+    /// the `r`-th element of the ids `p` with `part_size(p) > 0`.
+    /// O(log P) for P part slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r ≥` [`Partition::num_nonempty_parts`].
+    pub fn nth_live_part(&self, r: usize) -> u32 {
+        self.live.nth(r)
     }
 
     /// Number of vertices.
@@ -141,7 +262,8 @@ impl Partition {
         &self.assignment
     }
 
-    /// Moves `v` to `to` (no-op when already there). O(1).
+    /// Moves `v` to `to` (no-op when already there). O(1), plus O(log P)
+    /// when the move empties `v`'s part or fills an empty `to`.
     ///
     /// # Panics
     ///
@@ -164,8 +286,15 @@ impl Partition {
         if last != v {
             self.pos[last as usize] = vpos as u32;
         }
-        self.pos[v as usize] = self.members[to as usize].len() as u32;
-        self.members[to as usize].push(v);
+        if old.is_empty() {
+            self.live.set(from, false);
+        }
+        let dest = &mut self.members[to as usize];
+        if dest.is_empty() {
+            self.live.set(to, true);
+        }
+        self.pos[v as usize] = dest.len() as u32;
+        dest.push(v);
         self.assignment[v as usize] = to;
     }
 
@@ -173,7 +302,68 @@ impl Partition {
     pub fn add_part(&mut self) -> u32 {
         self.members.push(Vec::new());
         self.part_weight.push(0.0);
+        self.live.push(false);
         (self.num_parts() - 1) as u32
+    }
+
+    /// The record that undoes moving `v` to `to`, taken before the move.
+    pub(crate) fn undo_of_move(&self, v: VertexId, to: u32) -> Undo {
+        let from = self.assignment[v as usize];
+        Undo::Move {
+            v,
+            from,
+            slot: self.pos[v as usize],
+            from_weight: self.part_weight[from as usize],
+            to_weight: self.part_weight[to as usize],
+        }
+    }
+
+    /// Reverts the edit `undo` was recorded for. Edits must be undone
+    /// newest first; each then restores the exact prior state, member
+    /// order and weight bits included.
+    pub(crate) fn undo(&mut self, undo: Undo) {
+        match undo {
+            Undo::Move {
+                v,
+                from,
+                slot,
+                from_weight,
+                to_weight,
+            } => {
+                let to = self.assignment[v as usize];
+                let dest = &mut self.members[to as usize];
+                debug_assert_eq!(dest.last(), Some(&v), "undo out of order");
+                dest.pop();
+                if dest.is_empty() {
+                    self.live.set(to, false);
+                }
+                // Reverse the swap-remove: the vertex that filled `slot`
+                // goes back to the end of the list.
+                let src = &mut self.members[from as usize];
+                if src.is_empty() {
+                    self.live.set(from, true);
+                }
+                let slot_us = slot as usize;
+                if slot_us < src.len() {
+                    let displaced = src[slot_us];
+                    self.pos[displaced as usize] = src.len() as u32;
+                    src.push(displaced);
+                    src[slot_us] = v;
+                } else {
+                    src.push(v);
+                }
+                self.pos[v as usize] = slot;
+                self.assignment[v as usize] = from;
+                self.part_weight[from as usize] = from_weight;
+                self.part_weight[to as usize] = to_weight;
+            }
+            Undo::AddPart => {
+                let last = self.members.pop();
+                debug_assert!(last.is_some_and(|m| m.is_empty()), "undo out of order");
+                self.part_weight.pop();
+                self.live.pop_dead();
+            }
+        }
     }
 
     /// Members of part `p`, ascending. O(s log s) for the sort; use
@@ -217,12 +407,16 @@ impl Partition {
         }
         self.part_weight = weight;
         self.members = members;
+        self.live = LiveIndex::from_flags(std::iter::repeat_n(true, live));
         remap
     }
 
-    /// Structural self-check (tests and debug assertions): counts and
-    /// weights agree with the assignment.
+    /// Structural self-check (tests and debug assertions): counts, weights
+    /// and the liveness index agree with the assignment.
     pub fn validate(&self, g: &Graph) -> bool {
+        if self.live != LiveIndex::from_flags(self.members.iter().map(|m| !m.is_empty())) {
+            return false;
+        }
         if self.assignment.len() != g.num_vertices() {
             return false;
         }
