@@ -664,6 +664,13 @@ mod tests {
     }
 
     #[test]
+    fn run_can_move_between_threads() {
+        // Island ensembles advance each run on a scoped thread.
+        fn check<T: Send + Sync>() {}
+        check::<FusionFissionRun<'static>>();
+    }
+
+    #[test]
     fn finds_two_clique_bisection() {
         let g = two_cliques_bridge(8, 2.0, 0.1);
         let res = FusionFission::new(&g, FusionFissionConfig::fast(2), 42).run();

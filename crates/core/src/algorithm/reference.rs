@@ -8,10 +8,11 @@
 //! `CutState`. Both loops run in lockstep on Cut, Ncut and Mcut. After
 //! every `step_once` the current molecules must agree bit for bit
 //! (assignment, member order, part-weight bits, part count, cut sums), as
-//! must the energies, the temperature, the RNG streams and the
-//! best-at-k molecules. The best molecules are compared at mid-run reads,
-//! around injected migrants and at the end, so the lazy materialization
-//! paths (read, compaction, reheat, journal cap) all run.
+//! must the energies, the temperature, the RNG streams, the best-at-k
+//! molecules and the best molecule (read without materializing it while
+//! it is journaled). Mid-run `best_molecule` reads and injected migrants
+//! make the lazy materialization paths (read, compaction, reheat,
+//! journal cap, adoption) all run; each test checks that they did.
 
 use super::*;
 use crate::ops::overlap_combine;

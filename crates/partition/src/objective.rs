@@ -151,11 +151,10 @@ impl<'g> CutState<'g> {
     /// Renumbers parts densely ([`Partition::compact`]) and recomputes
     /// the sums in O(m): the same state as `CutState::new` of the
     /// compacted partition. Part ids change, so the journal base moves to
-    /// the compacted partition. Returns the old→new id map.
-    pub fn compact(&mut self) -> Vec<u32> {
-        let remap = self.part.compact();
+    /// the compacted partition.
+    pub fn compact(&mut self) {
+        self.part.compact();
         self.rebuild_sums();
-        remap
     }
 
     /// Makes the current partition the journal base and records every
