@@ -139,7 +139,9 @@ impl<'g> Solver<'g> {
     }
 
     /// Concurrent OS threads per epoch; `0` (default) means one per
-    /// island. Results are identical for any cap under step budgets.
+    /// island. A single island, or any island under a cap of 1, runs on
+    /// the calling thread. Results are identical for any cap under step
+    /// budgets.
     pub fn threads(mut self, max_threads: usize) -> Self {
         self.max_threads = max_threads;
         self
@@ -525,9 +527,10 @@ pub struct SolverRun<'g> {
 impl<'g> SolverRun<'g> {
     /// One epoch: every island advances by the policy's interval (in
     /// waves of at most the configured thread cap), then the policy
-    /// exchanges molecules at the barrier. Returns `true` while at least
-    /// one island has work left, `false` once all islands hit their stop
-    /// conditions or a bound [`CancelToken`] fired.
+    /// exchanges molecules at the barrier. A wave of one island runs on
+    /// the calling thread. Returns `true` while at least one island has
+    /// work left, `false` once all islands hit their stop conditions or a
+    /// bound [`CancelToken`] fired.
     pub fn advance_epoch(&mut self) -> bool {
         let epoch_start = self.obs.as_ref().map(|_| std::time::Instant::now());
         let n = self.runs.len();
@@ -545,6 +548,14 @@ impl<'g> SolverRun<'g> {
         // past injections, so wave layout cannot change results.
         let mut more = vec![false; n];
         for (wave, flags) in self.runs.chunks_mut(cap).zip(more.chunks_mut(cap)) {
+            // A thread per lone island per epoch buys no parallelism, and
+            // each short-lived thread may leave glibc's allocator a fresh
+            // arena holding its pages, so the process's resident memory
+            // would grow with the epoch count and thread timing.
+            if let ([run], [flag]) = (&mut *wave, &mut *flags) {
+                *flag = run.advance(chunk);
+                continue;
+            }
             std::thread::scope(|scope| {
                 for (run, flag) in wave.iter_mut().zip(flags.iter_mut()) {
                     scope.spawn(move || {
