@@ -19,8 +19,7 @@ pub enum TokKind {
     /// Lifetime such as `'a` (text excludes the quote).
     Lifetime,
     /// String literal of any flavour (`"..."`, `r#"..."#`, `b"..."`).
-    /// Text is the *decoded-enough* inner content for plain strings
-    /// (escapes left as-is) so match-arm patterns can be compared.
+    /// Text is the inner content for plain strings (escapes left as-is).
     Str,
     /// Character or byte literal.
     Char,

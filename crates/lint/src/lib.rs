@@ -1,6 +1,6 @@
 //! `ff-lint` — the workspace invariant checker.
 //!
-//! Four lint families guard the properties the test suite can only
+//! Three lint families guard the properties the test suite can only
 //! spot-check (see `INVARIANTS.md` at the repo root for the contract
 //! each one encodes):
 //!
@@ -8,7 +8,6 @@
 //! |---|---|---|
 //! | determinism | `DET_WALLCLOCK`, `DET_HASH_ITER`, `DET_UNSEEDED_RNG` | the deterministic crates |
 //! | lock order | `LOCK_CYCLE` | `ff-service` + `ff-obs` |
-//! | wire strictness | `WIRE_STRICT`, `WIRE_FIELD` | `protocol.rs`, `journal.rs` |
 //! | panic paths | `PANIC_PATH` | request-handling / job-driver files |
 //!
 //! Plus `BASELINE_STALE` for exception entries that no longer match
@@ -21,7 +20,6 @@ pub mod lexer;
 pub mod locks;
 pub mod panics;
 pub mod source;
-pub mod wire;
 
 use source::{Diagnostic, SourceFile};
 use std::collections::BTreeMap;
@@ -46,12 +44,6 @@ pub const WALLCLOCK_ALLOWED: &[&str] = &["crates/metaheur/src/anytime.rs"];
 /// graph (ff-obs included: the service logs and counts while holding
 /// its own locks).
 pub const LOCK_SCOPE: &[&str] = &["crates/service/src", "crates/obs/src"];
-
-/// Files whose `parse`/`from_value` fns are held to wire strictness.
-pub const WIRE_FILES: &[&str] = &[
-    "crates/service/src/protocol.rs",
-    "crates/service/src/journal.rs",
-];
 
 /// Request-handling / job-driver files where panics are forbidden.
 pub const PANIC_FILES: &[&str] = &[
@@ -108,7 +100,7 @@ pub fn run(root: &Path, baseline_rel: &str) -> Result<Report, String> {
             lock_files.push(rel);
         }
     }
-    for rel in WIRE_FILES.iter().chain(PANIC_FILES) {
+    for rel in PANIC_FILES {
         load(rel, &mut sources)?;
     }
 
@@ -129,9 +121,6 @@ pub fn run(root: &Path, baseline_rel: &str) -> Result<Report, String> {
         })
         .collect();
     let lock_graph = locks::check(&lock_inputs, &mut raw);
-    for rel in WIRE_FILES {
-        wire::check(&sources[*rel], &mut raw);
-    }
     for rel in PANIC_FILES {
         panics::check(&sources[*rel], &mut raw);
     }

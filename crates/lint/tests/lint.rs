@@ -5,7 +5,7 @@
 //! the committed baseline — the same gate CI enforces with `--deny`.
 
 use ff_lint::source::{Diagnostic, SourceFile};
-use ff_lint::{determinism, locks, panics, wire};
+use ff_lint::{determinism, locks, panics};
 use std::path::Path;
 
 fn fixture(name: &str) -> SourceFile {
@@ -49,13 +49,6 @@ fn locks_fixture_matches_golden() {
     // The AB/BA pair must appear in the graph as edges in both directions.
     assert_eq!(graph.edges.len(), 2, "edges: {:?}", graph.edges);
     assert_matches_golden(out, "locks.expected");
-}
-
-#[test]
-fn wire_fixture_matches_golden() {
-    let mut out = Vec::new();
-    wire::check(&fixture("wire.rs"), &mut out);
-    assert_matches_golden(out, "wire.expected");
 }
 
 #[test]

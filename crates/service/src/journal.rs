@@ -29,7 +29,8 @@
 //! [`JournalError::Corrupt`] naming the byte offset.
 
 use crate::cache::{GraphFormat, GraphSource};
-use crate::protocol::{get_str, get_u64, obj, reject_unknown, s, unum, Event, JobRequest};
+use crate::protocol::{Event, JobRequest};
+use crate::schema::{wire_enum, Wire};
 use crate::sync::lock;
 use ff_obs::{Counter, Registry};
 use serde_json::Value;
@@ -38,113 +39,45 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// One journaled fact. Serialized as a JSON object whose `record` field
-/// names the variant; the `spec` and `event` payloads reuse the wire
-/// protocol's own encodings, so the journal can never drift from what
-/// clients actually said.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JournalRecord {
-    /// A graph was loaded (or reloaded) into the instance cache.
-    Instance {
-        /// Client-chosen cache key.
-        instance: String,
-        /// Where the bytes came from, so replay can reload them.
-        source: GraphSource,
-        /// File format of the source.
-        format: GraphFormat,
-        /// The cache's FNV-1a content digest at load time. Replay
-        /// reloads the source and compares: a mismatch means the bytes
-        /// changed behind the journal's back, and every journaled job
-        /// referencing this instance is invalidated instead of silently
-        /// re-executed on different input.
-        digest: u64,
-    },
-    /// A job passed admission and validation with this exact spec.
-    Submitted {
-        /// The job id the server assigned.
-        job: u64,
-        /// The full request, as admitted.
-        spec: JobRequest,
-    },
-    /// A protocol event worth replaying: `improvement`, `done`, or an
-    /// admission `rejected`.
-    Event(Event),
+wire_enum! {
+    /// One journaled fact. Serialized as a JSON object whose `record` field
+    /// names the variant; the `spec` and `event` payloads reuse the wire
+    /// protocol's own encodings, so the journal can never drift from what
+    /// clients actually said.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum JournalRecord by "record", unknown "record kind" {
+        /// A graph was loaded (or reloaded) into the instance cache.
+        "instance" => Instance {
+            /// Client-chosen cache key.
+            instance: String,
+            /// Where the bytes came from, so replay can reload them.
+            @flatten source: GraphSource,
+            /// File format of the source.
+            format: GraphFormat,
+            /// The cache's FNV-1a content digest at load time. Replay
+            /// reloads the source and compares: a mismatch means the bytes
+            /// changed behind the journal's back, and every journaled job
+            /// referencing this instance is invalidated instead of silently
+            /// re-executed on different input.
+            digest: u64,
+        },
+        /// A job passed admission and validation with this exact spec.
+        "submitted" => Submitted {
+            /// The job id the server assigned.
+            job: u64,
+            /// The full request, as admitted.
+            spec: JobRequest,
+        },
+        /// A protocol event worth replaying: `improvement`, `done`, or an
+        /// admission `rejected`.
+        "event" => Event(event: Event),
+    }
 }
 
 impl JournalRecord {
-    /// Serializes to the journal's JSON payload.
-    pub fn to_value(&self) -> Value {
-        match self {
-            JournalRecord::Instance {
-                instance,
-                source,
-                format,
-                digest,
-            } => {
-                let mut entries = vec![("record", s("instance")), ("instance", s(instance))];
-                match source {
-                    GraphSource::Path(p) => entries.push(("path", s(p))),
-                    GraphSource::Data(d) => entries.push(("data", s(d))),
-                }
-                entries.push(("format", s(format.name())));
-                entries.push(("digest", unum(*digest)));
-                obj(entries)
-            }
-            JournalRecord::Submitted { job, spec } => obj(vec![
-                ("record", s("submitted")),
-                ("job", unum(*job)),
-                ("spec", spec.to_value()),
-            ]),
-            JournalRecord::Event(event) => {
-                obj(vec![("record", s("event")), ("event", event.to_value())])
-            }
-        }
-    }
-
     /// Parses one journal payload.
     pub fn from_value(v: &Value) -> Result<JournalRecord, String> {
-        let kind = get_str(v, "record").ok_or("missing `record`")?;
-        match kind.as_str() {
-            "instance" => {
-                reject_unknown(
-                    v,
-                    "instance",
-                    &["record", "instance", "path", "data", "format", "digest"],
-                )?;
-                let instance = get_str(v, "instance").ok_or("instance: missing `instance`")?;
-                let source = match (get_str(v, "path"), get_str(v, "data")) {
-                    (Some(p), None) => GraphSource::Path(p),
-                    (None, Some(d)) => GraphSource::Data(d),
-                    _ => return Err("instance: need exactly one of `path` / `data`".into()),
-                };
-                let format = match get_str(v, "format") {
-                    Some(name) => GraphFormat::parse(&name)
-                        .ok_or(format!("instance: unknown format `{name}`"))?,
-                    None => return Err("instance: missing `format`".into()),
-                };
-                let digest = get_u64(v, "digest").ok_or("instance: missing `digest`")?;
-                Ok(JournalRecord::Instance {
-                    instance,
-                    source,
-                    format,
-                    digest,
-                })
-            }
-            "submitted" => {
-                reject_unknown(v, "submitted", &["record", "job", "spec"])?;
-                let job = get_u64(v, "job").ok_or("submitted: missing `job`")?;
-                let spec = v.get("spec").ok_or("submitted: missing `spec`")?;
-                let spec = JobRequest::from_value(spec)?;
-                Ok(JournalRecord::Submitted { job, spec })
-            }
-            "event" => {
-                reject_unknown(v, "event", &["record", "event"])?;
-                let event = v.get("event").ok_or("event: missing `event`")?;
-                let event = Event::parse(&event.to_string())?;
-                Ok(JournalRecord::Event(event))
-            }
-            other => Err(format!("unknown record kind `{other}`")),
-        }
+        Wire::decode(v)
     }
 }
 
@@ -374,6 +307,16 @@ pub struct ReplaySummary {
 mod tests {
     use super::*;
     use crate::protocol::Improvement;
+    use crate::schema::s;
+    use serde_json::Map;
+
+    fn obj(entries: Vec<(&str, Value)>) -> Value {
+        let mut m = Map::new();
+        for (k, v) in entries {
+            m.insert(k.to_string(), v);
+        }
+        Value::Object(m)
+    }
 
     fn sample_records() -> Vec<JournalRecord> {
         let spec = JobRequest {

@@ -16,7 +16,7 @@
 //! * **Worker pool** ([`gate`]): a FIFO-fair permit gate. Jobs hold a
 //!   cheap parked thread and only compute while holding one of N
 //!   permits, advancing their [`ff_core::FusionFissionRun`] /
-//!   [`ff_engine::EnsembleRun`] a chunk at a time — M in-flight jobs
+//!   [`ff_engine::SolverRun`] a chunk at a time — M in-flight jobs
 //!   share N slots round-robin instead of queueing whole-job. Permit
 //!   wait times are histogrammed into `stats`.
 //! * **Admission control** ([`ServerConfig::max_jobs`],
@@ -262,12 +262,15 @@
 //! ## Invariants
 //!
 //! `ff-lint` (`crates/lint`) statically checks this crate on every CI
-//! run: the lock-acquisition order must stay a DAG (`LOCK_CYCLE`), wire
-//! parsers must reject unknown fields (`WIRE_STRICT` / `WIRE_FIELD`),
-//! and request-handling files must not panic on reachable paths
+//! run: the lock-acquisition order must stay a DAG (`LOCK_CYCLE`), and
+//! request-handling files must not panic on reachable paths
 //! (`PANIC_PATH`) — poisoned locks are recovered via the crate's
-//! `sync::lock` / `sync::wait` helpers instead of unwrapped. See
-//! `INVARIANTS.md` at the repo root for the full contract.
+//! `sync::lock` / `sync::wait` helpers instead of unwrapped. Wire
+//! strictness is structural: each [`protocol`] and [`journal`] message
+//! is declared once in the crate's wire schema, which generates its
+//! encoder and a decoder that rejects unknown fields and malformed
+//! values by name. See `INVARIANTS.md` at the repo root for the full
+//! contract.
 
 pub mod cache;
 pub mod client;
@@ -278,6 +281,7 @@ pub mod job;
 pub mod journal;
 pub mod obs;
 pub mod protocol;
+mod schema;
 pub mod server;
 mod sync;
 mod wsession;

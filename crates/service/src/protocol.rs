@@ -7,15 +7,26 @@
 //! [`Request::parse`] and [`Event::to_value`] / [`Event::parse`] are
 //! inverse pairs (round-trip tested below).
 //!
+//! # The schema
+//!
+//! Each message type is defined inside `wire_struct!` / `wire_enum!`,
+//! whose field list, in wire order, also generates its encoder, strict
+//! decoder and known-field set. One rule decodes every field: an unknown
+//! field is rejected by name first; an absent optional field takes its
+//! default; a present one that does not decode (a wrong type, a negative
+//! or fractional number, `null`, an unknown name) is rejected by name,
+//! never defaulted. Rules spanning fields are `check` functions.
+//!
 //! See the README's "Serving" section for the protocol reference with
 //! example lines, the determinism contract, and cache semantics.
 
 use crate::cache::{GraphFormat, GraphSource};
 use crate::gate::{WAIT_BUCKETS, WAIT_BUCKET_MS};
 use crate::obs::{DURATION_BUCKETS, DURATION_BUCKET_MS};
+use crate::schema::{parse_line, wire_enum, wire_struct, Wire};
 use ff_engine::MigrationPolicyId;
 use ff_partition::Objective;
-use serde_json::{Map, Number, Value};
+use serde_json::Value;
 
 /// Wire protocol version, reported in the `hello` event.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -24,185 +35,78 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// for ensemble jobs, also the migration interval).
 pub const DEFAULT_CHUNK: u64 = 512;
 
-/// Objective values can legitimately be infinite (an Mcut/Ncut part with
-/// no internal weight) but JSON numbers cannot; non-finite values travel
-/// as the strings `"inf"` / `"-inf"` / `"nan"` and [`get_f64`] undoes it.
-fn num(v: f64) -> Value {
-    match Number::from_f64(v) {
-        Some(n) => Value::Number(n),
-        None if v.is_nan() => s("nan"),
-        None if v > 0.0 => s("inf"),
-        None => s("-inf"),
+/// `Err(message)` unless `ok`.
+fn ensure(ok: bool, message: &str) -> Result<(), String> {
+    ok.then_some(()).ok_or_else(|| message.to_string())
+}
+
+wire_struct! {
+    /// A partition job: everything the server needs to reproduce the result.
+    ///
+    /// The determinism contract: a step-budgeted job (`steps` set, no
+    /// `deadline_ms`) is a pure function of `(instance content, k, objective
+    /// list, seed, islands, chunk, migration policy)` — resubmitting it, on
+    /// this server run or the next, yields a byte-identical final partition
+    /// (and, for multi-objective jobs, an identical Pareto front).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct JobRequest in "op" = "submit" {
+        /// Key of a previously loaded instance.
+        pub instance: String,
+        /// Target number of parts.
+        pub k: usize,
+        /// Objective to minimize (ignored when `objectives` is set).
+        pub objective: Objective = Objective::MCut,
+        /// Root RNG seed.
+        pub seed: u64 = 1,
+        /// Per-island objective overrides (wire field `objectives`, an array
+        /// of objective names): island `i` minimizes `objectives[i % len]`.
+        /// More than one distinct objective makes this a Pareto job — the
+        /// `done` event then carries the non-dominated front.
+        pub objectives: Option<Vec<Objective>>,
+        /// Island-migration policy (wire field `migration`:
+        /// `replace` | `combine` | `adaptive`).
+        pub migration: MigrationPolicyId,
+        /// Step budget (per island). At least one of `steps` / `deadline_ms`
+        /// is required.
+        pub steps: Option<u64>,
+        /// Wall-clock budget in milliseconds, measured from job start.
+        pub deadline_ms: Option<u64>,
+        /// Island-ensemble width (1 = a single search).
+        pub islands: usize = 1,
+        /// Cooperative quantum: steps advanced per worker-pool permit; for
+        /// `islands > 1` this is also the migration interval.
+        pub chunk: u64 = DEFAULT_CHUNK,
+        /// Whether the `done` event should carry the full assignment vector.
+        pub assignment: bool = true,
+        /// Multilevel acceleration (wire field `multilevel`): coarsen the
+        /// instance to at most this many vertices, run the ensemble there,
+        /// then uncoarsen with per-level refinement. `Some(0)` uses the
+        /// engine's default target; `None` (default) runs flat. Part of the
+        /// determinism contract like every other field.
+        pub multilevel: Option<u64>,
     }
+    check check_job
 }
 
-fn decode_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::String(text) => match text.as_str() {
-            "inf" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            "nan" => Some(f64::NAN),
-            _ => None,
-        },
-        other => other.as_f64(),
-    }
-}
-
-fn get_f64(v: &Value, key: &str) -> Option<f64> {
-    decode_f64(v.get(key)?)
-}
-
-/// Integer fields (seeds, step budgets, job ids). JSON numbers are f64s,
-/// which round above 2^53 — a silently altered seed or budget would break
-/// the determinism contract — so values that don't fit exactly travel as
-/// decimal strings instead; [`get_u64`] accepts both shapes.
-pub(crate) fn unum(v: u64) -> Value {
-    if v <= (1u64 << 53) {
-        num(v as f64)
-    } else {
-        s(v.to_string())
-    }
-}
-
-pub(crate) fn s(v: impl Into<String>) -> Value {
-    Value::String(v.into())
-}
-
-pub(crate) fn obj(entries: Vec<(&str, Value)>) -> Value {
-    let mut m = Map::new();
-    for (k, v) in entries {
-        m.insert(k.to_string(), v);
-    }
-    Value::Object(m)
-}
-
-pub(crate) fn get_str(v: &Value, key: &str) -> Option<String> {
-    v.get(key).and_then(Value::as_str).map(str::to_string)
-}
-
-pub(crate) fn get_u64(v: &Value, key: &str) -> Option<u64> {
-    match v.get(key)? {
-        Value::String(text) => text.parse().ok(),
-        other => other.as_u64(),
-    }
-}
-
-/// A required fixed-length array of u64s (number or decimal-string
-/// entries, the same two shapes [`get_u64`] accepts). Strict: a missing
-/// key, wrong length or non-integer entry is rejected by name — the
-/// strict-schema rule applied to arrays, closing the hole where a short
-/// histogram was silently zero-filled into a fake all-fast profile.
-fn u64_array<const N: usize>(v: &Value, event: &str, key: &str) -> Result<[u64; N], String> {
-    let items = v
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{event}: missing `{key}` array"))?;
-    if items.len() != N {
+/// A job needs a budget, at least one island, a non-zero chunk, and
+/// enough islands that every distinct objective gets one: cycling
+/// `["cut","cut","mcut"]` over two islands would never run mcut.
+fn check_job(job: &JobRequest) -> Result<(), String> {
+    let empty = job.objectives.as_ref().is_some_and(Vec::is_empty);
+    ensure(!empty, "`objectives` must not be empty")?;
+    let budget = job.steps.is_some() || job.deadline_ms.is_some();
+    ensure(budget, "need `steps` and/or `deadline_ms`")?;
+    ensure(job.islands > 0, "`islands` must be at least 1")?;
+    ensure(job.chunk > 0, "`chunk` must be at least 1")?;
+    let needed = ff_engine::islands_to_cover(job.objectives.as_deref().unwrap_or_default());
+    if job.islands < needed {
         return Err(format!(
-            "{event}: `{key}` must have {N} entries, got {}",
-            items.len()
+            "`objectives` needs at least {needed} islands so every distinct \
+             objective gets an island (got {})",
+            job.islands
         ));
     }
-    let mut out = [0u64; N];
-    for (slot, item) in out.iter_mut().zip(items) {
-        *slot = match item {
-            Value::String(text) => text.parse().ok(),
-            other => other.as_u64(),
-        }
-        .ok_or_else(|| format!("{event}: `{key}` entries must be unsigned integers"))?;
-    }
-    Ok(out)
-}
-
-/// [`u64_array`] for fields added after protocol v1 froze: an absent key
-/// falls back to `default` (an older server simply doesn't report it),
-/// but a *present* key is held to the same strict rules.
-fn opt_u64_array<const N: usize>(
-    v: &Value,
-    event: &str,
-    key: &str,
-    default: [u64; N],
-) -> Result<[u64; N], String> {
-    if v.get(key).is_none() {
-        return Ok(default);
-    }
-    u64_array::<N>(v, event, key)
-}
-
-/// The strict-schema rule (PR 5): a typo'd field must be rejected by
-/// name, never silently ignored — on the worker ops doubly so, since a
-/// dropped field there would desync the distributed lockstep.
-pub(crate) fn reject_unknown(v: &Value, op: &str, known: &[&str]) -> Result<(), String> {
-    if let Some(object) = v.as_object() {
-        for (key, _) in object.iter() {
-            if !known.contains(&key.as_str()) {
-                return Err(format!("{op}: unknown field `{key}`"));
-            }
-        }
-    }
     Ok(())
-}
-
-fn objective_name(o: Objective) -> &'static str {
-    match o {
-        Objective::Cut => "cut",
-        Objective::NCut => "ncut",
-        Objective::MCut => "mcut",
-    }
-}
-
-fn parse_objective(name: &str) -> Option<Objective> {
-    match name {
-        "cut" => Some(Objective::Cut),
-        "ncut" => Some(Objective::NCut),
-        "mcut" => Some(Objective::MCut),
-        _ => None,
-    }
-}
-
-/// A partition job: everything the server needs to reproduce the result.
-///
-/// The determinism contract: a step-budgeted job (`steps` set, no
-/// `deadline_ms`) is a pure function of `(instance content, k, objective
-/// list, seed, islands, chunk, migration policy)` — resubmitting it, on
-/// this server run or the next, yields a byte-identical final partition
-/// (and, for multi-objective jobs, an identical Pareto front).
-#[derive(Clone, Debug, PartialEq)]
-pub struct JobRequest {
-    /// Key of a previously loaded instance.
-    pub instance: String,
-    /// Target number of parts.
-    pub k: usize,
-    /// Objective to minimize (ignored when `objectives` is set).
-    pub objective: Objective,
-    /// Per-island objective overrides (wire field `objectives`, an array
-    /// of objective names): island `i` minimizes `objectives[i % len]`.
-    /// More than one distinct objective makes this a Pareto job — the
-    /// `done` event then carries the non-dominated front.
-    pub objectives: Option<Vec<Objective>>,
-    /// Island-migration policy (wire field `migration`:
-    /// `replace` | `combine` | `adaptive`).
-    pub migration: MigrationPolicyId,
-    /// Root RNG seed.
-    pub seed: u64,
-    /// Step budget (per island). At least one of `steps` / `deadline_ms`
-    /// is required.
-    pub steps: Option<u64>,
-    /// Wall-clock budget in milliseconds, measured from job start.
-    pub deadline_ms: Option<u64>,
-    /// Island-ensemble width (1 = a single search).
-    pub islands: usize,
-    /// Cooperative quantum: steps advanced per worker-pool permit; for
-    /// `islands > 1` this is also the migration interval.
-    pub chunk: u64,
-    /// Whether the `done` event should carry the full assignment vector.
-    pub assignment: bool,
-    /// Multilevel acceleration (wire field `multilevel`): coarsen the
-    /// instance to at most this many vertices, run the ensemble there,
-    /// then uncoarsen with per-level refinement. `Some(0)` uses the
-    /// engine's default target; `None` (default) runs flat. Part of the
-    /// determinism contract like every other field.
-    pub multilevel: Option<u64>,
 }
 
 impl JobRequest {
@@ -215,9 +119,9 @@ impl JobRequest {
             instance: instance.into(),
             k,
             objective: Objective::MCut,
+            seed: 1,
             objectives: None,
             migration: MigrationPolicyId::default(),
-            seed: 1,
             steps: None,
             deadline_ms: None,
             islands: 1,
@@ -254,92 +158,7 @@ impl JobRequest {
     /// typo'd `objctives` must not silently run a different job than the
     /// client believes it submitted.
     pub fn from_value(v: &Value) -> Result<JobRequest, String> {
-        reject_unknown(
-            v,
-            "submit",
-            &[
-                "op",
-                "instance",
-                "k",
-                "objective",
-                "objectives",
-                "migration",
-                "seed",
-                "steps",
-                "deadline_ms",
-                "islands",
-                "chunk",
-                "multilevel",
-                "assignment",
-            ],
-        )?;
-        let instance = get_str(v, "instance").ok_or("submit: missing `instance`")?;
-        let k = get_u64(v, "k").ok_or("submit: missing or bad `k`")? as usize;
-        let objective = match get_str(v, "objective") {
-            None => Objective::MCut,
-            Some(name) => parse_objective(&name).ok_or(format!(
-                "submit: unknown objective `{name}` (cut|ncut|mcut)"
-            ))?,
-        };
-        let mut job = JobRequest::new(instance, k);
-        job.objective = objective;
-        if let Some(items) = v.get("objectives").and_then(Value::as_array) {
-            let mut list = Vec::with_capacity(items.len());
-            for item in items {
-                let name = item
-                    .as_str()
-                    .ok_or("submit: `objectives` must be an array of objective names")?;
-                list.push(parse_objective(name).ok_or(format!(
-                    "submit: unknown objective `{name}` (cut|ncut|mcut)"
-                ))?);
-            }
-            if list.is_empty() {
-                return Err("submit: `objectives` must not be empty".into());
-            }
-            job.objectives = Some(list);
-        } else if v.get("objectives").is_some() {
-            return Err("submit: `objectives` must be an array of objective names".into());
-        }
-        if let Some(name) = get_str(v, "migration") {
-            job.migration = MigrationPolicyId::parse(&name).ok_or(format!(
-                "submit: unknown migration policy `{name}` (replace|combine|adaptive)"
-            ))?;
-        }
-        job.seed = get_u64(v, "seed").unwrap_or(1);
-        job.steps = get_u64(v, "steps");
-        job.deadline_ms = get_u64(v, "deadline_ms");
-        job.islands = get_u64(v, "islands").unwrap_or(1) as usize;
-        job.chunk = get_u64(v, "chunk").unwrap_or(DEFAULT_CHUNK);
-        job.assignment = v.get("assignment").and_then(Value::as_bool).unwrap_or(true);
-        if let Some(target) = v.get("multilevel") {
-            job.multilevel = Some(
-                get_u64(v, "multilevel")
-                    .ok_or(format!("submit: bad `multilevel` target `{target}`"))?,
-            );
-        }
-        if job.steps.is_none() && job.deadline_ms.is_none() {
-            return Err("submit: need `steps` and/or `deadline_ms`".into());
-        }
-        if job.islands == 0 {
-            return Err("submit: `islands` must be at least 1".into());
-        }
-        if job.chunk == 0 {
-            return Err("submit: `chunk` must be at least 1".into());
-        }
-        if let Some(list) = &job.objectives {
-            // Cycling fewer islands than the list needs would silently
-            // never optimize some objective — e.g. ["cut","cut","mcut"]
-            // needs 3 islands before mcut gets one.
-            let needed = ff_engine::islands_to_cover(list);
-            if job.islands < needed {
-                return Err(format!(
-                    "submit: `objectives` needs at least {needed} islands so every \
-                     distinct objective gets an island (got {})",
-                    job.islands
-                ));
-            }
-        }
-        Ok(job)
+        Wire::decode(v).map_err(|e| format!("submit: {e}"))
     }
 
     /// Serializes to the wire `submit` object — the exact bytes
@@ -347,467 +166,208 @@ impl JobRequest {
     /// POSTs to `/jobs`, and the job journal records, so a journaled
     /// spec replays through the same strict parser it was admitted by.
     pub fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("op", s("submit")),
-            ("instance", s(&self.instance)),
-            ("k", unum(self.k as u64)),
-            ("objective", s(objective_name(self.objective))),
-            ("seed", unum(self.seed)),
-        ];
-        if let Some(list) = &self.objectives {
-            entries.push((
-                "objectives",
-                Value::Array(list.iter().map(|&o| s(objective_name(o))).collect()),
-            ));
-        }
-        if self.migration != MigrationPolicyId::default() {
-            entries.push(("migration", s(self.migration.name())));
-        }
-        if let Some(steps) = self.steps {
-            entries.push(("steps", unum(steps)));
-        }
-        if let Some(ms) = self.deadline_ms {
-            entries.push(("deadline_ms", unum(ms)));
-        }
-        entries.push(("islands", unum(self.islands as u64)));
-        entries.push(("chunk", unum(self.chunk)));
-        entries.push(("assignment", Value::Bool(self.assignment)));
-        if let Some(target) = self.multilevel {
-            entries.push(("multilevel", unum(target)));
-        }
-        obj(entries)
+        self.encode()
     }
 }
 
-/// A molecule on the wire: the full assignment plus the explicit
-/// part-slot count. `parts` is [`ff_partition::Partition::num_parts`] —
-/// the *slot* count, not the non-empty count — because a best molecule
-/// can legitimately hold empty slots and both sides must rebuild the
-/// exact same partition via `Partition::from_assignment`. Combined with
-/// the inject-side canonicalization in `ff_core`, a molecule that
-/// crosses a process boundary lands bit-identically to one cloned
-/// in-process.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MoleculeInfo {
-    /// Part id of every vertex, in vertex order.
-    pub assignment: Vec<u32>,
-    /// Part-slot count; every assignment entry is `< parts`.
-    pub parts: usize,
-}
-
-impl MoleculeInfo {
-    fn to_entries(&self) -> Vec<(&'static str, Value)> {
-        vec![
-            (
-                "assignment",
-                Value::Array(self.assignment.iter().map(|&p| unum(p as u64)).collect()),
-            ),
-            ("parts", unum(self.parts as u64)),
-        ]
+wire_struct! {
+    /// A molecule on the wire: the full assignment plus the explicit
+    /// part-slot count. `parts` is [`ff_partition::Partition::num_parts`] —
+    /// the *slot* count, not the non-empty count — because a best molecule
+    /// can legitimately hold empty slots and both sides must rebuild the
+    /// exact same partition via `Partition::from_assignment`. Combined with
+    /// the inject-side canonicalization in `ff_core`, a molecule that
+    /// crosses a process boundary lands bit-identically to one cloned
+    /// in-process.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct MoleculeInfo {
+        /// Part id of every vertex, in vertex order.
+        pub assignment: Vec<u32>,
+        /// Part-slot count; every assignment entry is `< parts`.
+        pub parts: usize,
     }
+    check check_molecule
+}
 
-    /// Strict extraction: truncated, type-confused, or out-of-range
-    /// payloads are errors, never a silently different molecule.
-    fn from_value(v: &Value, op: &str) -> Result<MoleculeInfo, String> {
-        let items = v
-            .get("assignment")
-            .and_then(Value::as_array)
-            .ok_or(format!("{op}: missing `assignment` array"))?;
-        let parts = get_u64(v, "parts").ok_or(format!("{op}: missing or bad `parts`"))? as usize;
-        if parts == 0 {
-            return Err(format!("{op}: `parts` must be at least 1"));
-        }
-        if items.is_empty() {
-            return Err(format!("{op}: `assignment` must not be empty"));
-        }
-        let mut assignment = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            let p = item
-                .as_u64()
-                .filter(|&p| p <= u32::MAX as u64)
-                .ok_or(format!("{op}: bad part id at vertex {i}"))?;
-            if p as usize >= parts {
-                return Err(format!(
-                    "{op}: part id {p} at vertex {i} out of range (parts {parts})"
-                ));
-            }
-            assignment.push(p as u32);
-        }
-        Ok(MoleculeInfo { assignment, parts })
+/// Truncated or out-of-range payloads are errors, never a silently
+/// different molecule.
+fn check_molecule(m: &MoleculeInfo) -> Result<(), String> {
+    ensure(m.parts > 0, "`parts` must be at least 1")?;
+    ensure(!m.assignment.is_empty(), "`assignment` must not be empty")?;
+    let Some(i) = m.assignment.iter().position(|&p| p as usize >= m.parts) else {
+        return Ok(());
+    };
+    let (p, parts) = (m.assignment[i], m.parts);
+    Err(format!(
+        "part id {p} at vertex {i} out of range (parts {parts})"
+    ))
+}
+
+wire_struct! {
+    /// The `wstart` op: everything a worker needs to host a shard of a
+    /// distributed ensemble's islands. Island `i` of the shard runs seed
+    /// `seeds[i]` under `objectives[i]` with a per-island budget of `steps`.
+    /// The worker performs **no internal migration** — the coordinator owns
+    /// every exchange decision, which is what keeps the distributed run
+    /// bit-identical to the in-process one.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WorkerStart {
+        /// Coordinator-chosen session id, echoed on every session event.
+        pub session: u64,
+        /// Key of a previously loaded instance.
+        pub instance: String,
+        /// Target part count.
+        pub k: usize,
+        /// Root RNG seed of each hosted island (full-width u64s — these ride
+        /// the string escape hatch above 2^53).
+        pub seeds: Vec<u64>,
+        /// Objective of each hosted island (same length as `seeds`).
+        pub objectives: Vec<Objective>,
+        /// Per-island step budget.
+        pub steps: u64,
     }
+    check check_worker_start
 }
 
-/// The `wstart` op: everything a worker needs to host a shard of a
-/// distributed ensemble's islands. Island `i` of the shard runs seed
-/// `seeds[i]` under `objectives[i]` with a per-island budget of `steps`.
-/// The worker performs **no internal migration** — the coordinator owns
-/// every exchange decision, which is what keeps the distributed run
-/// bit-identical to the in-process one.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WorkerStart {
-    /// Coordinator-chosen session id, echoed on every session event.
-    pub session: u64,
-    /// Key of a previously loaded instance.
-    pub instance: String,
-    /// Target part count.
-    pub k: usize,
-    /// Root RNG seed of each hosted island (full-width u64s — these ride
-    /// the string escape hatch above 2^53).
-    pub seeds: Vec<u64>,
-    /// Objective of each hosted island (same length as `seeds`).
-    pub objectives: Vec<Objective>,
-    /// Per-island step budget.
-    pub steps: u64,
+fn check_worker_start(w: &WorkerStart) -> Result<(), String> {
+    ensure(w.k > 0, "`k` must be at least 1")?;
+    ensure(!w.seeds.is_empty(), "`seeds` must not be empty")?;
+    let per_seed = w.objectives.len() == w.seeds.len();
+    ensure(per_seed, "`objectives` must list one objective per seed")?;
+    ensure(w.steps > 0, "`steps` must be at least 1")
 }
 
-/// Per-island progress reported by a `wstate` event after an epoch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WIslandState {
-    /// Shard-local island index.
-    pub island: usize,
-    /// Whether the island still has budget left.
-    pub more: bool,
-    /// Best scaled energy so far — the [`MigrationPolicy`] decision
-    /// input, transferred exactly (f64s print shortest-round-trip).
-    ///
-    /// [`MigrationPolicy`]: ff_engine::MigrationPolicy
-    pub energy: f64,
-    /// Steps executed so far.
-    pub steps: u64,
-    /// Best-at-k improvements found during this epoch, in step order.
-    pub news: Vec<WNews>,
-}
-
-/// One anytime improvement inside a [`WIslandState`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct WNews {
-    /// Step at which the improvement was found.
-    pub step: u64,
-    /// New best objective value at the target k.
-    pub value: f64,
-    /// Worker wall-clock since session start, in milliseconds.
-    pub elapsed_ms: u64,
-}
-
-/// One island's final result inside a `wharvested` event.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WIslandResult {
-    /// Shard-local island index.
-    pub island: usize,
-    /// Best objective value at the target k.
-    pub value: f64,
-    /// Best scaled energy across all part counts.
-    pub energy: f64,
-    /// Steps executed.
-    pub steps: u64,
-    /// The final (compacted) molecule.
-    pub molecule: MoleculeInfo,
-    /// Best value seen per visited part count, ascending by k.
-    pub per_k: Vec<(u64, f64)>,
-}
-
-/// A client→server request.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Load a graph into the instance cache under a key.
-    Load {
-        /// Cache key.
-        instance: String,
-        /// Where the graph bytes come from.
-        source: GraphSource,
-        /// File format.
-        format: GraphFormat,
-    },
-    /// Submit a partition job.
-    Submit(JobRequest),
-    /// Cancel a running job by id.
-    Cancel {
-        /// Job id from the `accepted` event.
-        job: u64,
-    },
-    /// Ask for server statistics.
-    Stats,
-    /// Stop accepting connections and exit the serve loop.
-    Shutdown,
-    /// Start a worker session hosting a shard of a distributed
-    /// ensemble's islands (answered by `wready`).
-    WStart(WorkerStart),
-    /// Advance every island of a session by up to `steps` steps
-    /// (answered by `wstate`). Epochs are numbered by the coordinator;
-    /// the worker rejects out-of-order epochs, which makes crash-replay
-    /// self-checking.
-    WAdvance {
-        /// Session id from `wstart`.
-        session: u64,
-        /// Zero-based epoch index; must be exactly one past the last.
-        epoch: u64,
-        /// Steps each island advances this epoch.
-        steps: u64,
-    },
-    /// Fetch an island's current best molecule (answered by
-    /// `wmolecule`).
-    WMolecule {
-        /// Session id from `wstart`.
-        session: u64,
+wire_struct! {
+    /// Per-island progress reported by a `wstate` event after an epoch.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WIslandState {
         /// Shard-local island index.
-        island: usize,
-    },
-    /// Offer a molecule to an island via the engine's `inject` /
-    /// `inject_crossover` hooks (answered by `winjected`).
-    WInject {
-        /// Session id from `wstart`.
-        session: u64,
+        pub island: usize,
+        /// Whether the island still has budget left.
+        pub more: bool,
+        /// Best scaled energy so far — the [`MigrationPolicy`] decision
+        /// input, transferred exactly (f64s print shortest-round-trip).
+        ///
+        /// [`MigrationPolicy`]: ff_engine::MigrationPolicy
+        pub energy: f64,
+        /// Steps executed so far.
+        pub steps: u64,
+        /// Best-at-k improvements found during this epoch, in step order.
+        pub news: Vec<WNews>,
+    }
+}
+
+wire_struct! {
+    /// One anytime improvement inside a [`WIslandState`].
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WNews {
+        /// Step at which the improvement was found.
+        pub step: u64,
+        /// New best objective value at the target k.
+        pub value: f64,
+        /// Worker wall-clock since session start, in milliseconds.
+        pub elapsed_ms: u64,
+    }
+}
+
+wire_struct! {
+    /// One island's final result inside a `wharvested` event.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WIslandResult {
         /// Shard-local island index.
-        island: usize,
-        /// The offered molecule.
-        molecule: MoleculeInfo,
-        /// `true` → KaFFPaE-style combine crossover before the offer.
-        crossover: bool,
-    },
-    /// Harvest every island's final result and end the session
-    /// (answered by `wharvested`).
-    WHarvest {
-        /// Session id from `wstart`.
-        session: u64,
-    },
+        pub island: usize,
+        /// Best objective value at the target k.
+        pub value: f64,
+        /// Best scaled energy across all part counts.
+        pub energy: f64,
+        /// Steps executed.
+        pub steps: u64,
+        /// The final (compacted) molecule.
+        @flatten pub molecule: MoleculeInfo,
+        /// Best value seen per visited part count, ascending by k.
+        pub per_k: Vec<(u64, f64)>,
+    }
+}
+
+wire_enum! {
+    /// A client→server request.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request by "op", unknown "op" {
+        /// Load a graph into the instance cache under a key.
+        "load" => Load {
+            /// Cache key.
+            instance: String,
+            /// Where the graph bytes come from.
+            @flatten source: GraphSource,
+            /// File format.
+            format: GraphFormat = GraphFormat::Metis,
+        },
+        /// Submit a partition job.
+        "submit" => Submit(@flatten job: JobRequest),
+        /// Cancel a running job by id.
+        "cancel" => Cancel {
+            /// Job id from the `accepted` event.
+            job: u64,
+        },
+        /// Ask for server statistics.
+        "stats" => Stats,
+        /// Stop accepting connections and exit the serve loop.
+        "shutdown" => Shutdown,
+        /// Start a worker session hosting a shard of a distributed
+        /// ensemble's islands (answered by `wready`).
+        "wstart" => WStart(@flatten start: WorkerStart),
+        /// Advance every island of a session by up to `steps` steps
+        /// (answered by `wstate`). Epochs are numbered by the coordinator;
+        /// the worker rejects out-of-order epochs, which makes crash-replay
+        /// self-checking.
+        "wadvance" => WAdvance {
+            /// Session id from `wstart`.
+            session: u64,
+            /// Zero-based epoch index; must be exactly one past the last.
+            epoch: u64,
+            /// Steps each island advances this epoch.
+            steps: u64,
+        } check check_advance,
+        /// Fetch an island's current best molecule (answered by
+        /// `wmolecule`).
+        "wmolecule" => WMolecule {
+            /// Session id from `wstart`.
+            session: u64,
+            /// Shard-local island index.
+            island: usize,
+        },
+        /// Offer a molecule to an island via the engine's `inject` /
+        /// `inject_crossover` hooks (answered by `winjected`).
+        "winject" => WInject {
+            /// Session id from `wstart`.
+            session: u64,
+            /// Shard-local island index.
+            island: usize,
+            /// The offered molecule.
+            @flatten molecule: MoleculeInfo,
+            /// `true` → KaFFPaE-style combine crossover before the offer.
+            crossover: bool,
+        },
+        /// Harvest every island's final result and end the session
+        /// (answered by `wharvested`).
+        "wharvest" => WHarvest {
+            /// Session id from `wstart`.
+            session: u64,
+        },
+    }
 }
 
 impl Request {
-    /// Serializes to the wire object.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Request::Load {
-                instance,
-                source,
-                format,
-            } => {
-                let mut entries = vec![("op", s("load")), ("instance", s(instance))];
-                match source {
-                    GraphSource::Path(p) => entries.push(("path", s(p))),
-                    GraphSource::Data(d) => entries.push(("data", s(d))),
-                }
-                entries.push(("format", s(format.name())));
-                obj(entries)
-            }
-            Request::Submit(job) => job.to_value(),
-            Request::Cancel { job } => obj(vec![("op", s("cancel")), ("job", unum(*job))]),
-            Request::Stats => obj(vec![("op", s("stats"))]),
-            Request::Shutdown => obj(vec![("op", s("shutdown"))]),
-            Request::WStart(w) => obj(vec![
-                ("op", s("wstart")),
-                ("session", unum(w.session)),
-                ("instance", s(&w.instance)),
-                ("k", unum(w.k as u64)),
-                (
-                    "seeds",
-                    Value::Array(w.seeds.iter().map(|&x| unum(x)).collect()),
-                ),
-                (
-                    "objectives",
-                    Value::Array(w.objectives.iter().map(|&o| s(objective_name(o))).collect()),
-                ),
-                ("steps", unum(w.steps)),
-            ]),
-            Request::WAdvance {
-                session,
-                epoch,
-                steps,
-            } => obj(vec![
-                ("op", s("wadvance")),
-                ("session", unum(*session)),
-                ("epoch", unum(*epoch)),
-                ("steps", unum(*steps)),
-            ]),
-            Request::WMolecule { session, island } => obj(vec![
-                ("op", s("wmolecule")),
-                ("session", unum(*session)),
-                ("island", unum(*island as u64)),
-            ]),
-            Request::WInject {
-                session,
-                island,
-                molecule,
-                crossover,
-            } => {
-                let mut entries = vec![
-                    ("op", s("winject")),
-                    ("session", unum(*session)),
-                    ("island", unum(*island as u64)),
-                ];
-                entries.extend(molecule.to_entries());
-                entries.push(("crossover", Value::Bool(*crossover)));
-                obj(entries)
-            }
-            Request::WHarvest { session } => {
-                obj(vec![("op", s("wharvest")), ("session", unum(*session))])
-            }
-        }
-    }
-
     /// Parses one request line. Errors are human-readable and become
     /// `error` events.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
-        let op = get_str(&v, "op").ok_or("missing `op`")?;
-        match op.as_str() {
-            "load" => {
-                reject_unknown(&v, "load", &["op", "instance", "format", "path", "data"])?;
-                let instance = get_str(&v, "instance").ok_or("load: missing `instance`")?;
-                let format = match get_str(&v, "format") {
-                    None => GraphFormat::Metis,
-                    Some(name) => GraphFormat::parse(&name)
-                        .ok_or(format!("load: unknown format `{name}` (metis|edgelist)"))?,
-                };
-                let source = match (get_str(&v, "path"), get_str(&v, "data")) {
-                    (Some(p), None) => GraphSource::Path(p),
-                    (None, Some(d)) => GraphSource::Data(d),
-                    (None, None) => return Err("load: need `path` or `data`".into()),
-                    (Some(_), Some(_)) => {
-                        return Err("load: `path` and `data` are mutually exclusive".into())
-                    }
-                };
-                Ok(Request::Load {
-                    instance,
-                    source,
-                    format,
-                })
-            }
-            "submit" => Ok(Request::Submit(JobRequest::from_value(&v)?)),
-            "cancel" => {
-                reject_unknown(&v, "cancel", &["op", "job"])?;
-                Ok(Request::Cancel {
-                    job: get_u64(&v, "job").ok_or("cancel: missing or bad `job`")?,
-                })
-            }
-            "stats" => {
-                reject_unknown(&v, "stats", &["op"])?;
-                Ok(Request::Stats)
-            }
-            "shutdown" => {
-                reject_unknown(&v, "shutdown", &["op"])?;
-                Ok(Request::Shutdown)
-            }
-            "wstart" => {
-                reject_unknown(
-                    &v,
-                    "wstart",
-                    &[
-                        "op",
-                        "session",
-                        "instance",
-                        "k",
-                        "seeds",
-                        "objectives",
-                        "steps",
-                    ],
-                )?;
-                let session = get_u64(&v, "session").ok_or("wstart: missing `session`")?;
-                let instance = get_str(&v, "instance").ok_or("wstart: missing `instance`")?;
-                let k = get_u64(&v, "k").ok_or("wstart: missing or bad `k`")? as usize;
-                if k == 0 {
-                    return Err("wstart: `k` must be at least 1".into());
-                }
-                let seed_items = v
-                    .get("seeds")
-                    .and_then(Value::as_array)
-                    .ok_or("wstart: missing `seeds` array")?;
-                if seed_items.is_empty() {
-                    return Err("wstart: `seeds` must not be empty".into());
-                }
-                let mut seeds = Vec::with_capacity(seed_items.len());
-                for (i, item) in seed_items.iter().enumerate() {
-                    let x = match item {
-                        Value::String(text) => text.parse().ok(),
-                        other => other.as_u64(),
-                    };
-                    seeds.push(x.ok_or(format!("wstart: bad seed at island {i}"))?);
-                }
-                let obj_items = v
-                    .get("objectives")
-                    .and_then(Value::as_array)
-                    .ok_or("wstart: missing `objectives` array")?;
-                if obj_items.len() != seeds.len() {
-                    return Err(format!(
-                        "wstart: `objectives` must list one objective per seed \
-                         (got {} for {} seeds)",
-                        obj_items.len(),
-                        seeds.len()
-                    ));
-                }
-                let mut objectives = Vec::with_capacity(obj_items.len());
-                for item in obj_items {
-                    let name = item
-                        .as_str()
-                        .ok_or("wstart: `objectives` must be an array of objective names")?;
-                    objectives.push(parse_objective(name).ok_or(format!(
-                        "wstart: unknown objective `{name}` (cut|ncut|mcut)"
-                    ))?);
-                }
-                let steps = get_u64(&v, "steps").ok_or("wstart: missing or bad `steps`")?;
-                if steps == 0 {
-                    return Err("wstart: `steps` must be at least 1".into());
-                }
-                Ok(Request::WStart(WorkerStart {
-                    session,
-                    instance,
-                    k,
-                    seeds,
-                    objectives,
-                    steps,
-                }))
-            }
-            "wadvance" => {
-                reject_unknown(&v, "wadvance", &["op", "session", "epoch", "steps"])?;
-                let u = |key: &str| get_u64(&v, key).ok_or(format!("wadvance: missing `{key}`"));
-                let steps = u("steps")?;
-                if steps == 0 {
-                    return Err("wadvance: `steps` must be at least 1".into());
-                }
-                Ok(Request::WAdvance {
-                    session: u("session")?,
-                    epoch: u("epoch")?,
-                    steps,
-                })
-            }
-            "wmolecule" => {
-                reject_unknown(&v, "wmolecule", &["op", "session", "island"])?;
-                Ok(Request::WMolecule {
-                    session: get_u64(&v, "session").ok_or("wmolecule: missing `session`")?,
-                    island: get_u64(&v, "island").ok_or("wmolecule: missing `island`")? as usize,
-                })
-            }
-            "winject" => {
-                reject_unknown(
-                    &v,
-                    "winject",
-                    &[
-                        "op",
-                        "session",
-                        "island",
-                        "assignment",
-                        "parts",
-                        "crossover",
-                    ],
-                )?;
-                Ok(Request::WInject {
-                    session: get_u64(&v, "session").ok_or("winject: missing `session`")?,
-                    island: get_u64(&v, "island").ok_or("winject: missing `island`")? as usize,
-                    molecule: MoleculeInfo::from_value(&v, "winject")?,
-                    crossover: v
-                        .get("crossover")
-                        .and_then(Value::as_bool)
-                        .ok_or("winject: missing `crossover`")?,
-                })
-            }
-            "wharvest" => {
-                reject_unknown(&v, "wharvest", &["op", "session"])?;
-                Ok(Request::WHarvest {
-                    session: get_u64(&v, "session").ok_or("wharvest: missing `session`")?,
-                })
-            }
-            other => Err(format!("unknown op `{other}`")),
-        }
+        parse_line(line)
     }
+}
+
+fn check_advance(request: &Request) -> Result<(), String> {
+    let zero = matches!(request, Request::WAdvance { steps: 0, .. });
+    ensure(!zero, "`steps` must be at least 1")
 }
 
 /// How a job ended.
@@ -821,880 +381,251 @@ pub enum JobStatus {
     Deadline,
 }
 
-impl JobStatus {
-    fn name(&self) -> &'static str {
-        match self {
-            JobStatus::Completed => "completed",
-            JobStatus::Cancelled => "cancelled",
-            JobStatus::Deadline => "deadline",
-        }
+wire_struct! {
+    /// One point of a multi-objective job's non-dominated front, carried in
+    /// the `done` event's optional `pareto` array.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ParetoPointInfo {
+        /// Island that produced the molecule.
+        pub island: usize,
+        /// The objective that island itself was minimizing.
+        pub objective: Objective,
+        /// The molecule scored under every objective of the job, as
+        /// `(objective, value)` pairs in the job's distinct-objective order.
+        pub values: Vec<(Objective, f64)>,
+        /// Non-empty parts of the molecule.
+        pub parts: usize = 0,
+        /// The part id of every vertex, if the job asked for assignments.
+        pub assignment: Option<Vec<u32>>,
     }
+}
 
-    fn parse(name: &str) -> Option<JobStatus> {
-        match name {
-            "completed" => Some(JobStatus::Completed),
-            "cancelled" => Some(JobStatus::Cancelled),
-            "deadline" => Some(JobStatus::Deadline),
-            _ => None,
-        }
+wire_struct! {
+    /// Final result of a job, carried by the `done` event.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct DoneInfo {
+        /// Job id.
+        pub job: u64,
+        /// How the job ended. Cancelled/deadline jobs still carry their
+        /// best-so-far solution.
+        pub status: JobStatus,
+        /// Best objective value found (for a Pareto job: the representative
+        /// point's value under its own objective).
+        pub value: f64,
+        /// Non-empty parts in the returned partition.
+        pub parts: usize,
+        /// Total steps executed (summed over islands).
+        pub steps: u64,
+        /// Wall-clock from job start to completion, in milliseconds.
+        pub elapsed_ms: u64,
+        /// Migration offers adopted (ensemble jobs; 0 for a single island).
+        pub migrations: u64 = 0,
+        /// The part id of every vertex, if the job asked for it.
+        pub assignment: Option<Vec<u32>>,
+        /// The deterministic non-dominated front, for multi-objective jobs.
+        pub pareto: Option<Vec<ParetoPointInfo>>,
     }
 }
 
-/// One point of a multi-objective job's non-dominated front, carried in
-/// the `done` event's optional `pareto` array.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParetoPointInfo {
-    /// Island that produced the molecule.
-    pub island: usize,
-    /// The objective that island itself was minimizing.
-    pub objective: Objective,
-    /// The molecule scored under every objective of the job, as
-    /// `(objective, value)` pairs in the job's distinct-objective order.
-    pub values: Vec<(Objective, f64)>,
-    /// Non-empty parts of the molecule.
-    pub parts: usize,
-    /// The part id of every vertex, if the job asked for assignments.
-    pub assignment: Option<Vec<u32>>,
+wire_struct! {
+    /// A server statistics snapshot, carried by the `stats` event. Every
+    /// knob relevant to capacity planning travels with its live counter, so
+    /// a dashboard needs exactly one request.
+    #[derive(Clone, Debug, PartialEq, Eq, Default)]
+    pub struct StatsInfo {
+        /// Instances currently cached.
+        pub instances: usize,
+        /// Cache hits served.
+        pub cache_hits: u64,
+        /// Graph loads performed.
+        pub cache_loads: u64,
+        /// Cache entries evicted to stay within the byte budget.
+        pub cache_evictions: u64 = 0,
+        /// CSR bytes currently resident in the cache.
+        pub cache_bytes: u64 = 0,
+        /// Cache byte budget (`0` = unlimited).
+        pub cache_budget_bytes: u64 = 0,
+        /// Jobs accepted since start.
+        pub jobs_submitted: u64,
+        /// Jobs currently admitted and not yet done (queued + running).
+        pub jobs_running: u64,
+        /// Jobs finished (any status).
+        pub jobs_done: u64,
+        /// Jobs that finished cancelled (a subset of `jobs_done`).
+        pub jobs_cancelled: u64 = 0,
+        /// Jobs refused by admission control.
+        pub jobs_rejected: u64 = 0,
+        /// Admission bound on in-flight jobs (`0` = unlimited).
+        pub max_jobs: u64 = 0,
+        /// Worker-pool width (compute slots).
+        pub workers: usize = 0,
+        /// Chunks currently blocked waiting for a compute slot.
+        pub gate_queued: usize = 0,
+        /// Permit-wait histogram: completed slot acquisitions bucketed by
+        /// how long they blocked (`< 1 ms`, `< 10 ms`, `< 100 ms`, `< 1 s`,
+        /// `≥ 1 s`).
+        pub permit_wait_hist: [u64; WAIT_BUCKETS],
+        /// Upper bounds (ms, exclusive) of the first `WAIT_BUCKETS - 1`
+        /// permit-wait buckets, so a dashboard can label the histogram
+        /// without hard-coding the server's bucket layout.
+        pub permit_wait_bucket_ms: [u64; WAIT_BUCKETS - 1] = WAIT_BUCKET_MS,
+        /// Job-duration histogram: finished jobs bucketed by wall-clock
+        /// start→done milliseconds (bounds in `job_duration_bucket_ms`,
+        /// inclusive; last bucket unbounded).
+        pub job_duration_hist: [u64; DURATION_BUCKETS] = [0; DURATION_BUCKETS],
+        /// Upper bounds (ms, inclusive) of the first `DURATION_BUCKETS - 1`
+        /// job-duration buckets.
+        pub job_duration_bucket_ms: [u64; DURATION_BUCKETS - 1] = DURATION_BUCKET_MS,
+    }
 }
 
-/// Final result of a job, carried by the `done` event.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DoneInfo {
-    /// Job id.
-    pub job: u64,
-    /// How the job ended. Cancelled/deadline jobs still carry their
-    /// best-so-far solution.
-    pub status: JobStatus,
-    /// Best objective value found (for a Pareto job: the representative
-    /// point's value under its own objective).
-    pub value: f64,
-    /// Non-empty parts in the returned partition.
-    pub parts: usize,
-    /// Total steps executed (summed over islands).
-    pub steps: u64,
-    /// Wall-clock from job start to completion, in milliseconds.
-    pub elapsed_ms: u64,
-    /// Migration offers adopted (ensemble jobs; 0 for a single island).
-    pub migrations: u64,
-    /// The part id of every vertex, if the job asked for it.
-    pub assignment: Option<Vec<u32>>,
-    /// The deterministic non-dominated front, for multi-objective jobs.
-    pub pareto: Option<Vec<ParetoPointInfo>>,
+wire_struct! {
+    /// One streamed improvement: the job's best-so-far value dropped.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Improvement {
+        /// Job id.
+        pub job: u64,
+        /// New best objective value at the target k.
+        pub value: f64,
+        /// Step (within the finding island) at which it was found.
+        pub step: u64,
+        /// Wall-clock since job start, in milliseconds.
+        pub elapsed_ms: u64,
+        /// Index of the island that found it (0 for single-island jobs).
+        pub island: usize = 0,
+        /// Which criterion `value` measures — set on multi-objective jobs,
+        /// where islands stream improvements under different objectives.
+        pub objective: Option<Objective>,
+    }
 }
 
-/// A server statistics snapshot, carried by the `stats` event. Every
-/// knob relevant to capacity planning travels with its live counter, so
-/// a dashboard needs exactly one request.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct StatsInfo {
-    /// Instances currently cached.
-    pub instances: usize,
-    /// Cache hits served.
-    pub cache_hits: u64,
-    /// Graph loads performed.
-    pub cache_loads: u64,
-    /// Cache entries evicted to stay within the byte budget.
-    pub cache_evictions: u64,
-    /// CSR bytes currently resident in the cache.
-    pub cache_bytes: u64,
-    /// Cache byte budget (`0` = unlimited).
-    pub cache_budget_bytes: u64,
-    /// Jobs accepted since start.
-    pub jobs_submitted: u64,
-    /// Jobs currently admitted and not yet done (queued + running).
-    pub jobs_running: u64,
-    /// Jobs finished (any status).
-    pub jobs_done: u64,
-    /// Jobs that finished cancelled (a subset of `jobs_done`).
-    pub jobs_cancelled: u64,
-    /// Jobs refused by admission control.
-    pub jobs_rejected: u64,
-    /// Admission bound on in-flight jobs (`0` = unlimited).
-    pub max_jobs: u64,
-    /// Worker-pool width (compute slots).
-    pub workers: usize,
-    /// Chunks currently blocked waiting for a compute slot.
-    pub gate_queued: usize,
-    /// Permit-wait histogram: completed slot acquisitions bucketed by
-    /// how long they blocked (`< 1 ms`, `< 10 ms`, `< 100 ms`, `< 1 s`,
-    /// `≥ 1 s`).
-    pub permit_wait_hist: [u64; WAIT_BUCKETS],
-    /// Upper bounds (ms, exclusive) of the first `WAIT_BUCKETS - 1`
-    /// permit-wait buckets, so a dashboard can label the histogram
-    /// without hard-coding the server's bucket layout.
-    pub permit_wait_bucket_ms: [u64; WAIT_BUCKETS - 1],
-    /// Job-duration histogram: finished jobs bucketed by wall-clock
-    /// start→done milliseconds (bounds in `job_duration_bucket_ms`,
-    /// inclusive; last bucket unbounded).
-    pub job_duration_hist: [u64; DURATION_BUCKETS],
-    /// Upper bounds (ms, inclusive) of the first `DURATION_BUCKETS - 1`
-    /// job-duration buckets.
-    pub job_duration_bucket_ms: [u64; DURATION_BUCKETS - 1],
-}
-
-/// One streamed improvement: the job's best-so-far value dropped.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Improvement {
-    /// Job id.
-    pub job: u64,
-    /// New best objective value at the target k.
-    pub value: f64,
-    /// Step (within the finding island) at which it was found.
-    pub step: u64,
-    /// Wall-clock since job start, in milliseconds.
-    pub elapsed_ms: u64,
-    /// Index of the island that found it (0 for single-island jobs).
-    pub island: usize,
-    /// Which criterion `value` measures — set on multi-objective jobs,
-    /// where islands stream improvements under different objectives.
-    pub objective: Option<Objective>,
-}
-
-/// A server→client event.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
-    /// Greeting sent on connect.
-    Hello {
-        /// Protocol version ([`PROTOCOL_VERSION`]).
-        proto: u64,
-        /// Worker-pool width.
-        workers: usize,
-    },
-    /// A `load` succeeded.
-    Loaded {
-        /// Cache key.
-        instance: String,
-        /// Vertices in the graph.
-        vertices: usize,
-        /// Edges in the graph.
-        edges: usize,
-        /// Served from cache without re-reading the source.
-        cached: bool,
-        /// Replaced a previous entry under the same key.
-        reloaded: bool,
-    },
-    /// A `submit` was admitted; subsequent events reference the job id.
-    Accepted {
-        /// Assigned job id (unique per server run).
-        job: u64,
-        /// Instance the job runs on.
-        instance: String,
-        /// Target part count.
-        k: usize,
-    },
-    /// A `submit` was refused by admission control (the server or this
-    /// connection is at its in-flight job bound). Not an error: the
-    /// request was well-formed — retry after `retry_after_ms`.
-    Rejected {
-        /// Instance the refused job targeted.
-        instance: String,
-        /// Which bound tripped, human-readable.
-        reason: String,
-        /// Suggested client backoff before resubmitting, in ms (a load
-        /// heuristic, not a promise of admission).
-        retry_after_ms: u64,
-        /// Jobs in flight (queued + running) at the moment of refusal.
-        in_flight: u64,
-    },
-    /// Streamed anytime improvement.
-    Improvement(Improvement),
-    /// Job finished (in any [`JobStatus`]).
-    Done(DoneInfo),
-    /// Acknowledges a `cancel` request.
-    Cancelling {
-        /// The job id the cancel targeted.
-        job: u64,
-        /// Whether that job was actually running here.
-        known: bool,
-    },
-    /// Server statistics snapshot.
-    Stats(StatsInfo),
-    /// A request failed; `job` is set when the failure is job-scoped.
-    Error {
-        /// Human-readable description.
-        message: String,
-        /// The affected job, if any.
-        job: Option<u64>,
-    },
-    /// Acknowledges `shutdown`.
-    Bye,
-    /// A `wstart` succeeded; the session's islands are live.
-    WReady {
-        /// Echoed session id.
-        session: u64,
-        /// Islands hosted by this session.
-        islands: usize,
-    },
-    /// A `wadvance` completed: per-island progress for the epoch.
-    WState {
-        /// Echoed session id.
-        session: u64,
-        /// Echoed epoch index.
-        epoch: u64,
-        /// One entry per hosted island, ascending by index.
-        islands: Vec<WIslandState>,
-    },
-    /// Answer to `wmolecule`: the island's current best molecule.
-    WMolecule {
-        /// Echoed session id.
-        session: u64,
-        /// Echoed island index.
-        island: usize,
-        /// The best molecule.
-        molecule: MoleculeInfo,
-        /// Its scaled energy.
-        energy: f64,
-    },
-    /// Answer to `winject`: whether the offer was adopted.
-    WInjected {
-        /// Echoed session id.
-        session: u64,
-        /// Echoed island index.
-        island: usize,
-        /// Whether anything was adopted.
-        adopted: bool,
-    },
-    /// Answer to `wharvest`: every island's final result.
-    WHarvested {
-        /// Echoed session id.
-        session: u64,
-        /// One entry per hosted island, ascending by index.
-        islands: Vec<WIslandResult>,
-    },
+wire_enum! {
+    /// A server→client event.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Event by "event", unknown "event" {
+        /// Greeting sent on connect.
+        "hello" => Hello {
+            /// Protocol version ([`PROTOCOL_VERSION`]).
+            proto: u64,
+            /// Worker-pool width.
+            workers: usize,
+        },
+        /// A `load` succeeded.
+        "loaded" => Loaded {
+            /// Cache key.
+            instance: String,
+            /// Vertices in the graph.
+            vertices: usize,
+            /// Edges in the graph.
+            edges: usize,
+            /// Served from cache without re-reading the source.
+            cached: bool = false,
+            /// Replaced a previous entry under the same key.
+            reloaded: bool = false,
+        },
+        /// A `submit` was admitted; subsequent events reference the job id.
+        "accepted" => Accepted {
+            /// Assigned job id (unique per server run).
+            job: u64,
+            /// Instance the job runs on.
+            instance: String = String::new(),
+            /// Target part count.
+            k: usize,
+        },
+        /// A `submit` was refused by admission control (the server or this
+        /// connection is at its in-flight job bound). Not an error: the
+        /// request was well-formed — retry after `retry_after_ms`.
+        "rejected" => Rejected {
+            /// Instance the refused job targeted.
+            instance: String = String::new(),
+            /// Which bound tripped, human-readable.
+            reason: String = String::new(),
+            /// Suggested client backoff before resubmitting, in ms (a load
+            /// heuristic, not a promise of admission).
+            retry_after_ms: u64,
+            /// Jobs in flight (queued + running) at the moment of refusal.
+            in_flight: u64 = 0,
+        },
+        /// Streamed anytime improvement.
+        "improvement" => Improvement(@flatten improvement: Improvement),
+        /// Job finished (in any [`JobStatus`]).
+        "done" => Done(@flatten done: DoneInfo),
+        /// Acknowledges a `cancel` request.
+        "cancelling" => Cancelling {
+            /// The job id the cancel targeted.
+            job: u64,
+            /// Whether that job was actually running here.
+            known: bool = false,
+        },
+        /// Server statistics snapshot.
+        "stats" => Stats(@flatten stats: StatsInfo),
+        /// A request failed; `job` is set when the failure is job-scoped.
+        "error" => Error {
+            /// Human-readable description.
+            message: String = String::new(),
+            /// The affected job, if any.
+            job: Option<u64>,
+        },
+        /// Acknowledges `shutdown`.
+        "bye" => Bye,
+        /// A `wstart` succeeded; the session's islands are live.
+        "wready" => WReady {
+            /// Echoed session id.
+            session: u64,
+            /// Islands hosted by this session.
+            islands: usize,
+        },
+        /// A `wadvance` completed: per-island progress for the epoch.
+        "wstate" => WState {
+            /// Echoed session id.
+            session: u64,
+            /// Echoed epoch index.
+            epoch: u64,
+            /// One entry per hosted island, ascending by index.
+            islands: Vec<WIslandState>,
+        },
+        /// Answer to `wmolecule`: the island's current best molecule.
+        "wmolecule" => WMolecule {
+            /// Echoed session id.
+            session: u64,
+            /// Echoed island index.
+            island: usize,
+            /// The best molecule.
+            @flatten molecule: MoleculeInfo,
+            /// Its scaled energy.
+            energy: f64,
+        },
+        /// Answer to `winject`: whether the offer was adopted.
+        "winjected" => WInjected {
+            /// Echoed session id.
+            session: u64,
+            /// Echoed island index.
+            island: usize,
+            /// Whether anything was adopted.
+            adopted: bool,
+        },
+        /// Answer to `wharvest`: every island's final result.
+        "wharvested" => WHarvested {
+            /// Echoed session id.
+            session: u64,
+            /// One entry per hosted island, ascending by index.
+            islands: Vec<WIslandResult>,
+        },
+    }
 }
 
 impl Event {
-    /// Serializes to the wire object.
-    pub fn to_value(&self) -> Value {
-        match self {
-            Event::Hello { proto, workers } => obj(vec![
-                ("event", s("hello")),
-                ("proto", unum(*proto)),
-                ("workers", unum(*workers as u64)),
-            ]),
-            Event::Loaded {
-                instance,
-                vertices,
-                edges,
-                cached,
-                reloaded,
-            } => obj(vec![
-                ("event", s("loaded")),
-                ("instance", s(instance)),
-                ("vertices", unum(*vertices as u64)),
-                ("edges", unum(*edges as u64)),
-                ("cached", Value::Bool(*cached)),
-                ("reloaded", Value::Bool(*reloaded)),
-            ]),
-            Event::Accepted { job, instance, k } => obj(vec![
-                ("event", s("accepted")),
-                ("job", unum(*job)),
-                ("instance", s(instance)),
-                ("k", unum(*k as u64)),
-            ]),
-            Event::Rejected {
-                instance,
-                reason,
-                retry_after_ms,
-                in_flight,
-            } => obj(vec![
-                ("event", s("rejected")),
-                ("instance", s(instance)),
-                ("reason", s(reason)),
-                ("retry_after_ms", unum(*retry_after_ms)),
-                ("in_flight", unum(*in_flight)),
-            ]),
-            Event::Improvement(imp) => {
-                let mut entries = vec![
-                    ("event", s("improvement")),
-                    ("job", unum(imp.job)),
-                    ("value", num(imp.value)),
-                    ("step", unum(imp.step)),
-                    ("elapsed_ms", unum(imp.elapsed_ms)),
-                    ("island", unum(imp.island as u64)),
-                ];
-                if let Some(o) = imp.objective {
-                    entries.push(("objective", s(objective_name(o))));
-                }
-                obj(entries)
-            }
-            Event::Done(d) => {
-                let mut entries = vec![
-                    ("event", s("done")),
-                    ("job", unum(d.job)),
-                    ("status", s(d.status.name())),
-                    ("value", num(d.value)),
-                    ("parts", unum(d.parts as u64)),
-                    ("steps", unum(d.steps)),
-                    ("elapsed_ms", unum(d.elapsed_ms)),
-                    ("migrations", unum(d.migrations)),
-                ];
-                if let Some(a) = &d.assignment {
-                    entries.push((
-                        "assignment",
-                        Value::Array(a.iter().map(|&p| unum(p as u64)).collect()),
-                    ));
-                }
-                if let Some(front) = &d.pareto {
-                    let points: Vec<Value> = front
-                        .iter()
-                        .map(|p| {
-                            let mut entries = vec![
-                                ("island", unum(p.island as u64)),
-                                ("objective", s(objective_name(p.objective))),
-                                (
-                                    "values",
-                                    obj(p
-                                        .values
-                                        .iter()
-                                        .map(|&(o, v)| (objective_name(o), num(v)))
-                                        .collect()),
-                                ),
-                                ("parts", unum(p.parts as u64)),
-                            ];
-                            if let Some(a) = &p.assignment {
-                                entries.push((
-                                    "assignment",
-                                    Value::Array(a.iter().map(|&q| unum(q as u64)).collect()),
-                                ));
-                            }
-                            obj(entries)
-                        })
-                        .collect();
-                    entries.push(("pareto", Value::Array(points)));
-                }
-                obj(entries)
-            }
-            Event::Cancelling { job, known } => obj(vec![
-                ("event", s("cancelling")),
-                ("job", unum(*job)),
-                ("known", Value::Bool(*known)),
-            ]),
-            Event::Stats(st) => obj(vec![
-                ("event", s("stats")),
-                ("instances", unum(st.instances as u64)),
-                ("cache_hits", unum(st.cache_hits)),
-                ("cache_loads", unum(st.cache_loads)),
-                ("cache_evictions", unum(st.cache_evictions)),
-                ("cache_bytes", unum(st.cache_bytes)),
-                ("cache_budget_bytes", unum(st.cache_budget_bytes)),
-                ("jobs_submitted", unum(st.jobs_submitted)),
-                ("jobs_running", unum(st.jobs_running)),
-                ("jobs_done", unum(st.jobs_done)),
-                ("jobs_cancelled", unum(st.jobs_cancelled)),
-                ("jobs_rejected", unum(st.jobs_rejected)),
-                ("max_jobs", unum(st.max_jobs)),
-                ("workers", unum(st.workers as u64)),
-                ("gate_queued", unum(st.gate_queued as u64)),
-                (
-                    "permit_wait_hist",
-                    Value::Array(st.permit_wait_hist.iter().map(|&c| unum(c)).collect()),
-                ),
-                (
-                    "permit_wait_bucket_ms",
-                    Value::Array(st.permit_wait_bucket_ms.iter().map(|&c| unum(c)).collect()),
-                ),
-                (
-                    "job_duration_hist",
-                    Value::Array(st.job_duration_hist.iter().map(|&c| unum(c)).collect()),
-                ),
-                (
-                    "job_duration_bucket_ms",
-                    Value::Array(st.job_duration_bucket_ms.iter().map(|&c| unum(c)).collect()),
-                ),
-            ]),
-            Event::Error { message, job } => {
-                let mut entries = vec![("event", s("error")), ("message", s(message))];
-                if let Some(job) = job {
-                    entries.push(("job", unum(*job)));
-                }
-                obj(entries)
-            }
-            Event::Bye => obj(vec![("event", s("bye"))]),
-            Event::WReady { session, islands } => obj(vec![
-                ("event", s("wready")),
-                ("session", unum(*session)),
-                ("islands", unum(*islands as u64)),
-            ]),
-            Event::WState {
-                session,
-                epoch,
-                islands,
-            } => obj(vec![
-                ("event", s("wstate")),
-                ("session", unum(*session)),
-                ("epoch", unum(*epoch)),
-                (
-                    "islands",
-                    Value::Array(
-                        islands
-                            .iter()
-                            .map(|st| {
-                                obj(vec![
-                                    ("island", unum(st.island as u64)),
-                                    ("more", Value::Bool(st.more)),
-                                    ("energy", num(st.energy)),
-                                    ("steps", unum(st.steps)),
-                                    (
-                                        "news",
-                                        Value::Array(
-                                            st.news
-                                                .iter()
-                                                .map(|n| {
-                                                    obj(vec![
-                                                        ("step", unum(n.step)),
-                                                        ("value", num(n.value)),
-                                                        ("elapsed_ms", unum(n.elapsed_ms)),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Event::WMolecule {
-                session,
-                island,
-                molecule,
-                energy,
-            } => {
-                let mut entries = vec![
-                    ("event", s("wmolecule")),
-                    ("session", unum(*session)),
-                    ("island", unum(*island as u64)),
-                ];
-                entries.extend(molecule.to_entries());
-                entries.push(("energy", num(*energy)));
-                obj(entries)
-            }
-            Event::WInjected {
-                session,
-                island,
-                adopted,
-            } => obj(vec![
-                ("event", s("winjected")),
-                ("session", unum(*session)),
-                ("island", unum(*island as u64)),
-                ("adopted", Value::Bool(*adopted)),
-            ]),
-            Event::WHarvested { session, islands } => obj(vec![
-                ("event", s("wharvested")),
-                ("session", unum(*session)),
-                (
-                    "islands",
-                    Value::Array(
-                        islands
-                            .iter()
-                            .map(|r| {
-                                let mut entries = vec![
-                                    ("island", unum(r.island as u64)),
-                                    ("value", num(r.value)),
-                                    ("energy", num(r.energy)),
-                                    ("steps", unum(r.steps)),
-                                ];
-                                entries.extend(r.molecule.to_entries());
-                                entries.push((
-                                    "per_k",
-                                    Value::Array(
-                                        r.per_k
-                                            .iter()
-                                            .map(|&(k, val)| Value::Array(vec![unum(k), num(val)]))
-                                            .collect(),
-                                    ),
-                                ));
-                                obj(entries)
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        }
-    }
-
     /// Parses one event line (the client side of the protocol).
     pub fn parse(line: &str) -> Result<Event, String> {
-        let v = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
-        let event = get_str(&v, "event").ok_or("missing `event`")?;
-        let u = |key: &str| get_u64(&v, key).ok_or(format!("{event}: missing `{key}`"));
-        match event.as_str() {
-            "hello" => {
-                reject_unknown(&v, "hello", &["event", "proto", "workers"])?;
-                Ok(Event::Hello {
-                    proto: u("proto")?,
-                    workers: u("workers")? as usize,
-                })
-            }
-            "loaded" => {
-                reject_unknown(
-                    &v,
-                    "loaded",
-                    &[
-                        "event", "instance", "vertices", "edges", "cached", "reloaded",
-                    ],
-                )?;
-                Ok(Event::Loaded {
-                    instance: get_str(&v, "instance").ok_or("loaded: missing `instance`")?,
-                    vertices: u("vertices")? as usize,
-                    edges: u("edges")? as usize,
-                    cached: v.get("cached").and_then(Value::as_bool).unwrap_or(false),
-                    reloaded: v.get("reloaded").and_then(Value::as_bool).unwrap_or(false),
-                })
-            }
-            "accepted" => {
-                reject_unknown(&v, "accepted", &["event", "job", "instance", "k"])?;
-                Ok(Event::Accepted {
-                    job: u("job")?,
-                    instance: get_str(&v, "instance").unwrap_or_default(),
-                    k: u("k")? as usize,
-                })
-            }
-            "rejected" => {
-                reject_unknown(
-                    &v,
-                    "rejected",
-                    &["event", "instance", "reason", "retry_after_ms", "in_flight"],
-                )?;
-                Ok(Event::Rejected {
-                    instance: get_str(&v, "instance").unwrap_or_default(),
-                    reason: get_str(&v, "reason").unwrap_or_default(),
-                    retry_after_ms: u("retry_after_ms")?,
-                    in_flight: get_u64(&v, "in_flight").unwrap_or(0),
-                })
-            }
-            "improvement" => {
-                reject_unknown(
-                    &v,
-                    "improvement",
-                    &[
-                        "event",
-                        "job",
-                        "value",
-                        "step",
-                        "elapsed_ms",
-                        "island",
-                        "objective",
-                    ],
-                )?;
-                Ok(Event::Improvement(Improvement {
-                    job: u("job")?,
-                    value: get_f64(&v, "value").ok_or("improvement: missing `value`")?,
-                    step: u("step")?,
-                    elapsed_ms: u("elapsed_ms")?,
-                    island: u("island").unwrap_or(0) as usize,
-                    objective: get_str(&v, "objective").and_then(|name| parse_objective(&name)),
-                }))
-            }
-            "done" => {
-                reject_unknown(
-                    &v,
-                    "done",
-                    &[
-                        "event",
-                        "job",
-                        "status",
-                        "value",
-                        "parts",
-                        "steps",
-                        "elapsed_ms",
-                        "migrations",
-                        "assignment",
-                        "pareto",
-                    ],
-                )?;
-                let assignment_of = |v: &Value| {
-                    v.get("assignment").and_then(Value::as_array).map(|items| {
-                        items
-                            .iter()
-                            .filter_map(Value::as_u64)
-                            .map(|p| p as u32)
-                            .collect::<Vec<u32>>()
-                    })
-                };
-                let pareto = match v.get("pareto").and_then(Value::as_array) {
-                    None => None,
-                    Some(items) => {
-                        let mut points = Vec::with_capacity(items.len());
-                        for item in items {
-                            reject_unknown(
-                                item,
-                                "done.pareto",
-                                &["island", "objective", "values", "parts", "assignment"],
-                            )?;
-                            let values = item
-                                .get("values")
-                                .and_then(Value::as_object)
-                                .ok_or("done: pareto point missing `values`")?
-                                .iter()
-                                .map(|(name, value)| {
-                                    let o = parse_objective(name)
-                                        .ok_or(format!("done: unknown objective `{name}`"))?;
-                                    let x = decode_f64(value)
-                                        .ok_or(format!("done: bad value for `{name}`"))?;
-                                    Ok((o, x))
-                                })
-                                .collect::<Result<Vec<(Objective, f64)>, String>>()?;
-                            points.push(ParetoPointInfo {
-                                island: get_u64(item, "island")
-                                    .ok_or("done: pareto point missing `island`")?
-                                    as usize,
-                                objective: get_str(item, "objective")
-                                    .and_then(|name| parse_objective(&name))
-                                    .ok_or("done: pareto point missing `objective`")?,
-                                values,
-                                parts: get_u64(item, "parts").unwrap_or(0) as usize,
-                                assignment: assignment_of(item),
-                            });
-                        }
-                        Some(points)
-                    }
-                };
-                Ok(Event::Done(DoneInfo {
-                    job: u("job")?,
-                    status: get_str(&v, "status")
-                        .and_then(|name| JobStatus::parse(&name))
-                        .ok_or("done: missing or bad `status`")?,
-                    value: get_f64(&v, "value").ok_or("done: missing `value`")?,
-                    parts: u("parts")? as usize,
-                    steps: u("steps")?,
-                    elapsed_ms: u("elapsed_ms")?,
-                    migrations: u("migrations").unwrap_or(0),
-                    assignment: assignment_of(&v),
-                    pareto,
-                }))
-            }
-            "cancelling" => {
-                reject_unknown(&v, "cancelling", &["event", "job", "known"])?;
-                Ok(Event::Cancelling {
-                    job: u("job")?,
-                    known: v.get("known").and_then(Value::as_bool).unwrap_or(false),
-                })
-            }
-            "stats" => {
-                reject_unknown(
-                    &v,
-                    "stats",
-                    &[
-                        "event",
-                        "instances",
-                        "cache_hits",
-                        "cache_loads",
-                        "cache_evictions",
-                        "cache_bytes",
-                        "cache_budget_bytes",
-                        "jobs_submitted",
-                        "jobs_running",
-                        "jobs_done",
-                        "jobs_cancelled",
-                        "jobs_rejected",
-                        "max_jobs",
-                        "workers",
-                        "gate_queued",
-                        "permit_wait_hist",
-                        "permit_wait_bucket_ms",
-                        "job_duration_hist",
-                        "job_duration_bucket_ms",
-                    ],
-                )?;
-                Ok(Event::Stats(StatsInfo {
-                    instances: u("instances")? as usize,
-                    cache_hits: u("cache_hits")?,
-                    cache_loads: u("cache_loads")?,
-                    cache_evictions: get_u64(&v, "cache_evictions").unwrap_or(0),
-                    cache_bytes: get_u64(&v, "cache_bytes").unwrap_or(0),
-                    cache_budget_bytes: get_u64(&v, "cache_budget_bytes").unwrap_or(0),
-                    jobs_submitted: u("jobs_submitted")?,
-                    jobs_running: u("jobs_running")?,
-                    jobs_done: u("jobs_done")?,
-                    jobs_cancelled: get_u64(&v, "jobs_cancelled").unwrap_or(0),
-                    jobs_rejected: get_u64(&v, "jobs_rejected").unwrap_or(0),
-                    max_jobs: get_u64(&v, "max_jobs").unwrap_or(0),
-                    workers: get_u64(&v, "workers").unwrap_or(0) as usize,
-                    gate_queued: get_u64(&v, "gate_queued").unwrap_or(0) as usize,
-                    permit_wait_hist: u64_array::<WAIT_BUCKETS>(&v, "stats", "permit_wait_hist")?,
-                    permit_wait_bucket_ms: opt_u64_array(
-                        &v,
-                        "stats",
-                        "permit_wait_bucket_ms",
-                        WAIT_BUCKET_MS,
-                    )?,
-                    job_duration_hist: opt_u64_array(
-                        &v,
-                        "stats",
-                        "job_duration_hist",
-                        [0; DURATION_BUCKETS],
-                    )?,
-                    job_duration_bucket_ms: opt_u64_array(
-                        &v,
-                        "stats",
-                        "job_duration_bucket_ms",
-                        DURATION_BUCKET_MS,
-                    )?,
-                }))
-            }
-            "error" => {
-                reject_unknown(&v, "error", &["event", "message", "job"])?;
-                Ok(Event::Error {
-                    message: get_str(&v, "message").unwrap_or_default(),
-                    job: get_u64(&v, "job"),
-                })
-            }
-            "bye" => {
-                reject_unknown(&v, "bye", &["event"])?;
-                Ok(Event::Bye)
-            }
-            "wready" => {
-                reject_unknown(&v, "wready", &["event", "session", "islands"])?;
-                Ok(Event::WReady {
-                    session: u("session")?,
-                    islands: u("islands")? as usize,
-                })
-            }
-            "wstate" => {
-                reject_unknown(&v, "wstate", &["event", "session", "epoch", "islands"])?;
-                let items = v
-                    .get("islands")
-                    .and_then(Value::as_array)
-                    .ok_or("wstate: missing `islands` array")?;
-                let mut islands = Vec::with_capacity(items.len());
-                for item in items {
-                    reject_unknown(
-                        item,
-                        "wstate",
-                        &["island", "more", "energy", "steps", "news"],
-                    )?;
-                    let mut news = Vec::new();
-                    for n in item
-                        .get("news")
-                        .and_then(Value::as_array)
-                        .ok_or("wstate: island missing `news`")?
-                    {
-                        reject_unknown(n, "wstate", &["step", "value", "elapsed_ms"])?;
-                        news.push(WNews {
-                            step: get_u64(n, "step").ok_or("wstate: news missing `step`")?,
-                            value: get_f64(n, "value").ok_or("wstate: news missing `value`")?,
-                            elapsed_ms: get_u64(n, "elapsed_ms")
-                                .ok_or("wstate: news missing `elapsed_ms`")?,
-                        });
-                    }
-                    islands.push(WIslandState {
-                        island: get_u64(item, "island").ok_or("wstate: island missing `island`")?
-                            as usize,
-                        more: item
-                            .get("more")
-                            .and_then(Value::as_bool)
-                            .ok_or("wstate: island missing `more`")?,
-                        energy: get_f64(item, "energy").ok_or("wstate: island missing `energy`")?,
-                        steps: get_u64(item, "steps").ok_or("wstate: island missing `steps`")?,
-                        news,
-                    });
-                }
-                Ok(Event::WState {
-                    session: u("session")?,
-                    epoch: u("epoch")?,
-                    islands,
-                })
-            }
-            "wmolecule" => {
-                reject_unknown(
-                    &v,
-                    "wmolecule",
-                    &[
-                        "event",
-                        "session",
-                        "island",
-                        "assignment",
-                        "parts",
-                        "energy",
-                    ],
-                )?;
-                Ok(Event::WMolecule {
-                    session: u("session")?,
-                    island: u("island")? as usize,
-                    molecule: MoleculeInfo::from_value(&v, "wmolecule")?,
-                    energy: get_f64(&v, "energy").ok_or("wmolecule: missing `energy`")?,
-                })
-            }
-            "winjected" => {
-                reject_unknown(&v, "winjected", &["event", "session", "island", "adopted"])?;
-                Ok(Event::WInjected {
-                    session: u("session")?,
-                    island: u("island")? as usize,
-                    adopted: v
-                        .get("adopted")
-                        .and_then(Value::as_bool)
-                        .ok_or("winjected: missing `adopted`")?,
-                })
-            }
-            "wharvested" => {
-                reject_unknown(&v, "wharvested", &["event", "session", "islands"])?;
-                let items = v
-                    .get("islands")
-                    .and_then(Value::as_array)
-                    .ok_or("wharvested: missing `islands` array")?;
-                let mut islands = Vec::with_capacity(items.len());
-                for item in items {
-                    reject_unknown(
-                        item,
-                        "wharvested",
-                        &[
-                            "island",
-                            "value",
-                            "energy",
-                            "steps",
-                            "assignment",
-                            "parts",
-                            "per_k",
-                        ],
-                    )?;
-                    let mut per_k = Vec::new();
-                    for pair in item
-                        .get("per_k")
-                        .and_then(Value::as_array)
-                        .ok_or("wharvested: island missing `per_k`")?
-                    {
-                        let pair = pair
-                            .as_array()
-                            .filter(|p| p.len() == 2)
-                            .ok_or("wharvested: bad `per_k` pair")?;
-                        let k = match &pair[0] {
-                            Value::String(text) => text.parse().ok(),
-                            other => other.as_u64(),
-                        }
-                        .ok_or("wharvested: bad `per_k` key")?;
-                        let val = decode_f64(&pair[1]).ok_or("wharvested: bad `per_k` value")?;
-                        per_k.push((k, val));
-                    }
-                    islands.push(WIslandResult {
-                        island: get_u64(item, "island")
-                            .ok_or("wharvested: island missing `island`")?
-                            as usize,
-                        value: get_f64(item, "value")
-                            .ok_or("wharvested: island missing `value`")?,
-                        energy: get_f64(item, "energy")
-                            .ok_or("wharvested: island missing `energy`")?,
-                        steps: get_u64(item, "steps")
-                            .ok_or("wharvested: island missing `steps`")?,
-                        molecule: MoleculeInfo::from_value(item, "wharvested")?,
-                        per_k,
-                    });
-                }
-                Ok(Event::WHarvested {
-                    session: u("session")?,
-                    islands,
-                })
-            }
-            other => Err(format!("unknown event `{other}`")),
-        }
+        parse_line(line)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{num, s};
+    use serde_json::Map;
 
     #[test]
     fn requests_round_trip() {
@@ -2177,5 +1108,64 @@ mod tests {
             ..JobRequest::new("g", 3)
         };
         assert_eq!(parsed, expected);
+    }
+
+    #[test]
+    fn malformed_optional_fields_are_rejected_by_name() {
+        // A present value that does not decode names its field; it never
+        // falls back to the default or drops the entries that fail.
+        let submit =
+            |extra: &str| format!(r#"{{"op":"submit","instance":"g","k":2,"steps":10,{extra}}}"#);
+        let requests = [
+            (submit(r#""seed":-1"#), "seed"),
+            (submit(r#""islands":2.5"#), "islands"),
+            (submit(r#""chunk":-3"#), "chunk"),
+            (submit(r#""assignment":"false""#), "assignment"),
+            (submit(r#""deadline_ms":"soon""#), "deadline_ms"),
+            (submit(r#""objective":5"#), "objective"),
+            (submit(r#""migration":null"#), "migration"),
+            (submit(r#""steps":null"#), "steps"),
+            (
+                r#"{"op":"load","instance":"g","path":"/g","format":7}"#.into(),
+                "format",
+            ),
+            (
+                r#"{"op":"load","instance":"g","path":"/g","data":5}"#.into(),
+                "data",
+            ),
+        ];
+        for (line, field) in &requests {
+            let err = Request::parse(line).expect_err(line);
+            assert!(err.contains(&format!("bad `{field}`")), "{line}: {err}");
+        }
+        let events = [
+            (
+                r#"{"event":"done","job":1,"status":"completed","value":1.5,"parts":2,"steps":9,"elapsed_ms":1,"assignment":[0,"x",1]}"#,
+                "assignment",
+            ),
+            (
+                r#"{"event":"improvement","job":1,"value":1.5,"step":3,"elapsed_ms":1,"island":"two","objective":"kcut"}"#,
+                "island",
+            ),
+            (
+                r#"{"event":"improvement","job":1,"value":1.5,"step":3,"elapsed_ms":1,"objective":"kcut"}"#,
+                "objective",
+            ),
+            (r#"{"event":"cancelling","job":1,"known":"yes"}"#, "known"),
+            (r#"{"event":"error","message":"x","job":null}"#, "job"),
+            (
+                r#"{"event":"rejected","reason":7,"retry_after_ms":5}"#,
+                "reason",
+            ),
+        ];
+        for (line, field) in events {
+            let err = Event::parse(line).expect_err(line);
+            assert!(err.contains(&format!("bad `{field}`")), "{line}: {err}");
+        }
+        // HTTP `POST /jobs` bodies share the decoder.
+        let body: Value =
+            serde_json::from_str(r#"{"instance":"g","k":2,"steps":10,"seed":-1}"#).unwrap();
+        let err = JobRequest::from_value(&body).unwrap_err();
+        assert!(err.contains("bad `seed`"), "{err}");
     }
 }
