@@ -183,8 +183,8 @@ impl FusionFissionConfig {
         }
     }
 
-    /// Validates invariants, returning a typed [`ConfigError`] instead of
-    /// panicking. Called by the runner (which panics on `Err` to preserve
+    /// Validates invariants, returning a typed [`ConfigError`]. Called by
+    /// the runner (which panics on `Err` to preserve
     /// the historical contract for in-process misuse) and by the
     /// `ff-engine` solver builder (which propagates the error).
     pub fn try_validate(&self) -> Result<(), ConfigError> {
@@ -204,17 +204,6 @@ impl FusionFissionConfig {
             return Err(ConfigError::BadLawRate);
         }
         Ok(())
-    }
-
-    /// Validates invariants, panicking on violation.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_validate` and handle the ConfigError"
-    )]
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -257,12 +246,5 @@ mod tests {
             ..FusionFissionConfig::standard(4)
         };
         assert_eq!(cfg.try_validate(), Err(ConfigError::BadLawRate));
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn deprecated_validate_still_panics() {
-        #[allow(deprecated)]
-        FusionFissionConfig::standard(0).validate();
     }
 }

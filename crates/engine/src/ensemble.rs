@@ -1,87 +1,11 @@
-//! The historical ensemble entry points, now thin shims over the
-//! [`Solver`] builder, plus the shared [`EnsembleResult`] type.
-//!
-//! [`Ensemble`]/[`EnsembleConfig`] predate the pluggable
-//! [`MigrationPolicy`](crate::MigrationPolicy)/
-//! [`Reduction`](crate::Reduction) seams: they hard-wire replace-if-better
-//! migration and the min-energy reduction. They are kept (deprecated) so
-//! existing callers keep compiling, and their output is bit-equal to the
-//! equivalent `Solver` chain — asserted by the tests below.
+//! [`EnsembleResult`], the result every [`Solver`](crate::Solver) run
+//! harvests, and tests of its contract on the `Solver` chain.
 
-use crate::migration::ReplaceIfBetter;
-use crate::reduction::{MinEnergy, ParetoResult};
-use crate::solver::{Solver, SolverRun};
-use ff_core::{ConfigError, FusionFissionConfig, FusionFissionResult};
-use ff_graph::Graph;
+use crate::reduction::ParetoResult;
+use ff_core::FusionFissionResult;
 use ff_metaheur::{AnytimeTrace, MetaheuristicResult};
 use ff_partition::Partition;
 use std::collections::BTreeMap;
-
-/// Configuration for the deprecated [`Ensemble`] shim. New code states
-/// the same things fluently on [`Solver`].
-#[derive(Clone, Copy, Debug)]
-pub struct EnsembleConfig {
-    /// Number of independently seeded island searches (≥ 1).
-    pub islands: usize,
-    /// Concurrent OS threads per epoch; `0` means one per island. With
-    /// fewer threads than islands, each epoch runs the islands in waves —
-    /// results are identical for any cap when the stop condition is
-    /// step-based (time-based budgets tick while later waves wait).
-    pub max_threads: usize,
-    /// Steps each island advances between barriers; at each barrier the
-    /// globally best molecule is offered to every island. `0` disables
-    /// migration (pure independent multi-start).
-    pub migration_interval: u64,
-    /// The per-island search configuration, including the per-island stop
-    /// condition (a steps budget is per island, so total work scales with
-    /// `islands`; a wall-clock budget runs the islands concurrently).
-    pub base: FusionFissionConfig,
-}
-
-impl EnsembleConfig {
-    /// Ensemble of `islands` searches over `base`, migrating every 1024
-    /// steps, one thread per island.
-    pub fn new(base: FusionFissionConfig, islands: usize) -> Self {
-        EnsembleConfig {
-            islands,
-            max_threads: 0,
-            migration_interval: 1024,
-            base,
-        }
-    }
-
-    /// Validates invariants as a typed result.
-    pub fn try_validate(&self) -> Result<(), ConfigError> {
-        if self.islands < 1 {
-            return Err(ConfigError::ZeroIslands);
-        }
-        self.base.try_validate()
-    }
-
-    /// Validates invariants, panicking on violation.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_validate` and handle the ConfigError"
-    )]
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// The equivalent [`Solver`] chain (replace-if-better migration,
-    /// min-energy reduction — exactly the behavior this type hard-wired).
-    pub fn solver<'g>(&self, g: &'g Graph, root_seed: u64) -> Solver<'g> {
-        Solver::on(g)
-            .config(self.base)
-            .islands(self.islands)
-            .threads(self.max_threads)
-            .migration_interval(self.migration_interval)
-            .migration(ReplaceIfBetter)
-            .reduction(MinEnergy)
-            .seed(root_seed)
-    }
-}
 
 /// Result of an ensemble / solver run.
 #[derive(Clone, Debug)]
@@ -139,78 +63,31 @@ impl EnsembleResult {
     }
 }
 
-/// The pre-builder ensemble runner: hard-wired replace-if-better
-/// migration and min-energy reduction.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `Solver` builder: `Solver::on(g).k(…).islands(…).seed(…)`"
-)]
-pub struct Ensemble<'g> {
-    g: &'g Graph,
-    cfg: EnsembleConfig,
-    root_seed: u64,
-}
-
-/// The live ensemble run. [`SolverRun`] is the same type; the alias is
-/// kept for source compatibility.
-#[deprecated(since = "0.2.0", note = "use `SolverRun`")]
-pub type EnsembleRun<'g> = SolverRun<'g>;
-
-#[allow(deprecated)]
-impl<'g> Ensemble<'g> {
-    /// Prepares an ensemble on `g`. Island seeds are derived from
-    /// `root_seed` with [`crate::derive_seeds`].
-    pub fn new(g: &'g Graph, cfg: EnsembleConfig, root_seed: u64) -> Self {
-        Ensemble { g, cfg, root_seed }
-    }
-
-    /// Runs all islands to their stop conditions and reduces.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration (the historical contract; the
-    /// `Solver` path returns the error instead).
-    pub fn run(&self) -> EnsembleResult {
-        let mut run = self.start();
-        while run.advance_epoch() {}
-        run.harvest()
-    }
-
-    /// Builds the live, resumable ensemble.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration.
-    pub fn start(&self) -> SolverRun<'g> {
-        match self.cfg.solver(self.g, self.root_seed).start() {
-            Ok(run) => run,
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
     use crate::seeds::derive_seeds;
-    use ff_core::FusionFission;
+    use crate::solver::Solver;
+    use ff_core::{FusionFission, FusionFissionConfig};
     use ff_graph::generators::{planted_partition, random_geometric, two_cliques_bridge};
+    use ff_graph::Graph;
     use ff_metaheur::StopCondition;
 
-    fn fast_cfg(k: usize, islands: usize) -> EnsembleConfig {
-        let mut cfg = EnsembleConfig::new(FusionFissionConfig::fast(k), islands);
-        cfg.migration_interval = 300;
-        cfg
+    /// `islands` fast-preset islands seeded from `seed`, migrating every
+    /// 300 steps (replace-if-better, min-energy reduction: the defaults).
+    fn fast(g: &Graph, k: usize, islands: usize, seed: u64) -> Solver<'_> {
+        Solver::on(g)
+            .config(FusionFissionConfig::fast(k))
+            .islands(islands)
+            .migration_interval(300)
+            .seed(seed)
     }
 
     #[test]
     fn single_island_matches_plain_fusion_fission() {
         let g = random_geometric(50, 0.25, 3);
-        let cfg = fast_cfg(4, 1);
-        let ens = Ensemble::new(&g, cfg, 11).run();
+        let ens = fast(&g, 4, 1, 11).run().unwrap();
         let seed = derive_seeds(11, 1)[0];
-        let solo = FusionFission::new(&g, cfg.base, seed).run();
+        let solo = FusionFission::new(&g, FusionFissionConfig::fast(4), seed).run();
         assert_eq!(ens.best.assignment(), solo.best.assignment());
         assert_eq!(ens.best_value, solo.best_value);
         assert_eq!(ens.steps, solo.steps);
@@ -222,12 +99,10 @@ mod tests {
     fn byte_identical_across_runs_and_thread_caps() {
         let g = random_geometric(60, 0.25, 7);
         for islands in [1usize, 4] {
-            let mut results = Vec::new();
-            for max_threads in [0usize, 1, 2] {
-                let mut cfg = fast_cfg(4, islands);
-                cfg.max_threads = max_threads;
-                results.push(Ensemble::new(&g, cfg, 99).run());
-            }
+            let results: Vec<_> = [0usize, 1, 2]
+                .into_iter()
+                .map(|threads| fast(&g, 4, islands, 99).threads(threads).run().unwrap())
+                .collect();
             for r in &results[1..] {
                 assert_eq!(r.best.assignment(), results[0].best.assignment());
                 assert_eq!(r.best_value, results[0].best_value);
@@ -241,7 +116,7 @@ mod tests {
     #[test]
     fn best_is_min_over_islands() {
         let g = planted_partition(4, 10, 0.85, 0.03, 5);
-        let res = Ensemble::new(&g, fast_cfg(4, 4), 2).run();
+        let res = fast(&g, 4, 4, 2).run().unwrap();
         assert_eq!(res.islands.len(), 4);
         let min = res
             .islands
@@ -258,7 +133,7 @@ mod tests {
     #[test]
     fn ensemble_never_loses_to_its_worst_island() {
         let g = two_cliques_bridge(8, 2.0, 0.1);
-        let res = Ensemble::new(&g, fast_cfg(2, 3), 5).run();
+        let res = fast(&g, 2, 3, 5).run().unwrap();
         for island in &res.islands {
             assert!(res.best_value <= island.best_value);
         }
@@ -269,13 +144,11 @@ mod tests {
     #[test]
     fn migration_disabled_is_pure_multistart() {
         let g = random_geometric(50, 0.25, 3);
-        let mut cfg = fast_cfg(3, 3);
-        cfg.migration_interval = 0;
-        let ens = Ensemble::new(&g, cfg, 8).run();
+        let ens = fast(&g, 3, 3, 8).migration_interval(0).run().unwrap();
         assert_eq!(ens.migrations_adopted, 0);
         // Each island must equal its own independent run.
         for (i, &seed) in derive_seeds(8, 3).iter().enumerate() {
-            let solo = FusionFission::new(&g, cfg.base, seed).run();
+            let solo = FusionFission::new(&g, FusionFissionConfig::fast(3), seed).run();
             assert_eq!(ens.islands[i].best.assignment(), solo.best.assignment());
         }
     }
@@ -283,7 +156,7 @@ mod tests {
     #[test]
     fn merged_trace_is_monotone_and_reaches_best() {
         let g = random_geometric(60, 0.25, 4);
-        let res = Ensemble::new(&g, fast_cfg(4, 4), 3).run();
+        let res = fast(&g, 4, 4, 3).run().unwrap();
         let pts = res.trace.points();
         assert!(!pts.is_empty());
         for w in pts.windows(2) {
@@ -295,9 +168,7 @@ mod tests {
     #[test]
     fn respects_per_island_step_budget() {
         let g = random_geometric(40, 0.3, 2);
-        let mut cfg = fast_cfg(3, 3);
-        cfg.base.stop = StopCondition::steps(500);
-        let res = Ensemble::new(&g, cfg, 1).run();
+        let res = fast(&g, 3, 3, 1).steps(500).run().unwrap();
         for island in &res.islands {
             assert!(island.steps <= 500);
         }
@@ -307,9 +178,8 @@ mod tests {
     #[test]
     fn manual_epoch_drive_matches_run() {
         let g = random_geometric(60, 0.25, 7);
-        let cfg = fast_cfg(4, 3);
-        let oneshot = Ensemble::new(&g, cfg, 99).run();
-        let mut run = Ensemble::new(&g, cfg, 99).start();
+        let oneshot = fast(&g, 4, 3, 99).run().unwrap();
+        let mut run = fast(&g, 4, 3, 99).start().unwrap();
         let mut epochs = 0;
         while run.advance_epoch() {
             epochs += 1;
@@ -329,10 +199,9 @@ mod tests {
     fn cancel_stops_every_island_and_harvests_best_so_far() {
         use ff_metaheur::CancelToken;
         let g = random_geometric(60, 0.25, 4);
-        let mut cfg = fast_cfg(4, 3);
-        cfg.base.stop = StopCondition::steps(u64::MAX); // unbounded: only cancel stops it
-        cfg.max_threads = 1;
-        let mut run = Ensemble::new(&g, cfg, 3).start();
+        // Unbounded: only the cancel stops it.
+        let solver = fast(&g, 4, 3, 3).stop(StopCondition::steps(u64::MAX));
+        let mut run = solver.threads(1).start().unwrap();
         let token = CancelToken::new();
         run.bind_cancel(token.clone());
         assert!(run.advance_epoch(), "not cancelled yet");
@@ -350,17 +219,10 @@ mod tests {
     #[test]
     fn best_value_at_target_tracks_the_min_island() {
         let g = two_cliques_bridge(8, 2.0, 0.1);
-        let mut run = Ensemble::new(&g, fast_cfg(2, 2), 5).start();
+        let mut run = fast(&g, 2, 2, 5).start().unwrap();
         while run.advance_epoch() {}
         let live_best = run.best_value_at_target().expect("target k visited");
         let res = run.harvest();
         assert_eq!(live_best, res.best_value);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one island")]
-    fn zero_islands_panics() {
-        let g = random_geometric(10, 0.5, 1);
-        Ensemble::new(&g, fast_cfg(2, 0), 1).run();
     }
 }

@@ -168,8 +168,7 @@ pub mod reduction;
 pub mod seeds;
 pub mod solver;
 
-#[allow(deprecated)]
-pub use ensemble::{Ensemble, EnsembleConfig, EnsembleResult, EnsembleRun};
+pub use ensemble::EnsembleResult;
 pub use migration::{
     Adaptive, Combine, IslandStatus, MigrationOffer, MigrationPolicy, MigrationPolicyId,
     ReplaceIfBetter,

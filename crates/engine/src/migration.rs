@@ -152,7 +152,7 @@ fn donor_of(group: &[usize], islands: &[IslandStatus]) -> usize {
 
 /// The historical rule: the group's best molecule is offered to every
 /// other island, adopted iff strictly better (bit-equal to the
-/// pre-builder `Ensemble::run`, which is test-asserted).
+/// pre-builder ensemble loop, pinned by golden tests).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplaceIfBetter;
 

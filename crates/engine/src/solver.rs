@@ -1,10 +1,8 @@
 //! The [`Solver`] builder — the one front door to the fusion–fission
 //! engine.
 //!
-//! Historically the engine had scattered entry points
-//! (`FusionFission::new`/`with_initial`, `Ensemble::new`,
-//! `EnsembleConfig`); the builder unifies them behind one fluent,
-//! validated configuration path and adds the two strategy seams:
+//! The builder is one fluent, validated configuration path for a single
+//! search or a whole island ensemble, with two strategy seams:
 //! [`MigrationPolicy`] (what moves between islands, and when) and
 //! [`Reduction`] (how harvested islands become one result, including the
 //! multi-objective Pareto front).

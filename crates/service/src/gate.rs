@@ -1,7 +1,7 @@
 //! A FIFO-fair counting gate: the service's worker pool.
 //!
 //! The engine's searches are resumable ([`ff_core::FusionFissionRun`],
-//! [`ff_engine::EnsembleRun`]), so a job does not need to *own* a CPU for
+//! [`ff_engine::SolverRun`]), so a job does not need to *own* a CPU for
 //! its whole lifetime — it only needs one while advancing a chunk. The
 //! gate hands out `permits` compute slots in strict arrival order: M
 //! in-flight jobs re-acquire between chunks and therefore interleave

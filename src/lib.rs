@@ -49,8 +49,6 @@ pub mod prelude {
         Adaptive, Combine, EnsembleResult, MigrationPolicy, MigrationPolicyId, MinEnergy,
         ParetoFront, ParetoResult, ReplaceIfBetter, Solver, SolverRun,
     };
-    #[allow(deprecated)]
-    pub use ff_engine::{Ensemble, EnsembleConfig};
     pub use ff_graph::{Graph, GraphBuilder};
     pub use ff_metaheur::{
         ant::{AntColony, AntColonyConfig},
