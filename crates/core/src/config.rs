@@ -184,9 +184,9 @@ impl FusionFissionConfig {
     }
 
     /// Validates invariants, returning a typed [`ConfigError`]. Called by
-    /// the runner (which panics on `Err` to preserve
-    /// the historical contract for in-process misuse) and by the
-    /// `ff-engine` solver builder (which propagates the error).
+    /// the runner (which panics on `Err` to preserve the historical
+    /// contract for in-process misuse) and by the `ff-engine` solver
+    /// builder (which propagates the error).
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         if self.k < 1 {
             return Err(ConfigError::NonPositiveK);

@@ -8,8 +8,7 @@ use ff_engine::MigrationPolicyId;
 use ff_partition::Objective;
 use serde_json::{Map, Number, Value};
 
-/// A JSON number, or for the values JSON numbers cannot hold, the
-/// strings `"inf"` / `"-inf"` / `"nan"`.
+/// A JSON number, or `"inf"` / `"-inf"` / `"nan"` where JSON has none.
 pub(crate) fn num(v: f64) -> Value {
     match Number::from_f64(v) {
         Some(n) => Value::Number(n),
@@ -21,7 +20,7 @@ pub(crate) fn num(v: f64) -> Value {
 
 /// JSON numbers are f64s, which round above 2^53 and would silently
 /// alter a seed or budget, so larger integers travel as decimal strings.
-pub(crate) fn unum(v: u64) -> Value {
+fn unum(v: u64) -> Value {
     if v <= (1u64 << 53) {
         num(v as f64)
     } else {
@@ -45,8 +44,7 @@ pub(crate) trait Wire: Sized + PartialEq {
     }
 }
 
-/// A group of fields: a message body, a nested object, or a type
-/// flattened into its parent object.
+/// A message body, a nested object, or fields flattened into a parent.
 pub(crate) trait Fields: Sized {
     fn known(key: &str) -> bool;
     fn put(&self, m: &mut Map);
@@ -231,8 +229,10 @@ impl Fields for GraphSource {
     }
 }
 
-/// One field declaration in each of its roles: known-key test, encoder
-/// and decoder.
+/// One field declaration, `key: Type`, in each of its roles: known-key
+/// test, encoder and decoder. `key: Type = default` is what an absent
+/// field decodes to; `@flatten key: Type` puts a [`Fields`] type's own
+/// keys in the parent object.
 macro_rules! field {
     (known $k:ident, @flatten $key:ident: $ty:ty) => {
         <$ty as $crate::schema::Fields>::known($k)
@@ -331,7 +331,7 @@ macro_rules! wire_enum {
         }
 
         impl $E {
-            /// Serializes to the wire object.
+            /// Serializes to the JSON object it travels as.
             pub fn to_value(&self) -> serde_json::Value {
                 let m = &mut serde_json::Map::new();
                 match self {
