@@ -5,8 +5,10 @@
 
 use std::time::Duration;
 
-use ff_engine::{Combine, MigrationPolicyId, ParetoFront, Solver};
+use ff_core::FusionFissionResult;
+use ff_engine::{Adaptive, Combine, MigrationPolicyId, ParetoFront, Solver};
 use ff_graph::io::read_metis;
+use ff_obs::Registry;
 use ff_partition::Objective;
 use ff_service::dist::{solve_distributed, DistOpts, DistSpec, WorkerSet};
 use ff_service::{GraphFormat, GraphSource};
@@ -30,6 +32,17 @@ fn spec(islands: usize, seed: u64, migration: MigrationPolicyId) -> DistSpec {
         migration,
         pareto: false,
     }
+}
+
+/// An island's improvement trace as `(step, value)` pairs — everything
+/// but the wall-clock stamps, which differ between processes.
+fn trace_points(island: &FusionFissionResult) -> Vec<(u64, f64)> {
+    island
+        .trace
+        .points()
+        .iter()
+        .map(|p| (p.step, p.value))
+        .collect()
 }
 
 fn run_dist(spec: &DistSpec, workers: usize) -> ff_engine::EnsembleResult {
@@ -73,11 +86,59 @@ fn distributed_replace_matches_in_process_for_any_worker_count() {
         assert_eq!(dist.steps, local.steps);
         assert_eq!(dist.migrations_adopted, local.migrations_adopted);
         assert_eq!(dist.best_value_per_k, local.best_value_per_k);
+        assert_eq!(dist.islands.len(), local.islands.len());
         for (a, b) in dist.islands.iter().zip(&local.islands) {
             assert_eq!(a.best.assignment(), b.best.assignment());
             assert_eq!(a.best_energy, b.best_energy);
             assert_eq!(a.steps, b.steps);
+            // Per island, not merged: the merged trace orders islands'
+            // points by wall-clock.
+            assert_eq!(trace_points(a), trace_points(b));
         }
+    }
+}
+
+#[test]
+fn distributed_adaptive_matches_in_process() {
+    // Adaptive is the one policy whose `interval()` reshapes the epoch
+    // schedule; 8-step barriers on the tiny grid stagnate quickly, and
+    // seed 7 still adopts migrants before they do.
+    let g = read_metis(GRID.as_bytes()).unwrap();
+    let registry = Registry::new();
+    let local = Solver::on(&g)
+        .k(2)
+        .islands(4)
+        .migration(Adaptive::default())
+        .migration_interval(8)
+        .steps(6_000)
+        .seed(7)
+        .observe(registry.clone())
+        .run()
+        .unwrap();
+    let epochs = registry
+        .counter("ff_engine_epochs_total", "Epoch barriers crossed")
+        .get();
+    assert!(
+        epochs < 6_000 / 8,
+        "{epochs} epochs: the interval never stretched"
+    );
+    assert!(local.migrations_adopted > 0, "no migrant was adopted");
+    let mut spec = spec(4, 7, MigrationPolicyId::Adaptive);
+    spec.interval = 8;
+    let dist = run_dist(&spec, 2);
+    assert_eq!(dist.best.assignment(), local.best.assignment());
+    assert_eq!(dist.best_value, local.best_value);
+    assert_eq!(dist.best_island, local.best_island);
+    assert_eq!(dist.steps, local.steps);
+    assert_eq!(dist.migrations_adopted, local.migrations_adopted);
+    assert_eq!(dist.islands.len(), local.islands.len());
+    for (a, b) in dist.islands.iter().zip(&local.islands) {
+        assert_eq!(a.best.assignment(), b.best.assignment());
+        assert_eq!(a.best_value, b.best_value);
+        assert_eq!(a.best_energy, b.best_energy);
+        assert_eq!(a.steps, b.steps);
+        assert_eq!(a.best_value_per_k, b.best_value_per_k);
+        assert_eq!(trace_points(a), trace_points(b));
     }
 }
 
