@@ -160,6 +160,7 @@
 //! ```
 
 pub mod ensemble;
+pub mod epoch;
 pub mod migration;
 pub mod multilevel;
 mod obs;
@@ -169,6 +170,7 @@ pub mod seeds;
 pub mod solver;
 
 pub use ensemble::EnsembleResult;
+pub use epoch::{Epoch, EpochLoop, IslandSet, LocalIslands};
 pub use migration::{
     Adaptive, Combine, IslandStatus, MigrationOffer, MigrationPolicy, MigrationPolicyId,
     ReplaceIfBetter,

@@ -1,12 +1,14 @@
 //! Pluggable island-migration policies: *what* moves between islands at
 //! an epoch barrier, and *when* the next barrier happens.
 //!
-//! The engine advances all islands in lockstep epochs; at each barrier it
-//! hands the policy mutable access to every island run. A policy must be
-//! a deterministic function of the island states it observes — it may
-//! keep its own state across barriers (the adaptive policy does), but it
-//! must not consult wall-clock time, thread identity, or an unseeded RNG,
-//! or the engine's byte-identical reproducibility contract breaks.
+//! The engine advances all islands in lockstep epochs. At each barrier a
+//! policy sees every island's status and returns a plan; the one epoch
+//! loop ([`EpochLoop`](crate::EpochLoop)) executes it, whether the
+//! islands live in this process or in worker processes. A policy must be
+//! a deterministic function of the statuses it observes — it may keep
+//! its own state across barriers (the adaptive policy does), but it must
+//! not consult wall-clock time, thread identity, or an unseeded RNG, or
+//! the engine's byte-identical reproducibility contract breaks.
 //!
 //! Islands optimizing **different objectives** (a Pareto ensemble) are
 //! grouped by objective before any exchange: binding energies are only
@@ -19,8 +21,8 @@ use ff_partition::Objective;
 
 /// What a policy sees of one island at an exchange barrier — the full
 /// decision input. Keeping this a plain value (no borrow of the run) is
-/// what lets a coordinator evaluate the same policy over island state
-/// reported by worker *processes* and still land on the identical plan.
+/// what lets the epoch loop plan over island state reported by worker
+/// *processes* and still land on the identical plan.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IslandStatus {
     /// The objective this island optimizes (exchange never crosses
@@ -46,15 +48,14 @@ pub struct MigrationOffer {
 /// A migration strategy plugged into the solver
 /// ([`Solver::migration`](crate::Solver::migration)).
 ///
-/// A policy is split into a pure *decision* ([`plan`]) over barrier-time
-/// island statuses and a default *execution* ([`exchange`]) of that plan
-/// against in-process runs. In-process ensembles call `exchange`; the
-/// distributed driver calls `plan` on the exact same statuses (reported
-/// over the wire) and executes each offer with fetch/inject ops, so both
-/// modes make bit-identical decisions.
+/// A policy plans; it does not execute. Once per epoch the one epoch loop
+/// ([`EpochLoop`](crate::EpochLoop)) asks for the [`interval`], and at the
+/// barrier it hands [`plan`] the island statuses and executes the
+/// returned offers against the islands, wherever they live. In-process
+/// and distributed runs therefore make bit-identical decisions.
 ///
+/// [`interval`]: MigrationPolicy::interval
 /// [`plan`]: MigrationPolicy::plan
-/// [`exchange`]: MigrationPolicy::exchange
 pub trait MigrationPolicy: Send {
     /// Stable display name (also the wire/CLI spelling).
     fn name(&self) -> &'static str;
@@ -74,28 +75,6 @@ pub trait MigrationPolicy: Send {
     /// called when at least two islands are live and migration is
     /// enabled.
     fn plan(&mut self, islands: &[IslandStatus]) -> Vec<MigrationOffer>;
-
-    /// Executes [`plan`](MigrationPolicy::plan) at a barrier: clone each
-    /// offer's donor molecule, offer it to every receiver. Returns how
-    /// many offers were adopted.
-    fn exchange(&mut self, islands: &mut [FusionFissionRun<'_>]) -> u64 {
-        let statuses: Vec<IslandStatus> = islands.iter().map(IslandStatus::of).collect();
-        let mut adopted = 0;
-        for offer in self.plan(&statuses) {
-            let molecule = islands[offer.donor].best_molecule().clone();
-            for &i in &offer.receivers {
-                let took = if offer.crossover {
-                    islands[i].inject_crossover(&molecule)
-                } else {
-                    islands[i].inject(&molecule)
-                };
-                if took {
-                    adopted += 1;
-                }
-            }
-        }
-        adopted
-    }
 }
 
 impl IslandStatus {
@@ -119,10 +98,6 @@ impl MigrationPolicy for Box<dyn MigrationPolicy> {
 
     fn plan(&mut self, islands: &[IslandStatus]) -> Vec<MigrationOffer> {
         (**self).plan(islands)
-    }
-
-    fn exchange(&mut self, islands: &mut [FusionFissionRun<'_>]) -> u64 {
-        (**self).exchange(islands)
     }
 }
 
@@ -355,8 +330,6 @@ impl MigrationPolicyId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_core::{FusionFission, FusionFissionConfig};
-    use ff_graph::generators::random_geometric;
 
     #[test]
     fn policy_ids_round_trip() {
@@ -448,28 +421,21 @@ mod tests {
         // Fake the state machine directly: no islands needed to check
         // the scaling arithmetic, which is what determinism rests on.
         pol.last_energies = vec![1.0];
-        let g = random_geometric(20, 0.4, 1);
-        let mut runs = vec![
-            FusionFission::new(&g, FusionFissionConfig::fast(2), 1).start(),
-            FusionFission::new(&g, FusionFissionConfig::fast(2), 2).start(),
-        ];
-        // Fresh runs hold +inf best energy: never an improvement on 1.0.
+        // Fresh islands hold +inf best energy: never an improvement on 1.0.
+        let fresh = vec![status(Objective::MCut, f64::INFINITY); 2];
         for _ in 0..2 {
-            pol.exchange(&mut runs);
+            pol.plan(&fresh);
         }
         assert_eq!(pol.scale(), 2);
         for _ in 0..2 {
-            pol.exchange(&mut runs);
+            pol.plan(&fresh);
         }
         assert_eq!(pol.scale(), 4);
         assert_eq!(pol.interval(100), 400);
-        // An improvement (advance the runs so they hold finite energy
-        // below the fake previous best) snaps back to the base.
+        // An improvement (finite energy below the fake previous best)
+        // snaps back to the base.
         pol.last_energies = vec![f64::INFINITY];
-        for run in &mut runs {
-            run.advance(500);
-        }
-        pol.exchange(&mut runs);
+        pol.plan(&[status(Objective::MCut, 0.5), status(Objective::MCut, 0.7)]);
         assert_eq!(pol.scale(), 1);
         assert_eq!(pol.interval(100), 100);
     }

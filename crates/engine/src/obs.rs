@@ -1,18 +1,16 @@
-//! Engine-side observability: registry handles and the observing
-//! migration-policy wrapper behind [`Solver::observe`](crate::Solver::observe).
+//! Engine-side observability: the registry handles behind
+//! [`Solver::observe`](crate::Solver::observe).
 //!
-//! Everything here is **observation-only**: the wrapper delegates
-//! `name`/`interval`/`plan` verbatim and relies on the trait-default
-//! `exchange` body (which no in-repo policy overrides), so the decision
-//! stream — and therefore every partition byte — is identical with and
-//! without observation. The test suite pins that contract.
+//! Everything here is **observation-only**: the epoch loop reports what
+//! it planned and what was adopted, and [`EngineObs::record_epoch`] only
+//! counts it, so the decision stream — and therefore every partition
+//! byte — is identical with and without observation. The test suite pins
+//! that contract.
 
-use crate::migration::{IslandStatus, MigrationOffer, MigrationPolicy};
+use crate::epoch::Epoch;
 use ff_core::FusionFissionRun;
 use ff_multilevel::LevelReport;
 use ff_obs::{Counter, Histogram, Registry};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Upper bounds (ms) for epoch-advance and per-level refine timings.
@@ -26,12 +24,10 @@ const IMPROVEMENT_BUCKETS: [f64; 5] = [1e-4, 1e-3, 1e-2, 1e-1, 1.0];
 pub(crate) struct EngineObs {
     epochs: Counter,
     epoch_ms: Histogram,
+    offers: Counter,
     accepts: Counter,
     rejects: Counter,
     improvement: Histogram,
-    /// Receiver pairs planned by the policy since the last epoch record;
-    /// shared with the [`ObservedPolicy`] that fills it during `plan`.
-    planned: Arc<AtomicU64>,
     /// Per-island count of trace points already observed.
     cursors: Vec<usize>,
     /// Per-island last trace value, the minuend of the next delta.
@@ -50,6 +46,11 @@ impl EngineObs {
                 "Wall-clock milliseconds per epoch (island waves + exchange)",
                 &TIMING_BUCKET_MS,
             ),
+            offers: registry.counter_with(
+                "ff_engine_migration_offers_total",
+                "Migration offers the policy planned at exchange barriers",
+                &labels,
+            ),
             accepts: registry.counter_with(
                 "ff_engine_migration_accepts_total",
                 "Planned migration injections the receiver adopted",
@@ -65,43 +66,25 @@ impl EngineObs {
                 "Objective improvement per island trace point",
                 &IMPROVEMENT_BUCKETS,
             ),
-            planned: Arc::new(AtomicU64::new(0)),
             cursors: vec![0; islands],
             last_value: vec![None; islands],
         }
     }
 
-    /// Wraps `inner` so its `plan` calls feed the offer/pair counters.
-    pub(crate) fn wrap(
-        &self,
-        registry: &Registry,
-        inner: Box<dyn MigrationPolicy>,
-    ) -> Box<dyn MigrationPolicy> {
-        let offers = registry.counter_with(
-            "ff_engine_migration_offers_total",
-            "Migration offers the policy planned at exchange barriers",
-            &[("policy", inner.name())],
-        );
-        Box::new(ObservedPolicy {
-            inner,
-            offers,
-            planned: self.planned.clone(),
-        })
-    }
-
-    /// Records one epoch: timing, accept/reject accounting against the
-    /// pairs planned since the last record, and any new trace points.
+    /// Records one epoch: timing, the offers planned, accept/reject
+    /// accounting over the receiver pairs planned, and any new trace
+    /// points.
     pub(crate) fn record_epoch(
         &mut self,
         elapsed: Duration,
-        adopted: u64,
+        epoch: &Epoch,
         runs: &[FusionFissionRun<'_>],
     ) {
         self.epochs.inc();
         self.epoch_ms.observe(elapsed.as_secs_f64() * 1e3);
-        let planned = self.planned.swap(0, Ordering::Relaxed);
-        self.accepts.add(adopted);
-        self.rejects.add(planned.saturating_sub(adopted));
+        self.offers.add(epoch.offers);
+        self.accepts.add(epoch.adopted);
+        self.rejects.add(epoch.pairs - epoch.adopted);
         for (i, run) in runs.iter().enumerate() {
             let fresh = run.trace().points_since(self.cursors[i]);
             for pt in fresh {
@@ -132,32 +115,5 @@ pub(crate) fn record_level_reports(registry: &Registry, reports: &[LevelReport])
     for r in reports {
         refine_ms.observe(r.refine_ms as f64);
         moves.add(r.moves as u64);
-    }
-}
-
-/// Counts offers/pairs during `plan` and otherwise delegates. The
-/// trait-default `exchange` routes through this `plan`, so execution is
-/// bit-identical to the unwrapped policy's.
-struct ObservedPolicy {
-    inner: Box<dyn MigrationPolicy>,
-    offers: Counter,
-    planned: Arc<AtomicU64>,
-}
-
-impl MigrationPolicy for ObservedPolicy {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn interval(&mut self, base: u64) -> u64 {
-        self.inner.interval(base)
-    }
-
-    fn plan(&mut self, islands: &[IslandStatus]) -> Vec<MigrationOffer> {
-        let offers = self.inner.plan(islands);
-        self.offers.add(offers.len() as u64);
-        let pairs: u64 = offers.iter().map(|o| o.receivers.len() as u64).sum();
-        self.planned.fetch_add(pairs, Ordering::Relaxed);
-        offers
     }
 }

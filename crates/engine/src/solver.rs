@@ -23,19 +23,17 @@
 //! ```
 
 use crate::ensemble::EnsembleResult;
+use crate::epoch::{EpochLoop, LocalIslands};
 use crate::migration::{MigrationPolicy, ReplaceIfBetter};
 use crate::multilevel::{MultilevelInfo, MultilevelOpts};
 use crate::obs::{record_level_reports, EngineObs};
 use crate::reduction::{MinEnergy, ParetoPoint, Reduction};
 use crate::seeds::derive_seeds;
-use ff_core::{
-    ConfigError, FusionFission, FusionFissionConfig, FusionFissionResult, FusionFissionRun,
-};
+use ff_core::{ConfigError, FusionFission, FusionFissionConfig, FusionFissionRun};
 use ff_graph::Graph;
-use ff_metaheur::{AnytimeTrace, CancelToken, StopCondition};
+use ff_metaheur::{CancelToken, StopCondition};
 use ff_multilevel::{Vcycle, VcycleOpts};
 use ff_partition::{pareto_front_indices, Objective, Partition};
-use std::collections::BTreeMap;
 
 /// The distinct objectives of a per-island cycle list, in first-
 /// appearance order — the axis order of any Pareto front built over it.
@@ -296,9 +294,6 @@ impl<'g> Solver<'g> {
             Some(list) => (0..n).map(|i| list[i % list.len()]).collect(),
             None => vec![self.base.objective; n],
         };
-        // Axis order of any Pareto front. Validation guaranteed the
-        // cycled assignment covers every distinct objective of the list.
-        let distinct = distinct_objectives(&per_island);
         let runs: Vec<FusionFissionRun<'g>> = seeds
             .iter()
             .zip(&per_island)
@@ -314,23 +309,22 @@ impl<'g> Solver<'g> {
                 .start()
             })
             .collect();
-        let (obs, migration) = match &self.obs {
-            Some(registry) => {
-                let obs = EngineObs::new(registry, self.migration.name(), n);
-                let wrapped = obs.wrap(registry, self.migration);
-                (Some(obs), wrapped)
-            }
-            None => (None, self.migration),
+        let obs = self
+            .obs
+            .as_ref()
+            .map(|registry| EngineObs::new(registry, self.migration.name(), n));
+        let islands = LocalIslands {
+            runs,
+            max_threads: self.max_threads,
         };
         Ok(SolverRun {
             g: self.g,
-            runs,
-            max_threads: self.max_threads,
-            base_interval: self.migration_interval,
-            migration,
-            reduction: self.reduction,
-            objectives: distinct,
-            migrations_adopted: 0,
+            epochs: EpochLoop::new(
+                islands,
+                self.migration_interval,
+                self.migration,
+                self.reduction,
+            ),
             obs,
         })
     }
@@ -498,10 +492,11 @@ impl<'g> Solver<'g> {
     }
 }
 
-/// A live, resumable solver run: islands advance in lockstep epochs with
-/// the migration policy exchanging molecules at each barrier. Produced by
-/// [`Solver::start`]; drive with [`SolverRun::advance_epoch`], harvest
-/// with [`SolverRun::harvest`].
+/// A live, resumable solver run: the [`EpochLoop`] over [`LocalIslands`].
+/// Islands advance in lockstep epochs and exchange molecules at each
+/// barrier under the migration policy. Produced by [`Solver::start`];
+/// drive with [`SolverRun::advance_epoch`], harvest with
+/// [`SolverRun::harvest`].
 ///
 /// ## Determinism
 ///
@@ -512,76 +507,30 @@ impl<'g> Solver<'g> {
 /// state.
 pub struct SolverRun<'g> {
     g: &'g Graph,
-    runs: Vec<FusionFissionRun<'g>>,
-    max_threads: usize,
-    base_interval: u64,
-    migration: Box<dyn MigrationPolicy>,
-    reduction: Box<dyn Reduction>,
-    objectives: Vec<Objective>,
-    migrations_adopted: u64,
+    epochs: EpochLoop<LocalIslands<'g>>,
     obs: Option<EngineObs>,
 }
 
 impl<'g> SolverRun<'g> {
-    /// One epoch: every island advances by the policy's interval (in
-    /// waves of at most the configured thread cap), then the policy
-    /// exchanges molecules at the barrier. A wave of one island runs on
-    /// the calling thread. Returns `true` while at least one island has
-    /// work left, `false` once all islands hit their stop conditions or a
-    /// bound [`CancelToken`] fired.
+    /// One epoch of the [`EpochLoop`]: every island advances by the
+    /// policy's interval (in waves of at most the configured thread cap),
+    /// then the policy's exchange runs at the barrier. Returns `true`
+    /// while at least one island has work left, `false` once all islands
+    /// hit their stop conditions or a bound [`CancelToken`] fired.
     pub fn advance_epoch(&mut self) -> bool {
         let epoch_start = self.obs.as_ref().map(|_| std::time::Instant::now());
-        let n = self.runs.len();
-        let chunk = if self.base_interval == 0 {
-            u64::MAX
-        } else {
-            self.migration.interval(self.base_interval).max(1)
-        };
-        let cap = if self.max_threads == 0 {
-            n
-        } else {
-            self.max_threads.max(1)
-        };
-        // Each island's state evolution depends only on its own seed and
-        // past injections, so wave layout cannot change results.
-        let mut more = vec![false; n];
-        for (wave, flags) in self.runs.chunks_mut(cap).zip(more.chunks_mut(cap)) {
-            // A thread per lone island per epoch buys no parallelism, and
-            // each short-lived thread may leave glibc's allocator a fresh
-            // arena holding its pages, so the process's resident memory
-            // would grow with the epoch count and thread timing.
-            if let ([run], [flag]) = (&mut *wave, &mut *flags) {
-                *flag = run.advance(chunk);
-                continue;
-            }
-            std::thread::scope(|scope| {
-                for (run, flag) in wave.iter_mut().zip(flags.iter_mut()) {
-                    scope.spawn(move || {
-                        *flag = run.advance(chunk);
-                    });
-                }
-            });
-        }
-        let any_more = more.iter().any(|&b| b);
-        let adopted_before = self.migrations_adopted;
-        if any_more && n > 1 && self.base_interval > 0 {
-            self.migrations_adopted += self.migration.exchange(&mut self.runs);
-        }
+        let Ok(epoch) = self.epochs.advance_epoch();
         if let (Some(obs), Some(start)) = (&mut self.obs, epoch_start) {
-            obs.record_epoch(
-                start.elapsed(),
-                self.migrations_adopted - adopted_before,
-                &self.runs,
-            );
+            obs.record_epoch(start.elapsed(), &epoch, self.epochs.islands.runs());
         }
-        any_more
+        epoch.more
     }
 
     /// Binds one cooperative cancellation token to every island: when it
     /// fires, the in-flight epoch ends at each island's next step check
     /// and [`advance_epoch`](SolverRun::advance_epoch) returns `false`.
     pub fn bind_cancel(&mut self, token: CancelToken) {
-        for run in &mut self.runs {
+        for run in &mut self.epochs.islands.runs {
             run.bind_cancel(token.clone());
         }
     }
@@ -591,28 +540,35 @@ impl<'g> SolverRun<'g> {
     /// [`trace`](FusionFissionRun::trace) is the per-island improvement
     /// stream, tagged with that island's objective).
     pub fn islands(&self) -> &[FusionFissionRun<'g>] {
-        &self.runs
+        self.epochs.islands.runs()
+    }
+
+    /// The islands without their scheduler — how a worker session hosts
+    /// its shard of a distributed run, whose coordinator owns the epoch
+    /// loop.
+    pub fn into_islands(self) -> LocalIslands<'g> {
+        self.epochs.islands
     }
 
     /// The distinct objectives this run optimizes, in island order of
     /// first appearance.
     pub fn objectives(&self) -> &[Objective] {
-        &self.objectives
+        &self.epochs.objectives
     }
 
     /// Whether every island has finished (stop condition or cancellation).
     pub fn finished(&self) -> bool {
-        self.runs.iter().all(|r| r.finished())
+        self.islands().iter().all(|r| r.finished())
     }
 
     /// Total steps executed so far across all islands.
     pub fn total_steps(&self) -> u64 {
-        self.runs.iter().map(|r| r.steps()).sum()
+        self.islands().iter().map(|r| r.steps()).sum()
     }
 
     /// Migration offers adopted so far.
     pub fn migrations_adopted(&self) -> u64 {
-        self.migrations_adopted
+        self.epochs.migrations_adopted
     }
 
     /// Best objective value held at the target k so far, minimized across
@@ -620,7 +576,7 @@ impl<'g> SolverRun<'g> {
     /// meaningful for single-objective runs — mixed-objective values are
     /// not comparable.
     pub fn best_value_at_target(&self) -> Option<f64> {
-        self.runs
+        self.islands()
             .iter()
             .filter_map(|r| r.best_at_target().map(|(v, _)| v))
             .min_by(f64::total_cmp)
@@ -629,41 +585,7 @@ impl<'g> SolverRun<'g> {
     /// Consumes the run, harvesting every island and applying the
     /// configured [`Reduction`].
     pub fn harvest(self) -> EnsembleResult {
-        let islands: Vec<FusionFissionResult> =
-            self.runs.into_iter().map(|r| r.harvest()).collect();
-        let reduced = self.reduction.reduce(self.g, &islands, &self.objectives);
-        let best_island = reduced.best_island;
-        // Cross-island merges only make sense within one criterion: merge
-        // the primary (first) objective's islands, which for a
-        // single-objective run is every island — bit-equal to the
-        // historical reduction.
-        let primary = self.objectives[0];
-        let primary_islands = || {
-            islands
-                .iter()
-                .filter(move |r| r.trace.tag().unwrap_or(primary) == primary)
-        };
-        let trace = AnytimeTrace::merged(primary_islands().map(|r| &r.trace));
-        let mut best_value_per_k = BTreeMap::new();
-        for r in primary_islands() {
-            for (&k, &v) in &r.best_value_per_k {
-                let entry = best_value_per_k.entry(k).or_insert(f64::INFINITY);
-                if v < *entry {
-                    *entry = v;
-                }
-            }
-        }
-        EnsembleResult {
-            best: islands[best_island].best.clone(),
-            best_value: islands[best_island].best_value,
-            best_island,
-            steps: islands.iter().map(|r| r.steps).sum(),
-            migrations_adopted: self.migrations_adopted,
-            trace,
-            best_value_per_k,
-            pareto: reduced.pareto,
-            multilevel: None,
-            islands,
-        }
+        let Ok(result) = self.epochs.harvest(self.g);
+        result
     }
 }

@@ -13,14 +13,15 @@
 //! ```
 //!
 //! Islands are assigned round-robin (`island i → worker i mod W`); each
-//! worker hosts its shard in one session whose islands are configured
-//! exactly as [`Solver`](ff_engine::Solver) configures them in-process.
-//! Every epoch the coordinator advances all shards by the policy's
-//! interval, collects barrier-time energies, runs the *same*
-//! [`MigrationPolicy::plan`](ff_engine::MigrationPolicy::plan) a
-//! single-process run would execute, and
-//! carries the planned molecules across process boundaries as
-//! assignment vectors.
+//! worker hosts its shard in one session, built by the same
+//! [`Solver`](ff_engine::Solver) an in-process run uses. The coordinator
+//! runs the engine's own epoch loop ([`EpochLoop`]) over the worker
+//! shards: this module only implements its [`IslandSet`] seam as `w*`
+//! calls. Advancing is a `wadvance` to every shard, whose `wstate` carries
+//! barrier-time energies and streamed improvements; the engine's
+//! [`MigrationPolicy::plan`](ff_engine::MigrationPolicy::plan) runs on
+//! those energies, and each planned molecule crosses the process boundary
+//! as an assignment vector (`wmolecule` → `winject`).
 //!
 //! ## Determinism contract
 //!
@@ -44,7 +45,6 @@
 //! keeps the byte-identical contract intact *under* faults.
 
 use crate::sync::lock;
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -54,7 +54,7 @@ use std::time::Duration;
 
 use ff_core::FusionFissionResult;
 use ff_engine::{
-    distinct_objectives, EnsembleResult, IslandStatus, MigrationPolicyId, MinEnergy, ParetoFront,
+    EnsembleResult, EpochLoop, IslandSet, IslandStatus, MigrationPolicyId, MinEnergy, ParetoFront,
     Reduction,
 };
 use ff_graph::Graph;
@@ -62,7 +62,7 @@ use ff_metaheur::AnytimeTrace;
 use ff_partition::{Objective, Partition};
 
 use crate::cache::{GraphFormat, GraphSource};
-use crate::protocol::{Event, Request, WNews, WorkerStart};
+use crate::protocol::{Event, MoleculeInfo, Request, WNews, WorkerStart};
 
 /// What to solve, distributed. `seeds` and `objectives` are the full
 /// per-island lists in global island order — callers (CLI, submit) fix
@@ -203,45 +203,77 @@ pub fn solve_distributed(
         }
     }
 
-    // The epoch loop — a wire mirror of `SolverRun::advance_epoch`:
-    // advance every island by the policy's interval, stop (without a
-    // final exchange) once no island has work left, otherwise plan the
-    // exchange over barrier-time statuses and carry it out.
-    let mut migration = spec.migration.build();
-    let mut energy = vec![f64::INFINITY; n];
-    let mut more = vec![true; n];
-    let mut traces: Vec<AnytimeTrace> = spec
-        .objectives
-        .iter()
-        .map(|&o| AnytimeTrace::with_tag(o))
-        .collect();
-    let mut migrations_adopted = 0u64;
-    let mut epoch = 0u64;
-    loop {
-        let chunk = if spec.interval == 0 {
-            u64::MAX
-        } else {
-            migration.interval(spec.interval).max(1)
-        };
-        for conn in &mut conns {
+    let shards = Shards {
+        statuses: spec
+            .objectives
+            .iter()
+            .map(|&objective| IslandStatus {
+                objective,
+                best_energy: f64::INFINITY,
+            })
+            .collect(),
+        more: vec![true; n],
+        traces: spec
+            .objectives
+            .iter()
+            .map(|&o| AnytimeTrace::with_tag(o))
+            .collect(),
+        epoch: 0,
+        conns,
+        g,
+        opts,
+        on_news,
+    };
+    let reduction: Box<dyn Reduction> = if spec.pareto {
+        Box::new(ParetoFront)
+    } else {
+        Box::new(MinEnergy)
+    };
+    let mut epochs = EpochLoop::new(shards, spec.interval, spec.migration.build(), reduction);
+    while epochs.advance_epoch()?.more {}
+    epochs.harvest(g)
+}
+
+/// A distributed run's islands, sharded across worker connections: the
+/// [`IslandSet`] the engine's epoch loop drives with `w*` calls.
+struct Shards<'a> {
+    /// Per island, as of the last `wstate`: the policy's input, whether
+    /// it has work, and its trace rebuilt from the news.
+    statuses: Vec<IslandStatus>,
+    more: Vec<bool>,
+    traces: Vec<AnytimeTrace>,
+    /// Index of the next `wadvance`.
+    epoch: u64,
+    conns: Vec<WorkerConn>,
+    g: &'a Graph,
+    opts: &'a DistOpts,
+    on_news: &'a mut dyn FnMut(usize, &WNews),
+}
+
+impl IslandSet for Shards<'_> {
+    type Molecule = MoleculeInfo;
+    type Error = String;
+
+    fn advance(&mut self, steps: u64) -> Result<Vec<bool>, String> {
+        for conn in &mut self.conns {
             let req = Request::WAdvance {
                 session: conn.session,
-                epoch,
-                steps: chunk,
+                epoch: self.epoch,
+                steps,
             };
-            match conn.call_logged(req, opts, true)? {
+            match conn.call_logged(req, self.opts, true)? {
                 Event::WState { islands, .. } => {
                     for st in islands {
                         let gi = conn.global(st.island)?;
-                        energy[gi] = st.energy;
-                        more[gi] = st.more;
+                        self.statuses[gi].best_energy = st.energy;
+                        self.more[gi] = st.more;
                         for news in &st.news {
-                            traces[gi].record(
+                            self.traces[gi].record(
                                 Duration::from_millis(news.elapsed_ms),
                                 news.value,
                                 news.step,
                             );
-                            on_news(gi, news);
+                            (self.on_news)(gi, news);
                         }
                     }
                 }
@@ -249,98 +281,96 @@ pub fn solve_distributed(
             }
             // Each shard's gauge advances as its `wadvance` completes,
             // so a scrape mid-epoch reads the true lag (max − min).
-            if let Some(registry) = &opts.obs {
-                crate::obs::dist_worker_epoch(registry, conn.session as usize, epoch);
+            if let Some(registry) = &self.opts.obs {
+                crate::obs::dist_worker_epoch(registry, conn.session as usize, self.epoch);
             }
         }
-        opts.logger.log(
+        self.opts.logger.log(
             "epoch",
             None,
             &[
-                ("epoch", ff_obs::LogValue::U64(epoch)),
-                ("workers", ff_obs::LogValue::U64(w_eff as u64)),
+                ("epoch", ff_obs::LogValue::U64(self.epoch)),
+                ("workers", ff_obs::LogValue::U64(self.conns.len() as u64)),
                 (
                     "live_islands",
-                    ff_obs::LogValue::U64(more.iter().filter(|&&b| b).count() as u64),
+                    ff_obs::LogValue::U64(self.more.iter().filter(|&&b| b).count() as u64),
                 ),
             ],
         );
-        if !more.iter().any(|&b| b) {
-            break;
-        }
-        if n > 1 && spec.interval > 0 {
-            let statuses: Vec<IslandStatus> = (0..n)
-                .map(|i| IslandStatus {
-                    objective: spec.objectives[i],
-                    best_energy: energy[i],
-                })
-                .collect();
-            for offer in migration.plan(&statuses) {
-                // Offers move within disjoint objective groups, so a
-                // donor fetched at execution time equals one fetched at
-                // plan time — the same invariant the in-process
-                // `exchange` relies on. The fetch is read-only (not
-                // logged); the injections it feeds carry the molecule
-                // bytes in the log, which is what makes replay
-                // self-contained.
-                let dw = offer.donor % w_eff;
-                let req = Request::WMolecule {
-                    session: conns[dw].session,
-                    island: conns[dw].local(offer.donor),
-                };
-                let molecule = match conns[dw].call_logged(req, opts, false)? {
-                    Event::WMolecule { molecule, .. } => molecule,
-                    other => return Err(conns[dw].unexpected("wmolecule", &other)),
-                };
-                for &r in &offer.receivers {
-                    let rw = r % w_eff;
-                    let req = Request::WInject {
-                        session: conns[rw].session,
-                        island: conns[rw].local(r),
-                        molecule: molecule.clone(),
-                        crossover: offer.crossover,
-                    };
-                    match conns[rw].call_logged(req, opts, true)? {
-                        Event::WInjected { adopted, .. } => {
-                            if adopted {
-                                migrations_adopted += 1;
-                            }
-                        }
-                        other => return Err(conns[rw].unexpected("winjected", &other)),
-                    }
-                }
-            }
-        }
-        epoch += 1;
+        self.epoch += 1;
+        Ok(self.more.clone())
     }
 
-    // Harvest every shard and rebuild per-island results. The harvest is
-    // deliberately *not* logged: a worker lost mid-harvest is replayed
-    // to the same epoch and asked again.
-    let mut islands_out: Vec<Option<FusionFissionResult>> = (0..n).map(|_| None).collect();
-    for conn in &mut conns {
-        let req = Request::WHarvest {
+    fn statuses(&self) -> Vec<IslandStatus> {
+        self.statuses.clone()
+    }
+
+    /// Read-only, so not logged: the injections it feeds carry the
+    /// molecule bytes in the log, which is what makes replay
+    /// self-contained.
+    fn fetch(&mut self, donor: usize) -> Result<MoleculeInfo, String> {
+        let w = self.conns.len();
+        let conn = &mut self.conns[donor % w];
+        let req = Request::WMolecule {
             session: conn.session,
+            island: conn.local(donor),
         };
-        match conn.call_logged(req, opts, false)? {
-            Event::WHarvested { islands, .. } => {
-                for r in islands {
-                    let gi = conn.global(r.island)?;
-                    islands_out[gi] = Some(rebuild_island(g, r, &mut traces[gi])?);
-                }
-            }
-            other => return Err(conn.unexpected("wharvested", &other)),
+        match conn.call_logged(req, self.opts, false)? {
+            Event::WMolecule { molecule, .. } => Ok(molecule),
+            other => Err(conn.unexpected("wmolecule", &other)),
         }
     }
-    for conn in conns {
-        conn.close();
+
+    fn inject(
+        &mut self,
+        island: usize,
+        molecule: &MoleculeInfo,
+        crossover: bool,
+    ) -> Result<bool, String> {
+        let w = self.conns.len();
+        let conn = &mut self.conns[island % w];
+        let req = Request::WInject {
+            session: conn.session,
+            island: conn.local(island),
+            molecule: molecule.clone(),
+            crossover,
+        };
+        match conn.call_logged(req, self.opts, true)? {
+            Event::WInjected { adopted, .. } => Ok(adopted),
+            other => Err(conn.unexpected("winjected", &other)),
+        }
     }
-    let islands: Vec<FusionFissionResult> = islands_out
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.ok_or(format!("worker omitted island {i} from its harvest")))
-        .collect::<Result<_, _>>()?;
-    Ok(reduce(g, spec, islands, migrations_adopted))
+
+    /// Not logged either: a worker lost mid-harvest is replayed to the
+    /// same epoch and asked again.
+    fn harvest(mut self) -> Result<Vec<FusionFissionResult>, String> {
+        let mut islands: Vec<Option<FusionFissionResult>> =
+            (0..self.traces.len()).map(|_| None).collect();
+        for conn in &mut self.conns {
+            let req = Request::WHarvest {
+                session: conn.session,
+            };
+            match conn.call_logged(req, self.opts, false)? {
+                Event::WHarvested {
+                    islands: results, ..
+                } => {
+                    for r in results {
+                        let gi = conn.global(r.island)?;
+                        islands[gi] = Some(rebuild_island(self.g, r, &mut self.traces[gi])?);
+                    }
+                }
+                other => return Err(conn.unexpected("wharvested", &other)),
+            }
+        }
+        for conn in self.conns {
+            conn.close();
+        }
+        islands
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.ok_or(format!("worker omitted island {i} from its harvest")))
+            .collect()
+    }
 }
 
 /// Rebuilds one island's [`FusionFissionResult`] from its wire harvest
@@ -365,51 +395,6 @@ fn rebuild_island(
         trace: std::mem::take(trace),
         best_value_per_k: r.per_k.iter().map(|&(k, v)| (k as usize, v)).collect(),
     })
-}
-
-/// The coordinator-side ending of `SolverRun::harvest`: same reduction,
-/// same primary-objective trace merge, same field-by-field assembly.
-fn reduce(
-    g: &Graph,
-    spec: &DistSpec,
-    islands: Vec<FusionFissionResult>,
-    migrations_adopted: u64,
-) -> EnsembleResult {
-    let distinct = distinct_objectives(&spec.objectives);
-    let reduction: Box<dyn Reduction> = if spec.pareto {
-        Box::new(ParetoFront)
-    } else {
-        Box::new(MinEnergy)
-    };
-    let reduced = reduction.reduce(g, &islands, &distinct);
-    let primary = distinct[0];
-    let primary_islands = || {
-        islands
-            .iter()
-            .filter(move |r| r.trace.tag().unwrap_or(primary) == primary)
-    };
-    let trace = AnytimeTrace::merged(primary_islands().map(|r| &r.trace));
-    let mut best_value_per_k = BTreeMap::new();
-    for r in primary_islands() {
-        for (&k, &v) in &r.best_value_per_k {
-            let entry = best_value_per_k.entry(k).or_insert(f64::INFINITY);
-            if v < *entry {
-                *entry = v;
-            }
-        }
-    }
-    EnsembleResult {
-        best: islands[reduced.best_island].best.clone(),
-        best_value: islands[reduced.best_island].best_value,
-        best_island: reduced.best_island,
-        steps: islands.iter().map(|r| r.steps).sum(),
-        migrations_adopted,
-        trace,
-        best_value_per_k,
-        pareto: reduced.pareto,
-        multilevel: None,
-        islands,
-    }
 }
 
 /// One worker's connection recipe, kept for respawn/reconnect.

@@ -12,10 +12,11 @@
 //! replay fail loudly instead of silently desynchronizing.
 //!
 //! Determinism contract: an island's state is a pure function of its
-//! seed and injection history. A session configures each island exactly
-//! like [`Solver`](ff_engine::Solver) does in-process (`standard(k)`
-//! plus the objective and a step budget) and injected molecules are
-//! rebuilt from their assignment on arrival, so a distributed run is
+//! seed and injection history. The shard is built by the
+//! [`Solver`] builder — the same islands, seeds and objectives an
+//! in-process run would start — and its ops run through the engine's
+//! in-process [`IslandSet`] ([`LocalIslands`]), with injected molecules
+//! rebuilt from their assignment on arrival. So a distributed run is
 //! byte-identical to the single-process run with the same seeds and
 //! epoch schedule.
 
@@ -24,9 +25,8 @@ use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use ff_core::{FusionFission, FusionFissionConfig, FusionFissionRun};
+use ff_engine::{IslandSet, LocalIslands, Solver};
 use ff_graph::Graph;
-use ff_metaheur::StopCondition;
 use ff_partition::Partition;
 
 use crate::cache::PinnedGraph;
@@ -139,7 +139,7 @@ pub(crate) fn start_session(
     if start.k > n {
         return Err(format!("k {} exceeds {} vertices", start.k, n));
     }
-    FusionFissionConfig::standard(start.k)
+    shard_solver(&start, graph.graph())
         .try_validate()
         .map_err(|e| format!("invalid session configuration: {e}"))?;
     let (tx, rx) = std::sync::mpsc::channel();
@@ -155,6 +155,21 @@ pub(crate) fn start_session(
     Ok(())
 }
 
+/// The [`Solver`] a `wstart` describes: the standard paper parameters
+/// for k, one island per seed under its objective, and a pure step
+/// budget — the islands the coordinator's in-process twin would start.
+/// Capped at one thread, so the session advances its islands on its own
+/// thread under its one gate permit.
+fn shard_solver<'g>(start: &WorkerStart, g: &'g Graph) -> Solver<'g> {
+    Solver::on(g)
+        .k(start.k)
+        .steps(start.steps)
+        .islands(start.seeds.len())
+        .island_seeds(start.seeds.clone())
+        .objectives(start.objectives.clone())
+        .threads(1)
+}
+
 /// The session thread: owns the islands, answers ops in FIFO order.
 /// Exits when the op channel closes (connection gone) or after
 /// `wharvest`.
@@ -168,29 +183,24 @@ fn run_session(
 ) {
     let session = start.session;
     let g: &Graph = graph.graph();
-    // Island i gets exactly the config Solver::start_flat would build:
-    // the standard paper parameters for k, the island's objective, and a
-    // pure step budget. Anything else would break byte-compatibility
-    // with the in-process run.
-    let mut runs: Vec<FusionFissionRun<'_>> = start
-        .seeds
-        .iter()
-        .zip(&start.objectives)
-        .map(|(&seed, &objective)| {
-            let cfg = FusionFissionConfig {
-                objective,
-                stop: StopCondition::steps(start.steps),
-                ..FusionFissionConfig::standard(start.k)
-            };
-            FusionFission::new(g, cfg, seed).start()
-        })
-        .collect();
-    let mut cursors = vec![0usize; runs.len()];
+    // `start_session` validated this configuration before spawning us.
+    let mut shard: LocalIslands<'_> = match shard_solver(&start, g).start() {
+        Ok(run) => run.into_islands(),
+        Err(e) => {
+            let _ = sink.send(&Event::Error {
+                message: format!("invalid session configuration: {e}"),
+                job: None,
+            });
+            return;
+        }
+    };
+    let count = shard.runs().len();
+    let mut cursors = vec![0usize; count];
     let mut next_epoch = 0u64;
     if sink
         .send(&Event::WReady {
             session,
-            islands: runs.len(),
+            islands: count,
         })
         .is_err()
     {
@@ -230,11 +240,16 @@ fn run_session(
                         job: None,
                     }
                 } else {
-                    let mut islands = Vec::with_capacity(runs.len());
-                    {
+                    let Ok(more) = {
                         let _permit = gate.acquire();
-                        for (i, run) in runs.iter_mut().enumerate() {
-                            let more = run.advance(steps);
+                        shard.advance(steps)
+                    };
+                    let islands = shard
+                        .runs()
+                        .iter()
+                        .zip(more)
+                        .enumerate()
+                        .map(|(i, (run, more))| {
                             let news = run
                                 .trace()
                                 .points_since(cursors[i])
@@ -246,15 +261,15 @@ fn run_session(
                                 })
                                 .collect();
                             cursors[i] = run.trace().len();
-                            islands.push(WIslandState {
+                            WIslandState {
                                 island: i,
                                 more,
                                 energy: run.best_energy(),
                                 steps: run.steps(),
                                 news,
-                            });
-                        }
-                    }
+                            }
+                        })
+                        .collect();
                     next_epoch += 1;
                     Event::WState {
                         session,
@@ -263,8 +278,8 @@ fn run_session(
                     }
                 }
             }
-            WOp::Molecule { island } => match runs.get(island) {
-                None => bad_island(island, runs.len()),
+            WOp::Molecule { island } => match shard.runs().get(island) {
+                None => bad_island(island, count),
                 Some(run) => {
                     let p = run.best_molecule();
                     Event::WMolecule {
@@ -282,54 +297,47 @@ fn run_session(
                 island,
                 molecule,
                 crossover,
-            } => match runs.get_mut(island) {
-                None => bad_island(island, runs.len()),
-                Some(run) => {
-                    if molecule.assignment.len() != g.num_vertices() {
-                        Event::Error {
-                            message: format!(
-                                "winject: molecule has {} vertices, instance has {}",
-                                molecule.assignment.len(),
-                                g.num_vertices()
-                            ),
-                            job: None,
-                        }
-                    } else {
-                        let p = Partition::from_assignment(g, molecule.assignment, molecule.parts);
-                        let adopted = if crossover {
-                            run.inject_crossover(&p)
-                        } else {
-                            run.inject(&p)
-                        };
-                        Event::WInjected {
-                            session,
-                            island,
-                            adopted,
-                        }
+            } => {
+                if island >= count {
+                    bad_island(island, count)
+                } else if molecule.assignment.len() != g.num_vertices() {
+                    Event::Error {
+                        message: format!(
+                            "winject: molecule has {} vertices, instance has {}",
+                            molecule.assignment.len(),
+                            g.num_vertices()
+                        ),
+                        job: None,
+                    }
+                } else {
+                    let p = Partition::from_assignment(g, molecule.assignment, molecule.parts);
+                    let Ok(adopted) = shard.inject(island, &p, crossover);
+                    Event::WInjected {
+                        session,
+                        island,
+                        adopted,
                     }
                 }
-            },
+            }
             WOp::Harvest => {
-                let islands = std::mem::take(&mut runs)
+                let Ok(results) = shard.harvest();
+                let islands = results
                     .into_iter()
                     .enumerate()
-                    .map(|(i, run)| {
-                        let r = run.harvest();
-                        WIslandResult {
-                            island: i,
-                            value: r.best_value,
-                            energy: r.best_energy,
-                            steps: r.steps,
-                            molecule: MoleculeInfo {
-                                assignment: r.best.assignment().to_vec(),
-                                parts: r.best.num_parts(),
-                            },
-                            per_k: r
-                                .best_value_per_k
-                                .iter()
-                                .map(|(&k, &v)| (k as u64, v))
-                                .collect(),
-                        }
+                    .map(|(i, r)| WIslandResult {
+                        island: i,
+                        value: r.best_value,
+                        energy: r.best_energy,
+                        steps: r.steps,
+                        molecule: MoleculeInfo {
+                            assignment: r.best.assignment().to_vec(),
+                            parts: r.best.num_parts(),
+                        },
+                        per_k: r
+                            .best_value_per_k
+                            .iter()
+                            .map(|(&k, &v)| (k as u64, v))
+                            .collect(),
                     })
                     .collect();
                 let _ = sink.send(&Event::WHarvested { session, islands });
