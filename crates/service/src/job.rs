@@ -197,19 +197,20 @@ pub(crate) fn run_job(
             // stream deterministic values).
             let mut best: HashMap<Objective, f64> = HashMap::new();
             loop {
-                let more;
+                let waiting = Instant::now();
+                let permit = gate.acquire();
+                if poisoned {
+                    // lint: allow(PANIC_PATH) — deliberate fault-injection hook; fires only when the
+                    // FFPART_JOB_PANIC env var is set by the crash-recovery tests.
+                    panic!("injected driver panic (FFPART_JOB_PANIC)");
+                }
                 if let Some(metrics) = obs {
-                    let waiting = Instant::now();
-                    let permit = gate.acquire();
-                    if poisoned {
-                        // lint: allow(PANIC_PATH) — deliberate fault-injection hook; fires only when the
-                        // FFPART_JOB_PANIC env var is set by the crash-recovery tests.
-                        panic!("injected driver panic (FFPART_JOB_PANIC)");
-                    }
                     metrics.permit_wait(waiting.elapsed());
-                    more = run.advance_epoch();
-                    drop(permit);
-                    epoch += 1;
+                }
+                let more = run.advance_epoch();
+                drop(permit);
+                epoch += 1;
+                if let Some(metrics) = obs {
                     metrics.logger.log(
                         "epoch",
                         Some(job_id),
@@ -222,15 +223,6 @@ pub(crate) fn run_job(
                             ),
                         ],
                     );
-                } else {
-                    let permit = gate.acquire();
-                    if poisoned {
-                        // lint: allow(PANIC_PATH) — deliberate fault-injection hook; fires only when the
-                        // FFPART_JOB_PANIC env var is set by the crash-recovery tests.
-                        panic!("injected driver panic (FFPART_JOB_PANIC)");
-                    }
-                    more = run.advance_epoch();
-                    drop(permit);
                 }
                 for (i, island) in run.islands().iter().enumerate() {
                     let objective = island.config().objective;
