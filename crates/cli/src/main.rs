@@ -1171,7 +1171,13 @@ fn run_distributed_oneshot(
         format,
         k: args.k,
         steps,
-        seeds: ff_engine::derive_seeds(args.seed, islands),
+        // Match the in-process run: one island keeps the root seed,
+        // ensembles derive per-island seeds from it.
+        seeds: if islands == 1 {
+            vec![args.seed]
+        } else {
+            ff_engine::derive_seeds(args.seed, islands)
+        },
         objectives: (0..islands)
             .map(|i| args.objectives[i % args.objectives.len()])
             .collect(),

@@ -925,6 +925,35 @@ fn one_shot_workers_flag_is_byte_identical_to_in_process() {
         );
     }
 
+    // Default islands (one): the run keeps the root seed with or without
+    // `--workers`. On the 3×3 grid with seed 5, a derived island seed
+    // lands on a different partition.
+    let grid = dir.join("grid.graph");
+    std::fs::write(
+        &grid,
+        "9 12\n2 4\n1 3 5\n2 6\n1 5 7\n2 4 6 8\n3 5 9\n4 8\n5 7 9\n6 8\n",
+    )
+    .unwrap();
+    let one_island = |name: &str, extra: &[&str]| {
+        let out = dir.join(name);
+        let mut args = vec![grid.to_str().unwrap(), "-k", "2", "-m", "ff"];
+        args.extend_from_slice(&["--steps", "20000", "-s", "5", "-q"]);
+        args.extend_from_slice(&["-w", out.to_str().unwrap()]);
+        args.extend_from_slice(extra);
+        let output = ffpart().args(&args).output().unwrap();
+        assert!(
+            output.status.success(),
+            "{extra:?} stderr: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        std::fs::read(&out).unwrap()
+    };
+    assert_eq!(
+        one_island("one.part", &["--workers", "2"]),
+        one_island("one_base.part", &[]),
+        "--workers diverged from the in-process run with one island"
+    );
+
     // Distribution is ff-only and step-budgeted: anything else is usage.
     for extra in [
         &["--workers", "2", "-m", "multilevel"][..],
