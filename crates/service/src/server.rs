@@ -26,7 +26,7 @@ use crate::protocol::{
     DoneInfo, Event, JobRequest, JobStatus, Request, StatsInfo, PROTOCOL_VERSION,
 };
 use crate::sync::lock;
-use crate::wsession::{self, WOp};
+use crate::wsession;
 use ff_metaheur::CancelToken;
 use ff_obs::{LogFormat, LogValue, Logger, Registry};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -644,7 +644,7 @@ fn handle_client(state: &Arc<ServerState>, mut reader: impl BufRead, sink: &Even
     // Worker sessions are connection-scoped: the map's senders are the
     // only handles to the session threads, so dropping the connection
     // closes the channels and the threads wind down on their own.
-    let mut wsessions: HashMap<u64, mpsc::Sender<WOp>> = HashMap::new();
+    let mut wsessions: HashMap<u64, mpsc::Sender<Request>> = HashMap::new();
     let mut line = Vec::new();
     loop {
         let line = match read_line_capped(&mut reader, &mut line, MAX_LINE_BYTES) {
@@ -729,76 +729,19 @@ fn handle_client(state: &Arc<ServerState>, mut reader: impl BufRead, sink: &Even
                     Err(message) => Event::Error { message, job: None },
                 }
             }
-            Request::WAdvance {
-                session,
-                epoch,
-                steps,
-            } => match forward_wop(&mut wsessions, session, WOp::Advance { epoch, steps }) {
-                None => continue,
-                Some(event) => event,
-            },
-            Request::WMolecule { session, island } => {
-                match forward_wop(&mut wsessions, session, WOp::Molecule { island }) {
-                    None => continue,
-                    Some(event) => event,
-                }
-            }
-            Request::WInject {
-                session,
-                island,
-                molecule,
-                crossover,
-            } => match forward_wop(
-                &mut wsessions,
-                session,
-                WOp::Inject {
-                    island,
-                    molecule,
-                    crossover,
-                },
-            ) {
-                None => continue,
-                Some(event) => event,
-            },
-            Request::WHarvest { session } => {
-                match forward_wop(&mut wsessions, session, WOp::Harvest) {
-                    None => {
-                        wsessions.remove(&session); // harvest ends the session
-                        continue;
-                    }
-                    Some(event) => event,
+            op @ (Request::WAdvance { session, .. }
+            | Request::WMolecule { session, .. }
+            | Request::WInject { session, .. }
+            | Request::WHarvest { session }) => {
+                match wsession::forward(&mut wsessions, session, op) {
+                    Ok(()) => continue,
+                    Err(message) => Event::Error { message, job: None },
                 }
             }
         };
         if sink.send(&reply).is_err() {
             break;
         }
-    }
-}
-
-/// Routes a worker-session op to its session thread. `None` means the
-/// op was forwarded and the thread will reply; `Some` is an error event
-/// for the handler to send (unknown or already-ended session).
-fn forward_wop(
-    sessions: &mut HashMap<u64, mpsc::Sender<WOp>>,
-    session: u64,
-    op: WOp,
-) -> Option<Event> {
-    match sessions.get(&session) {
-        None => Some(Event::Error {
-            message: format!("unknown worker session {session}"),
-            job: None,
-        }),
-        Some(tx) => match tx.send(op) {
-            Ok(()) => None,
-            Err(_) => {
-                sessions.remove(&session);
-                Some(Event::Error {
-                    message: format!("worker session {session} has ended"),
-                    job: None,
-                })
-            }
-        },
     }
 }
 

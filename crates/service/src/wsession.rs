@@ -3,7 +3,7 @@
 //!
 //! A coordinator splits a job's islands across worker processes and
 //! drives them with the `w*` NDJSON ops: `wstart` creates a session (a
-//! dedicated thread owning the islands' [`FusionFissionRun`]s),
+//! dedicated thread owning the islands),
 //! `wadvance` runs one epoch on every island, `wmolecule`/`winject`
 //! carry migration payloads across the process boundary, and `wharvest`
 //! finalizes. The session thread validates that `wadvance` epochs arrive
@@ -12,45 +12,30 @@
 //! replay fail loudly instead of silently desynchronizing.
 //!
 //! Determinism contract: an island's state is a pure function of its
-//! seed and injection history. The shard is built by the
-//! [`Solver`] builder — the same islands, seeds and objectives an
-//! in-process run would start — and its ops run through the engine's
-//! in-process [`IslandSet`] ([`LocalIslands`]), with injected molecules
-//! rebuilt from their assignment on arrival. So a distributed run is
-//! byte-identical to the single-process run with the same seeds and
-//! epoch schedule.
+//! seed and injection history. The shard is built by the [`Solver`]
+//! builder — the islands, seeds and objectives an in-process run would
+//! start — and its ops run through the engine's in-process
+//! [`IslandSet`], [`LocalIslands`](ff_engine::LocalIslands), with
+//! injected molecules rebuilt from their assignment on arrival. So a
+//! distributed run is byte-identical to the single-process run with the
+//! same seeds and epoch schedule.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use ff_engine::{IslandSet, LocalIslands, Solver};
+use ff_engine::{IslandSet, Solver};
 use ff_graph::Graph;
 use ff_partition::Partition;
 
 use crate::cache::PinnedGraph;
 use crate::gate::FairGate;
 use crate::job::EventSink;
-use crate::protocol::{Event, MoleculeInfo, WIslandResult, WIslandState, WNews, WorkerStart};
+use crate::protocol::{
+    Event, MoleculeInfo, Request, WIslandResult, WIslandState, WNews, WorkerStart,
+};
 use crate::server::ServerState;
-
-/// Ops forwarded from the connection handler to a session thread.
-pub(crate) enum WOp {
-    Advance {
-        epoch: u64,
-        steps: u64,
-    },
-    Molecule {
-        island: usize,
-    },
-    Inject {
-        island: usize,
-        molecule: MoleculeInfo,
-        crossover: bool,
-    },
-    Harvest,
-}
 
 /// Injected failure for the fault-tolerance test harness, parsed from
 /// the `FFPART_FAULT` environment variable as
@@ -124,7 +109,7 @@ pub(crate) fn start_session(
     state: &Arc<ServerState>,
     start: WorkerStart,
     sink: &EventSink,
-    sessions: &mut HashMap<u64, Sender<WOp>>,
+    sessions: &mut HashMap<u64, Sender<Request>>,
 ) -> Result<(), String> {
     if sessions.contains_key(&start.session) {
         return Err(format!("wstart: session {} already active", start.session));
@@ -155,6 +140,30 @@ pub(crate) fn start_session(
     Ok(())
 }
 
+/// Routes a session op (`wadvance`, `wmolecule`, `winject`, `wharvest`)
+/// to its session thread, which replies; errors (unknown or ended
+/// session) are returned for the handler to report. A forwarded
+/// `wharvest` ends the session.
+pub(crate) fn forward(
+    sessions: &mut HashMap<u64, Sender<Request>>,
+    session: u64,
+    op: Request,
+) -> Result<(), String> {
+    let ends = matches!(op, Request::WHarvest { .. });
+    let Some(tx) = sessions.get(&session) else {
+        return Err(format!("unknown worker session {session}"));
+    };
+    let sent = tx.send(op).is_ok();
+    if ends || !sent {
+        sessions.remove(&session);
+    }
+    if sent {
+        Ok(())
+    } else {
+        Err(format!("worker session {session} has ended"))
+    }
+}
+
 /// The [`Solver`] a `wstart` describes: the standard paper parameters
 /// for k, one island per seed under its objective, and a pure step
 /// budget — the islands the coordinator's in-process twin would start.
@@ -178,13 +187,13 @@ fn run_session(
     graph: PinnedGraph,
     gate: Arc<FairGate>,
     sink: EventSink,
-    rx: Receiver<WOp>,
+    rx: Receiver<Request>,
     fault: Option<FaultMode>,
 ) {
     let session = start.session;
     let g: &Graph = graph.graph();
     // `start_session` validated this configuration before spawning us.
-    let mut shard: LocalIslands<'_> = match shard_solver(&start, g).start() {
+    let mut shard = match shard_solver(&start, g).start() {
         Ok(run) => run.into_islands(),
         Err(e) => {
             let _ = sink.send(&Event::Error {
@@ -208,7 +217,7 @@ fn run_session(
     }
     while let Ok(op) = rx.recv() {
         let reply = match op {
-            WOp::Advance { epoch, steps } => {
+            Request::WAdvance { epoch, steps, .. } => {
                 if let Some(f) = &fault {
                     if f.fire_once(epoch) {
                         match f.kind {
@@ -278,29 +287,34 @@ fn run_session(
                     }
                 }
             }
-            WOp::Molecule { island } => match shard.runs().get(island) {
-                None => bad_island(island, count),
-                Some(run) => {
-                    let p = run.best_molecule();
-                    Event::WMolecule {
-                        session,
-                        island,
-                        molecule: MoleculeInfo {
-                            assignment: p.assignment().to_vec(),
-                            parts: p.num_parts(),
-                        },
-                        energy: run.best_energy(),
-                    }
+            Request::WMolecule { island, .. } | Request::WInject { island, .. }
+                if island >= count =>
+            {
+                Event::Error {
+                    message: format!("island {island} out of range (session has {count})"),
+                    job: None,
                 }
-            },
-            WOp::Inject {
+            }
+            Request::WMolecule { island, .. } => {
+                let run = &shard.runs()[island];
+                let p = run.best_molecule();
+                Event::WMolecule {
+                    session,
+                    island,
+                    molecule: MoleculeInfo {
+                        assignment: p.assignment().to_vec(),
+                        parts: p.num_parts(),
+                    },
+                    energy: run.best_energy(),
+                }
+            }
+            Request::WInject {
                 island,
                 molecule,
                 crossover,
+                ..
             } => {
-                if island >= count {
-                    bad_island(island, count)
-                } else if molecule.assignment.len() != g.num_vertices() {
+                if molecule.assignment.len() != g.num_vertices() {
                     Event::Error {
                         message: format!(
                             "winject: molecule has {} vertices, instance has {}",
@@ -319,7 +333,7 @@ fn run_session(
                     }
                 }
             }
-            WOp::Harvest => {
+            Request::WHarvest { .. } => {
                 let Ok(results) = shard.harvest();
                 let islands = results
                     .into_iter()
@@ -343,17 +357,11 @@ fn run_session(
                 let _ = sink.send(&Event::WHarvested { session, islands });
                 return;
             }
+            _ => continue, // `forward` routes only session ops
         };
         if sink.send(&reply).is_err() {
             return;
         }
-    }
-}
-
-fn bad_island(island: usize, count: usize) -> Event {
-    Event::Error {
-        message: format!("island {island} out of range (session has {count})"),
-        job: None,
     }
 }
 
