@@ -12,16 +12,15 @@
 //!                                               `ffpart serve` servers)
 //! ```
 //!
-//! Islands are assigned round-robin (`island i → worker i mod W`); each
-//! worker hosts its shard in one session, built by the same
-//! [`Solver`](ff_engine::Solver) an in-process run uses. The coordinator
-//! runs the engine's own epoch loop ([`EpochLoop`]) over the worker
-//! shards: this module only implements its [`IslandSet`] seam as `w*`
-//! calls. Advancing is a `wadvance` to every shard, whose `wstate` carries
-//! barrier-time energies and streamed improvements; the engine's
-//! [`MigrationPolicy::plan`](ff_engine::MigrationPolicy::plan) runs on
-//! those energies, and each planned molecule crosses the process boundary
-//! as an assignment vector (`wmolecule` → `winject`).
+//! Islands are assigned round-robin (island `i` is island `i / W` of
+//! worker `i mod W`), each worker hosting its shard in one session built
+//! by the same [`Solver`](ff_engine::Solver) an in-process run uses. The
+//! coordinator runs the engine's own epoch loop ([`EpochLoop`]) over the
+//! shards; this module implements its [`IslandSet`] seam as `w*` calls.
+//! A `wstate` carries each island's barrier-time energy, which the
+//! migration policy plans on, and its streamed improvements; a planned
+//! molecule crosses the process boundary as an assignment vector
+//! (`wmolecule` → `winject`).
 //!
 //! ## Determinism contract
 //!
@@ -313,7 +312,7 @@ impl IslandSet for Shards<'_> {
         let conn = &mut self.conns[donor % w];
         let req = Request::WMolecule {
             session: conn.session,
-            island: conn.local(donor),
+            island: donor / w,
         };
         match conn.call_logged(req, self.opts, false)? {
             Event::WMolecule { molecule, .. } => Ok(molecule),
@@ -331,7 +330,7 @@ impl IslandSet for Shards<'_> {
         let conn = &mut self.conns[island % w];
         let req = Request::WInject {
             session: conn.session,
-            island: conn.local(island),
+            island: island / w,
             molecule: molecule.clone(),
             crossover,
         };
@@ -344,19 +343,16 @@ impl IslandSet for Shards<'_> {
     /// Not logged either: a worker lost mid-harvest is replayed to the
     /// same epoch and asked again.
     fn harvest(mut self) -> Result<Vec<FusionFissionResult>, String> {
-        let mut islands: Vec<Option<FusionFissionResult>> =
-            (0..self.traces.len()).map(|_| None).collect();
+        let mut out = vec![None; self.traces.len()];
         for conn in &mut self.conns {
             let req = Request::WHarvest {
                 session: conn.session,
             };
             match conn.call_logged(req, self.opts, false)? {
-                Event::WHarvested {
-                    islands: results, ..
-                } => {
-                    for r in results {
+                Event::WHarvested { islands, .. } => {
+                    for r in islands {
                         let gi = conn.global(r.island)?;
-                        islands[gi] = Some(rebuild_island(self.g, r, &mut self.traces[gi])?);
+                        out[gi] = Some(rebuild_island(self.g, r, &mut self.traces[gi])?);
                     }
                 }
                 other => return Err(conn.unexpected("wharvested", &other)),
@@ -365,8 +361,7 @@ impl IslandSet for Shards<'_> {
         for conn in self.conns {
             conn.close();
         }
-        islands
-            .into_iter()
+        out.into_iter()
             .enumerate()
             .map(|(i, r)| r.ok_or(format!("worker omitted island {i} from its harvest")))
             .collect()
@@ -491,17 +486,6 @@ impl WorkerConn {
             .ok_or(format!("{}: reported unknown island {local}", self.label))
     }
 
-    /// Maps a global island index to this worker's local one. Panics if
-    /// the island is not hosted here — a coordinator logic error.
-    fn local(&self, global: usize) -> usize {
-        self.islands
-            .iter()
-            .position(|&i| i == global)
-            // lint: allow(PANIC_PATH) — routing table is coordinator-built; a miss is a
-            // coordinator logic error, not client-reachable input.
-            .expect("island routed to the worker hosting it")
-    }
-
     fn unexpected(&self, wanted: &str, got: &Event) -> String {
         format!("{}: expected `{wanted}` reply, got {:?}", self.label, got)
     }
@@ -515,6 +499,11 @@ impl WorkerConn {
         {
             return Err(WireFail::Dead("write failed (pipe closed)".into()));
         }
+        self.recv(timeout)
+    }
+
+    /// The worker's next event.
+    fn recv(&mut self, timeout: Duration) -> Result<Event, WireFail> {
         match self.rx.recv_timeout(timeout) {
             Ok(Ok(line)) => Event::parse(line.trim()).map_err(WireFail::Corrupt),
             Ok(Err(e)) => Err(WireFail::Dead(e.to_string())),
@@ -613,17 +602,9 @@ impl WorkerConn {
     }
 
     fn handshake(&mut self, opts: &DistOpts) -> Result<(), WireFail> {
-        match self.rx.recv_timeout(opts.reply_timeout) {
-            Ok(Ok(line)) => match Event::parse(line.trim()) {
-                Ok(Event::Hello { .. }) => Ok(()),
-                Ok(other) => Err(WireFail::Corrupt(format!("expected hello, got {other:?}"))),
-                Err(e) => Err(WireFail::Corrupt(e)),
-            },
-            Ok(Err(e)) => Err(WireFail::Dead(e.to_string())),
-            Err(RecvTimeoutError::Timeout) => Err(WireFail::Timeout),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(WireFail::Dead("reader thread exited".into()))
-            }
+        match self.recv(opts.reply_timeout)? {
+            Event::Hello { .. } => Ok(()),
+            other => Err(WireFail::Corrupt(format!("expected hello, got {other:?}"))),
         }
     }
 
@@ -767,6 +748,7 @@ mod tests {
         for (w, hosted) in islands.iter().enumerate() {
             for (local, &global) in hosted.iter().enumerate() {
                 assert_eq!(global % w_eff, w);
+                assert_eq!(global / w_eff, local, "the routing arithmetic");
                 assert_eq!(hosted.iter().position(|&i| i == global), Some(local));
             }
         }
