@@ -1,11 +1,7 @@
 //! The one epoch loop ([`EpochLoop`]) and the seam it drives
-//! ([`IslandSet`]): the islands of one run, wherever they live.
-//!
-//! [`LocalIslands`] holds them in this process, and a
-//! [`SolverRun`](crate::SolverRun) is the loop over them. A distributed
-//! coordinator implements the seam over worker processes and runs the
-//! same loop, so both placements advance, plan, exchange and harvest by
-//! the same code.
+//! ([`IslandSet`]): the islands of one run, wherever they live. A
+//! [`SolverRun`](crate::SolverRun) is the loop over [`LocalIslands`]; a
+//! distributed coordinator runs it over worker processes.
 
 use crate::ensemble::EnsembleResult;
 use crate::migration::{IslandStatus, MigrationPolicy};
@@ -36,9 +32,8 @@ pub trait IslandSet {
     /// The donor's current best molecule.
     fn fetch(&mut self, donor: usize) -> Result<Self::Molecule, Self::Error>;
 
-    /// Offers `molecule` to `island` (through
-    /// [`FusionFissionRun::inject_crossover`] when `crossover`, else
-    /// [`FusionFissionRun::inject`]) and reports whether it was adopted.
+    /// Offers `molecule` to `island`, crossed with the island's own best
+    /// when `crossover`, and reports whether it was adopted.
     fn inject(
         &mut self,
         island: usize,
@@ -151,12 +146,10 @@ impl<I: IslandSet> EpochLoop<I> {
         };
         let trace = AnytimeTrace::merged(primary_islands().map(|r| &r.trace));
         let mut best_value_per_k = BTreeMap::new();
-        for r in primary_islands() {
-            for (&k, &v) in &r.best_value_per_k {
-                let entry = best_value_per_k.entry(k).or_insert(f64::INFINITY);
-                if v < *entry {
-                    *entry = v;
-                }
+        for (&k, &v) in primary_islands().flat_map(|r| &r.best_value_per_k) {
+            let entry = best_value_per_k.entry(k).or_insert(f64::INFINITY);
+            if v < *entry {
+                *entry = v;
             }
         }
         Ok(EnsembleResult {
@@ -246,11 +239,7 @@ impl IslandSet for LocalIslands<'_> {
     }
 
     fn harvest(self) -> Result<Vec<FusionFissionResult>, Infallible> {
-        Ok(self
-            .runs
-            .into_iter()
-            .map(FusionFissionRun::harvest)
-            .collect())
+        Ok(self.runs.into_iter().map(|r| r.harvest()).collect())
     }
 }
 

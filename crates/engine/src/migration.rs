@@ -1,14 +1,13 @@
 //! Pluggable island-migration policies: *what* moves between islands at
 //! an epoch barrier, and *when* the next barrier happens.
 //!
-//! The engine advances all islands in lockstep epochs. At each barrier a
-//! policy sees every island's status and returns a plan; the one epoch
-//! loop ([`EpochLoop`](crate::EpochLoop)) executes it, whether the
-//! islands live in this process or in worker processes. A policy must be
-//! a deterministic function of the statuses it observes — it may keep
-//! its own state across barriers (the adaptive policy does), but it must
-//! not consult wall-clock time, thread identity, or an unseeded RNG, or
-//! the engine's byte-identical reproducibility contract breaks.
+//! At each epoch barrier a policy turns the island statuses into a plan,
+//! and the one epoch loop ([`EpochLoop`](crate::EpochLoop)) executes it
+//! wherever the islands live. A policy must be a deterministic function
+//! of the statuses it observes — it may keep its own state across
+//! barriers (the adaptive policy does), but it must not consult
+//! wall-clock time, thread identity, or an unseeded RNG, or the engine's
+//! byte-identical reproducibility contract breaks.
 //!
 //! Islands optimizing **different objectives** (a Pareto ensemble) are
 //! grouped by objective before any exchange: binding energies are only
@@ -49,13 +48,11 @@ pub struct MigrationOffer {
 /// ([`Solver::migration`](crate::Solver::migration)).
 ///
 /// A policy plans; it does not execute. Once per epoch the one epoch loop
-/// ([`EpochLoop`](crate::EpochLoop)) asks for the [`interval`], and at the
-/// barrier it hands [`plan`] the island statuses and executes the
-/// returned offers against the islands, wherever they live. In-process
-/// and distributed runs therefore make bit-identical decisions.
-///
-/// [`interval`]: MigrationPolicy::interval
-/// [`plan`]: MigrationPolicy::plan
+/// ([`EpochLoop`](crate::EpochLoop)) asks for the interval, and at the
+/// barrier it hands [`plan`](MigrationPolicy::plan) the island statuses
+/// and executes the returned offers against the islands, wherever they
+/// live. In-process and distributed runs therefore make bit-identical
+/// decisions.
 pub trait MigrationPolicy: Send {
     /// Stable display name (also the wire/CLI spelling).
     fn name(&self) -> &'static str;

@@ -366,36 +366,22 @@ impl<'g> Solver<'g> {
                 min_coarse_vertices: base.k.max(2),
             },
         );
-        let Solver {
-            g: _,
-            base: _,
-            islands,
-            max_threads,
-            migration_interval,
-            migration,
-            reduction,
-            seed,
-            island_seeds,
-            objectives,
-            initial: _,
-            multilevel: _,
-            obs,
-        } = self;
-        let obs_registry = obs.clone();
+        let obs_registry = self.obs.clone();
+        let (islands, seed) = (self.islands, self.seed);
         let coarse_solver = Solver {
             g: vc.coarsest(),
             base,
             islands,
-            max_threads,
-            migration_interval,
-            migration,
-            reduction,
+            max_threads: self.max_threads,
+            migration_interval: self.migration_interval,
+            migration: self.migration,
+            reduction: self.reduction,
             seed,
-            island_seeds,
-            objectives,
+            island_seeds: self.island_seeds,
+            objectives: self.objectives,
             initial: None,
             multilevel: None,
-            obs,
+            obs: self.obs,
         };
         let mut run = coarse_solver.start_flat()?;
         drive(&mut run);

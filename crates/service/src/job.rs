@@ -189,28 +189,25 @@ pub(crate) fn run_job(
         .run_with(|run| {
             run.bind_cancel(token.clone());
             let mut cursors = vec![0usize; spec.islands];
-            let mut epoch = 0u64;
             // Per-objective best-so-far: improvements stream only when an
             // island's value beats the best of *its own criterion* (for a
             // single-objective job that is the historical global filter;
             // island order then chronological, so step-budgeted jobs
             // stream deterministic values).
             let mut best: HashMap<Objective, f64> = HashMap::new();
-            loop {
+            for epoch in 1u64.. {
                 let waiting = Instant::now();
                 let permit = gate.acquire();
+                let waited = waiting.elapsed();
                 if poisoned {
                     // lint: allow(PANIC_PATH) — deliberate fault-injection hook; fires only when the
                     // FFPART_JOB_PANIC env var is set by the crash-recovery tests.
                     panic!("injected driver panic (FFPART_JOB_PANIC)");
                 }
-                if let Some(metrics) = obs {
-                    metrics.permit_wait(waiting.elapsed());
-                }
                 let more = run.advance_epoch();
                 drop(permit);
-                epoch += 1;
                 if let Some(metrics) = obs {
+                    metrics.permit_wait(waited);
                     metrics.logger.log(
                         "epoch",
                         Some(job_id),

@@ -31,9 +31,10 @@
 //!   running job.
 //! * **Distributed islands** ([`dist`]): a coordinator that shards an
 //!   ensemble's islands across worker *processes* — spawned `ffpart
-//!   worker` children or remote `ffpart serve` servers — and drives
-//!   them in deterministic lockstep epochs over typed `w*` NDJSON
-//!   messages. Results are byte-identical to the in-process
+//!   worker` children or remote `ffpart serve` servers — and runs the
+//!   engine's own epoch loop ([`ff_engine::EpochLoop`]) over them, in
+//!   deterministic lockstep epochs of typed `w*` NDJSON messages.
+//!   Results are byte-identical to the in-process
 //!   [`ff_engine::Solver`], for any worker count, and stay so when
 //!   workers crash: every state-changing op is logged and replayed
 //!   into a respawned worker.
