@@ -248,6 +248,7 @@ mod tests {
     use super::*;
     use crate::migration::MigrationOffer;
     use crate::reduction::MinEnergy;
+    use std::collections::VecDeque;
     use std::sync::{Arc, Mutex};
 
     /// Every call the loop makes, on the policy or the islands.
@@ -269,10 +270,11 @@ mod tests {
     }
 
     /// Answers `interval` from a script, one entry per epoch, and `plan`
-    /// with a fixed plan.
+    /// with a fixed plan. Past the script's end it keeps the base, so a
+    /// loop that calls too often fails on the call log, not in the fake.
     struct ScriptedPolicy {
         log: Log,
-        intervals: Vec<u64>,
+        intervals: VecDeque<u64>,
         plan: Vec<MigrationOffer>,
     }
 
@@ -283,7 +285,7 @@ mod tests {
 
         fn interval(&mut self, base: u64) -> u64 {
             record(&self.log, Call::Interval(base));
-            self.intervals.remove(0)
+            self.intervals.pop_front().unwrap_or(base)
         }
 
         fn plan(&mut self, islands: &[IslandStatus]) -> Vec<MigrationOffer> {
@@ -295,12 +297,13 @@ mod tests {
 
     /// Islands whose work flags and energies follow a script, one entry
     /// per advance, and whose injections answer from a scripted queue. A
-    /// molecule is its donor's index.
+    /// molecule is its donor's index. Past the script's end the islands
+    /// have no work, keep their last energies and decline every offer.
     struct ScriptedIslands {
         log: Log,
         more: Vec<Vec<bool>>,
         energies: Vec<Vec<f64>>,
-        adopt: Vec<bool>,
+        adopt: VecDeque<bool>,
         advances: usize,
     }
 
@@ -311,12 +314,14 @@ mod tests {
         fn advance(&mut self, steps: u64) -> Result<Vec<bool>, Infallible> {
             record(&self.log, Call::Advance(steps));
             self.advances += 1;
-            Ok(self.more[self.advances - 1].clone())
+            let flags = self.more.get(self.advances - 1).cloned();
+            Ok(flags.unwrap_or_else(|| vec![false; self.more[0].len()]))
         }
 
         fn statuses(&self) -> Vec<IslandStatus> {
             record(&self.log, Call::Statuses);
-            self.energies[self.advances.saturating_sub(1)]
+            let last = self.energies.len() - 1;
+            self.energies[self.advances.saturating_sub(1).min(last)]
                 .iter()
                 .map(|&best_energy| IslandStatus {
                     objective: Objective::MCut,
@@ -337,7 +342,7 @@ mod tests {
             crossover: bool,
         ) -> Result<bool, Infallible> {
             record(&self.log, Call::Inject(island, *from, crossover));
-            Ok(self.adopt.remove(0))
+            Ok(self.adopt.pop_front().unwrap_or(false))
         }
 
         fn harvest(self) -> Result<Vec<FusionFissionResult>, Infallible> {
@@ -361,12 +366,12 @@ mod tests {
             log: log.clone(),
             more: script.more,
             energies: script.energies,
-            adopt: script.adopt,
+            adopt: script.adopt.into(),
             advances: 0,
         };
         let policy = ScriptedPolicy {
             log: log.clone(),
-            intervals: script.intervals,
+            intervals: script.intervals.into(),
             plan: vec![
                 MigrationOffer {
                     donor: 2,
