@@ -41,7 +41,8 @@ impl GraphBuilder {
 
     /// Adds undirected edge `{u, v}` of weight `w`.
     ///
-    /// Repeated `{u, v}` pairs accumulate; self-loops are dropped.
+    /// Repeated `{u, v}` pairs accumulate; self-loops are dropped. A zero
+    /// weight is stored as `+0.0`, also when given as `-0.0`.
     ///
     /// # Panics
     ///

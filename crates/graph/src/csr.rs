@@ -17,7 +17,9 @@ use crate::VertexId;
 /// * every adjacency list is strictly sorted (no parallel edges, no
 ///   self-loops),
 /// * symmetry: `v ∈ adj(u) ⇔ u ∈ adj(v)` with equal weight,
-/// * all edge weights are finite and non-negative,
+/// * all edge weights are finite and non-negative, and a zero weight is
+///   stored as `+0.0` (a `-0.0` input, such as a METIS `-0` token, is
+///   canonicalized, so `-0` and `0` build the same graph),
 /// * `degw[v] == Σ_{u ∈ adj(v)} w(u, v)` (cached weighted degree).
 #[derive(Clone, Debug)]
 pub struct Graph {
@@ -34,6 +36,7 @@ impl Graph {
     /// Assembles a graph from raw CSR arrays.
     ///
     /// `vwgt` may be empty, in which case every vertex gets unit weight.
+    /// Zero edge weights are stored as `+0.0`, whatever their sign.
     ///
     /// # Panics
     ///
@@ -43,7 +46,7 @@ impl Graph {
     pub fn from_csr(
         xadj: Vec<usize>,
         adjncy: Vec<VertexId>,
-        adjwgt: Vec<f64>,
+        mut adjwgt: Vec<f64>,
         vwgt: Vec<f64>,
     ) -> Self {
         assert!(!xadj.is_empty(), "xadj must have at least one entry");
@@ -75,6 +78,10 @@ impl Graph {
                 assert!((u as usize) < n, "neighbor id out of range");
                 assert!(u as usize != v, "self-loop at vertex {v}");
                 assert!(w.is_finite() && w >= 0.0, "edge weight must be finite ≥ 0");
+                if w == 0.0 {
+                    // `-0.0 == 0.0`: this stores both zeros as `+0.0`.
+                    adjwgt[idx] = 0.0;
+                }
                 if let Some(p) = prev {
                     assert!(p < u, "adjacency of {v} must be strictly sorted");
                 }
@@ -387,6 +394,24 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.degree(3), 0);
         assert_eq!(g.degree_weight(3), 0.0);
+    }
+
+    #[test]
+    fn zero_weights_are_stored_positive() {
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, -0.0);
+        b.add_edge(1, 2, -0.0);
+        b.add_edge(1, 2, -0.0); // a merged pair of negative zeros
+        b.add_edge(2, 3, 1.0);
+        let g = b.build();
+        for v in g.vertices() {
+            for &w in g.neighbor_weights(v) {
+                assert!(w.is_sign_positive(), "vertex {v} keeps a -0.0 weight");
+            }
+        }
+        let direct = Graph::from_csr(vec![0, 1, 2], vec![1, 0], vec![-0.0, -0.0], vec![]);
+        assert_eq!(direct.neighbor_weights(0)[0].to_bits(), 0);
+        assert_eq!(direct.neighbor_weights(1)[0].to_bits(), 0);
     }
 
     #[test]

@@ -280,6 +280,40 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_weight_is_zero() {
+        // A 9-vertex path whose last two edges weigh zero, written `-0`
+        // in one METIS text and `0` in the other.
+        let metis = |zero: &str| {
+            format!(
+                "9 8 001\n2 1\n1 1 3 1\n2 1 4 1\n3 1 5 1\n4 1 6 1\n5 1 7 1\n\
+                 6 1 8 {zero}\n7 {zero} 9 {zero}\n8 {zero}\n"
+            )
+        };
+        let neg = ff_graph::io::read_metis(metis("-0").as_bytes()).unwrap();
+        let pos = ff_graph::io::read_metis(metis("0").as_bytes()).unwrap();
+        let bits = |g: &Graph, v| -> Vec<u64> {
+            g.neighbor_weights(v).iter().map(|w| w.to_bits()).collect()
+        };
+        for v in pos.vertices() {
+            assert_eq!(neg.neighbors(v), pos.neighbors(v));
+            assert_eq!(bits(&neg, v), bits(&pos, v), "weights of vertex {v}");
+        }
+        for seed in 0..50 {
+            for k in [2, 3] {
+                let cfg = PercolationConfig {
+                    seed,
+                    ..Default::default()
+                };
+                assert_eq!(
+                    percolation_partition(&neg, k, &cfg).assignment(),
+                    percolation_partition(&pos, k, &cfg).assignment(),
+                    "seed {seed}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate seeds")]
     fn duplicate_seeds_panic() {
         let g = path(5);
