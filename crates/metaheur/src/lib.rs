@@ -5,7 +5,7 @@
 //! * [`percolation`] — the seeded "colored liquid" flood partitioner. It is
 //!   Table 1's `Percolation` row, the initializer the paper gives simulated
 //!   annealing and ant colony, and the splitter fusion–fission's fission
-//!   operator uses,
+//!   operator uses (in place, through a reusable [`Percolator`]),
 //! * [`sa`] — simulated annealing with the paper's perturbation (random
 //!   vertex; at high temperature it migrates to the part with the lowest
 //!   internal weight, at low temperature to a random *connected* part),
@@ -38,5 +38,7 @@ pub mod sa;
 
 pub use ant::{AntColony, AntColonyConfig};
 pub use anytime::{AnytimeTrace, CancelToken, MetaheuristicResult, StopCondition, TracePoint};
-pub use percolation::{percolation_partition, percolation_with_seeds, PercolationConfig};
+pub use percolation::{
+    percolation_partition, percolation_with_seeds, PercolationConfig, Percolator,
+};
 pub use sa::{Cooling, SimulatedAnnealing, SimulatedAnnealingConfig};

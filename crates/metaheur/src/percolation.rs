@@ -28,19 +28,49 @@
 //! Dijkstra-style greedy, and the chosen path "is not always the shortest,
 //! and can change during the process" (between confinement rounds), as the
 //! paper notes.
+//!
+//! **In place.** A [`Percolator`] holds reusable buffers and percolates a
+//! strictly ascending vertex subset of a graph without building the
+//! subset's induced [`Graph`]. It copies the subset's internal edges into
+//! a local CSR whose vertex ids are ranks in the subset. Ranks order like
+//! the parent ids, so every local row equals the row
+//! [`ff_graph::induced_subgraph`] builds, and the colors are the ones
+//! percolation of that subgraph gives. Fusion–fission's fission operator
+//! splits its atoms this way with a percolator its run owns;
+//! [`spread_seeds`], [`percolation_partition`] and
+//! [`percolation_with_seeds`] run a fresh one on all vertices.
+//!
+//! **Pop order.** A flow settles its vertices strongest bond first, ties
+//! to the highest vertex id: the order in which a max-heap of
+//! `(bond bits, id)` pairs pops them, stale entries skipped. The order is
+//! observable, because two vertices with equal bonds at different depths
+//! attenuate their neighbors' bonds differently. The flow's queue keeps
+//! that order exactly without a binary heap. A flow only pushes a bond no
+//! stronger than the one it just popped (`min(bond(v), w/2^d) ≤ bond(v)`),
+//! and it pushes a vertex again only with a strictly stronger bond, so no
+//! `(bits, id)` pair repeats and a monotone radix queue pops the heap's
+//! exact sequence. Entries wait in buckets by the highest bit where they
+//! differ from the last popped bond; the run of entries equal to it pops
+//! as an id-sorted stack, merged with a small id heap that takes the
+//! pushes tying it (on weighted graphs, whenever `w/2^d ≥ bond(v)`).
+//! "Push ≤ last pop" is asserted.
+//!
+//! **Zero weights.** The queue compares bonds by their IEEE bits, which
+//! order non-negative floats like their values except that `-0.0` sorts
+//! above every positive number. [`Graph`] stores every zero edge weight as
+//! `+0.0`, so every bond is `+0.0` or positive and the two orders agree.
 
-use crate::anytime::StopCondition;
 use ff_graph::{Graph, VertexId};
 use ff_partition::Partition;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BinaryHeap, VecDeque};
-use std::time::Instant;
+use std::collections::BinaryHeap;
 
 /// Options for [`percolation_partition`].
 #[derive(Clone, Copy, Debug)]
 pub struct PercolationConfig {
     /// Maximum recoloring rounds (default 16; convergence is usually < 5).
+    /// At least one round always runs.
     pub max_rounds: usize,
     /// Seed for the initial seed-vertex spreading.
     pub seed: u64,
@@ -55,93 +85,377 @@ impl Default for PercolationConfig {
     }
 }
 
-/// Non-negative f64 ordered by IEEE bits (no NaN by construction).
-#[inline]
-fn enc(x: f64) -> u64 {
-    x.to_bits()
+/// A vertex outside the loaded subset, or one not yet colored.
+const NONE: u32 = u32::MAX;
+
+/// Reusable buffers that percolate a vertex subset of a graph in place.
+///
+/// Each call loads the subgraph induced by `members`, which must be
+/// strictly ascending, and returns colors indexed by rank in `members`.
+/// Nothing carries over between calls except allocations: one `u32` per
+/// vertex of the largest graph seen (the rank map, reset after each load)
+/// and buffers sized to the largest subset.
+#[derive(Clone, Debug, Default)]
+pub struct Percolator {
+    /// Vertex of the graph → its rank in the loaded subset; `NONE`
+    /// between calls.
+    rank: Vec<u32>,
+    /// The subset's induced subgraph in CSR form over ranks.
+    xadj: Vec<usize>,
+    adjncy: Vec<VertexId>,
+    adjwgt: Vec<f64>,
+    seeds: Vec<VertexId>,
+    /// Hop distance to the nearest seed, and the BFS queue behind it.
+    dist: Vec<u32>,
+    fifo: Vec<VertexId>,
+    /// One flow's bonds (`-1` = unreached) and hop depths.
+    bond: Vec<f64>,
+    depth: Vec<u32>,
+    queue: BondQueue,
+    /// The round's strongest bond per vertex, and the color offering it.
+    best: Vec<f64>,
+    color: Vec<u32>,
+    /// The previous round's colors.
+    prev: Vec<u32>,
 }
 
-/// One color's gated-decay flow: the bond each vertex receives from
-/// `source`, flowing only through vertices where `allowed` is true (the
-/// endpoint being claimed need not be allowed — liquid can *reach* foreign
-/// territory, it just cannot flow *through* it).
-fn flow(g: &Graph, source: VertexId, allowed: impl Fn(VertexId) -> bool) -> Vec<f64> {
-    let n = g.num_vertices();
-    let mut bond = vec![-1.0f64; n]; // -1 = unreached
-    let mut depth = vec![0u32; n];
-    let mut heap: BinaryHeap<(u64, VertexId)> = BinaryHeap::new();
-    bond[source as usize] = f64::MAX;
-    heap.push((enc(f64::MAX), source));
-    let mut settled = vec![false; n];
-    while let Some((b, v)) = heap.pop() {
-        if settled[v as usize] || enc(bond[v as usize].max(0.0)) != b {
-            continue;
+impl Percolator {
+    /// Empty buffers; they grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Farthest-point seed spreading on the subgraph induced by
+    /// `members`: a uniformly drawn first seed, then repeatedly the vertex
+    /// farthest in hops from every seed so far (unreachable counts as
+    /// farthest, ties go to the highest rank). Returns `k` ranks.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ k ≤ members.len()` and `members` is strictly
+    /// ascending and in range.
+    pub fn spread_seeds(
+        &mut self,
+        g: &Graph,
+        members: &[VertexId],
+        k: usize,
+        seed: u64,
+    ) -> &[VertexId] {
+        self.load(g, members);
+        self.spread(k, seed);
+        &self.seeds
+    }
+
+    /// Percolates the subgraph induced by `members` from `k` seeds spread
+    /// under `cfg.seed` and returns each member's color, by rank.
+    ///
+    /// # Panics
+    ///
+    /// As [`Percolator::spread_seeds`].
+    pub fn percolate(
+        &mut self,
+        g: &Graph,
+        members: &[VertexId],
+        k: usize,
+        cfg: &PercolationConfig,
+    ) -> &[u32] {
+        self.load(g, members);
+        self.spread(k, cfg.seed);
+        self.rounds(cfg.max_rounds)
+    }
+
+    /// Percolates the subgraph induced by `members` from explicit seeds,
+    /// given as ranks, one per color; returns each member's color, by rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seeds` is empty, longer than `members`, out of range or
+    /// contains duplicates, or if `members` is not strictly ascending and
+    /// in range.
+    pub fn percolate_from(
+        &mut self,
+        g: &Graph,
+        members: &[VertexId],
+        seeds: &[VertexId],
+        cfg: &PercolationConfig,
+    ) -> &[u32] {
+        self.load(g, members);
+        self.seeds.clear();
+        self.seeds.extend_from_slice(seeds);
+        self.rounds(cfg.max_rounds)
+    }
+
+    fn len(&self) -> usize {
+        self.xadj.len() - 1
+    }
+
+    /// Copies the subgraph induced by `members` into the local CSR.
+    fn load(&mut self, g: &Graph, members: &[VertexId]) {
+        assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "members must be strictly ascending"
+        );
+        if let Some(&last) = members.last() {
+            assert!(
+                (last as usize) < g.num_vertices(),
+                "member {last} out of range"
+            );
         }
-        settled[v as usize] = true;
-        // Liquid flows onward only through own/free territory.
-        if v != source && !allowed(v) {
-            continue;
+        if self.rank.len() < g.num_vertices() {
+            self.rank.resize(g.num_vertices(), NONE);
         }
-        let d = depth[v as usize];
-        let atten = 0.5f64.powi(d as i32);
-        for (u, w) in g.edges_of(v) {
-            if settled[u as usize] {
+        for (i, &v) in members.iter().enumerate() {
+            self.rank[v as usize] = i as u32;
+        }
+        self.xadj.clear();
+        self.adjncy.clear();
+        self.adjwgt.clear();
+        self.xadj.push(0);
+        for &v in members {
+            for (u, w) in g.edges_of(v) {
+                let r = self.rank[u as usize];
+                if r != NONE {
+                    self.adjncy.push(r);
+                    self.adjwgt.push(w);
+                }
+            }
+            self.xadj.push(self.adjncy.len());
+        }
+        for &v in members {
+            self.rank[v as usize] = NONE;
+        }
+    }
+
+    /// Fills `seeds` with `k` farthest-point seeds of the loaded subgraph.
+    fn spread(&mut self, k: usize, seed: u64) {
+        let n = self.len();
+        assert!(k >= 1 && k <= n, "need 1 ≤ k ≤ n");
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut newest = rng.gen_range(0..n) as VertexId;
+        self.seeds.clear();
+        self.seeds.push(newest);
+        self.dist.clear();
+        self.dist.resize(n, u32::MAX);
+        while self.seeds.len() < k {
+            // Lower every distance that the newest seed shortens: a BFS
+            // from it that stops where it does not improve.
+            self.dist[newest as usize] = 0;
+            self.fifo.clear();
+            self.fifo.push(newest);
+            let mut head = 0;
+            while let Some(&v) = self.fifo.get(head) {
+                head += 1;
+                let d = self.dist[v as usize] + 1;
+                let (lo, hi) = (self.xadj[v as usize], self.xadj[v as usize + 1]);
+                for &u in &self.adjncy[lo..hi] {
+                    if d < self.dist[u as usize] {
+                        self.dist[u as usize] = d;
+                        self.fifo.push(u);
+                    }
+                }
+            }
+            // The farthest vertex, unreachable (`u32::MAX`) farthest of
+            // all, ties to the highest rank. Seeds sit at distance 0, below
+            // every vertex still unseeded, so none is picked twice.
+            let mut far = 0;
+            for v in 0..n {
+                if self.dist[v] >= self.dist[far] {
+                    far = v;
+                }
+            }
+            newest = far as VertexId;
+            self.seeds.push(newest);
+        }
+    }
+
+    /// The percolation rounds from `seeds`: a free flow per color, then
+    /// flows confined to their own color's territory, until no vertex
+    /// changes color or `max_rounds` rounds have run (at least one).
+    fn rounds(&mut self, max_rounds: usize) -> &[u32] {
+        let n = self.len();
+        let k = self.seeds.len();
+        assert!(k >= 1 && k <= n, "need 1 ≤ k ≤ n seeds");
+        // Mark the seeds in `color` to find duplicates, then start from no
+        // color at all.
+        self.color.clear();
+        self.color.resize(n, NONE);
+        for &s in &self.seeds {
+            assert!((s as usize) < n, "seed {s} out of range");
+            assert!(self.color[s as usize] == NONE, "duplicate seeds");
+            self.color[s as usize] = 0;
+        }
+        self.color.fill(NONE);
+        let mut round = 0;
+        loop {
+            self.prev.clone_from(&self.color);
+            self.best.clear();
+            self.best.resize(n, -1.0);
+            for c in 0..k {
+                self.flow(c, round > 0);
+            }
+            // Unreached vertices (disconnected from every seed): nearest
+            // color by round-robin to keep the partition total.
+            for (v, c) in self.color.iter_mut().enumerate() {
+                if *c == NONE {
+                    *c = (v % k) as u32;
+                }
+            }
+            // Seeds always keep their own color.
+            for (c, &s) in self.seeds.iter().enumerate() {
+                self.color[s as usize] = c as u32;
+            }
+            round += 1;
+            if self.color == self.prev || round >= max_rounds {
+                return &self.color;
+            }
+        }
+    }
+
+    /// Color `c`'s gated-decay flow from its seed. Each vertex takes color
+    /// `c` as it settles if `c` offers it a stronger bond than every
+    /// earlier color this round. Liquid can *reach* foreign territory but,
+    /// when `confined`, flows onward only through its own.
+    fn flow(&mut self, c: usize, confined: bool) {
+        let n = self.len();
+        let source = self.seeds[c];
+        let c = c as u32;
+        self.bond.clear();
+        self.bond.resize(n, -1.0);
+        self.bond[source as usize] = f64::MAX;
+        // Every push writes its vertex's depth; only the source's is not.
+        self.depth.resize(n, 0);
+        self.depth[source as usize] = 0;
+        self.queue.clear();
+        self.queue.push(f64::MAX.to_bits(), source);
+        while let Some((bits, v)) = self.queue.pop() {
+            let vi = v as usize;
+            let b = self.bond[vi];
+            if b.to_bits() != bits {
+                continue; // stale: v has since been pushed with a stronger bond
+            }
+            if b > self.best[vi] {
+                self.best[vi] = b;
+                self.color[vi] = c;
+            }
+            if confined && v != source && self.prev[vi] != c {
                 continue;
             }
-            // Weakest link along the path, attenuated per hop.
-            let cand = bond[v as usize].min(w * atten);
-            if cand > bond[u as usize] {
-                bond[u as usize] = cand;
-                depth[u as usize] = d + 1;
-                heap.push((enc(cand), u));
+            let d = self.depth[vi];
+            let atten = 0.5f64.powi(d as i32);
+            for e in self.xadj[vi]..self.xadj[vi + 1] {
+                let u = self.adjncy[e] as usize;
+                // Weakest link along the path, attenuated per hop. A
+                // settled u already holds a bond of at least b.
+                let cand = b.min(self.adjwgt[e] * atten);
+                if cand > self.bond[u] {
+                    self.bond[u] = cand;
+                    self.depth[u] = d + 1;
+                    self.queue.push(cand.to_bits(), u as VertexId);
+                }
             }
         }
     }
-    bond
 }
 
-/// Farthest-point seed spreading (BFS metric), deterministic under `seed`.
-/// Public because fusion–fission's fission operator seeds its two-way
-/// percolation splits with it.
-pub fn spread_seeds(g: &Graph, k: usize, seed: u64) -> Vec<VertexId> {
-    let n = g.num_vertices();
-    assert!(k >= 1 && k <= n, "need 1 ≤ k ≤ n");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut seeds = vec![rng.gen_range(0..n) as VertexId];
-    while seeds.len() < k {
-        let mut dist = vec![usize::MAX; n];
-        let mut q = VecDeque::new();
-        for &s in &seeds {
-            dist[s as usize] = 0;
-            q.push_back(s);
+/// A flow's priority queue of `(bond bits, vertex)` pairs. It pops in
+/// exactly the order of a `BinaryHeap<(u64, VertexId)>`, bits descending
+/// then id descending, provided no push carries more bits than the last
+/// pop (see the module docs).
+#[derive(Clone, Debug)]
+struct BondQueue {
+    /// Bits of the last popped bond; `u64::MAX` before the first pop.
+    last: u64,
+    /// Ids pushed with bits equal to `last` before it was popped,
+    /// ascending; they pop from the back.
+    run: Vec<VertexId>,
+    /// Ids pushed with bits equal to `last` after it was popped.
+    ties: BinaryHeap<VertexId>,
+    /// `buckets[i]` holds the entries below `last` whose highest bit
+    /// differing from it is bit `i`, so lower buckets hold stronger bonds.
+    buckets: Vec<Vec<(u64, VertexId)>>,
+}
+
+impl Default for BondQueue {
+    fn default() -> Self {
+        BondQueue {
+            last: u64::MAX,
+            run: Vec::new(),
+            ties: BinaryHeap::new(),
+            buckets: vec![Vec::new(); 64],
         }
-        while let Some(v) = q.pop_front() {
-            for &u in g.neighbors(v) {
-                if dist[u as usize] == usize::MAX {
-                    dist[u as usize] = dist[v as usize] + 1;
-                    q.push_back(u);
+    }
+}
+
+/// The bucket of `bits` below `last`.
+#[inline]
+fn bucket(bits: u64, last: u64) -> usize {
+    63 - (bits ^ last).leading_zeros() as usize
+}
+
+impl BondQueue {
+    fn clear(&mut self) {
+        self.last = u64::MAX;
+        self.run.clear();
+        self.ties.clear();
+        for b in &mut self.buckets {
+            b.clear();
+        }
+    }
+
+    fn push(&mut self, bits: u64, id: VertexId) {
+        assert!(
+            bits <= self.last,
+            "percolation pushed a bond above the last one popped"
+        );
+        if bits == self.last {
+            self.ties.push(id);
+        } else {
+            self.buckets[bucket(bits, self.last)].push((bits, id));
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, VertexId)> {
+        if self.run.is_empty() && self.ties.is_empty() {
+            // Start the next run: the strongest bits left sit in the
+            // lowest non-empty bucket. Its other entries agree with them
+            // above bit i, so they move to lower buckets; entries of
+            // higher buckets keep theirs.
+            let i = self.buckets.iter().position(|b| !b.is_empty())?;
+            let (lower, rest) = self.buckets.split_at_mut(i);
+            let top = &mut rest[0];
+            let last = top.iter().map(|&(bits, _)| bits).max()?;
+            for (bits, id) in top.drain(..) {
+                if bits == last {
+                    self.run.push(id);
+                } else {
+                    lower[bucket(bits, last)].push((bits, id));
                 }
             }
+            self.run.sort_unstable();
+            self.last = last;
         }
-        let far = (0..n as VertexId)
-            .filter(|v| !seeds.contains(v))
-            .max_by_key(|&v| {
-                if dist[v as usize] == usize::MAX {
-                    n + 1 // unreachable = farthest
-                } else {
-                    dist[v as usize]
-                }
-            })
-            .expect("k ≤ n leaves an unseeded vertex");
-        seeds.push(far);
+        let id = match (self.run.last(), self.ties.peek()) {
+            (Some(&r), Some(&t)) if t > r => self.ties.pop(),
+            (Some(_), _) => self.run.pop(),
+            (None, _) => self.ties.pop(),
+        }?;
+        Some((self.last, id))
     }
-    seeds
+}
+
+/// Farthest-point seed spreading (BFS metric) on all of `g`,
+/// deterministic under `seed`: [`Percolator::spread_seeds`] with every
+/// vertex a member.
+pub fn spread_seeds(g: &Graph, k: usize, seed: u64) -> Vec<VertexId> {
+    let all: Vec<VertexId> = g.vertices().collect();
+    Percolator::new().spread_seeds(g, &all, k, seed).to_vec()
 }
 
 /// Percolation with automatically spread seeds.
 pub fn percolation_partition(g: &Graph, k: usize, cfg: &PercolationConfig) -> Partition {
-    let seeds = spread_seeds(g, k, cfg.seed);
-    percolation_with_seeds(g, &seeds, cfg)
+    let all: Vec<VertexId> = g.vertices().collect();
+    let color = Percolator::new().percolate(g, &all, k, cfg).to_vec();
+    Partition::from_assignment(g, color, k)
 }
 
 /// Percolation from explicit seed vertices (one per color).
@@ -151,56 +465,15 @@ pub fn percolation_partition(g: &Graph, k: usize, cfg: &PercolationConfig) -> Pa
 /// Panics if `seeds` is empty, contains duplicates, or exceeds the vertex
 /// count.
 pub fn percolation_with_seeds(g: &Graph, seeds: &[VertexId], cfg: &PercolationConfig) -> Partition {
-    let n = g.num_vertices();
-    let k = seeds.len();
-    assert!(k >= 1 && k <= n, "need 1 ≤ k ≤ n seeds");
-    {
-        let mut sorted = seeds.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), k, "duplicate seeds");
-    }
-
-    // Round 0: free flow everywhere.
-    let mut color: Vec<u32> = vec![u32::MAX; n];
-    let start = Instant::now();
-    let stop = StopCondition::steps(cfg.max_rounds as u64);
-    let mut round = 0u64;
-    loop {
-        let prev = color.clone();
-        let mut best_bond = vec![-1.0f64; n];
-        for (c, &s) in seeds.iter().enumerate() {
-            let c32 = c as u32;
-            let free_round = round == 0;
-            let allowed =
-                |v: VertexId| free_round || prev[v as usize] == c32 || prev[v as usize] == u32::MAX;
-            let bond = flow(g, s, allowed);
-            for v in 0..n {
-                if bond[v] > best_bond[v] {
-                    best_bond[v] = bond[v];
-                    color[v] = c32;
-                }
-            }
-        }
-        // Unreached vertices (disconnected from every seed): nearest color
-        // by round-robin to keep the partition total.
-        for (v, c) in color.iter_mut().enumerate() {
-            if *c == u32::MAX {
-                *c = (v % k) as u32;
-            }
-        }
-        // Seeds always keep their own color.
-        for (c, &s) in seeds.iter().enumerate() {
-            color[s as usize] = c as u32;
-        }
-        round += 1;
-        if color == prev || stop.should_stop(round, start) {
-            break;
-        }
-    }
-
-    Partition::from_assignment(g, color, k)
+    let all: Vec<VertexId> = g.vertices().collect();
+    let color = Percolator::new()
+        .percolate_from(g, &all, seeds, cfg)
+        .to_vec();
+    Partition::from_assignment(g, color, seeds.len())
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
