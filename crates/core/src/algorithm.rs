@@ -17,7 +17,7 @@ use crate::energy::scaled_energy;
 use crate::laws::{LawTable, Reaction};
 use crate::ops::{fission_split, fuse, nfusion, select_partner, weakest_nucleons};
 use ff_graph::Graph;
-use ff_metaheur::{AnytimeTrace, CancelToken, MetaheuristicResult};
+use ff_metaheur::{AnytimeTrace, CancelToken, MetaheuristicResult, Percolator};
 use ff_partition::{CutState, Partition};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -84,6 +84,8 @@ struct Search<'g> {
     /// The current molecule's objective value; cleared by every change
     /// to `st`'s sums (reaction, compaction, reheat).
     value: Option<f64>,
+    /// Fission's percolation buffers, reused by every split of this run.
+    perc: Percolator,
 }
 
 impl<'g> FusionFission<'g> {
@@ -165,6 +167,7 @@ impl<'g> FusionFission<'g> {
             best_molecule: OnceLock::new(),
             best_value_per_k: BTreeMap::new(),
             value: None,
+            perc: Percolator::new(),
         };
         // Phase 1 uses no temperature, no secondary fissions, and the
         // sharpest (frozen) α, so every undersized atom fuses.
@@ -302,7 +305,7 @@ impl<'g> FusionFissionRun<'g> {
     ) -> Option<(usize, usize)> {
         let s = &mut self.s;
         let size_before = s.st.partition().part_size(atom);
-        let new_half = fission_split(&mut s.st, atom, self.cfg.splitter, &mut s.rng)?;
+        let new_half = fission_split(&mut s.st, atom, self.cfg.splitter, &mut s.perc, &mut s.rng)?;
         s.value = None;
         let law = s.laws.law(Reaction::Fission, size_before);
         // Ejection from the larger half, which has the loosest nucleons.
@@ -323,7 +326,13 @@ impl<'g> FusionFissionRun<'g> {
                 if let Some(&(target, _)) =
                     targets.iter().max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
                 {
-                    let _ = fission_split(&mut s.st, target, self.cfg.splitter, &mut s.rng);
+                    let _ = fission_split(
+                        &mut s.st,
+                        target,
+                        self.cfg.splitter,
+                        &mut s.perc,
+                        &mut s.rng,
+                    );
                 }
             }
             nfusion(&mut s.st, v);

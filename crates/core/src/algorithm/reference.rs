@@ -5,7 +5,11 @@
 //! scanning every slot, picks the atom by an ascending scan for the same
 //! draw, folds the objective on every read, clones the best molecule on
 //! every improvement, and compacts or reheats by building a fresh
-//! `CutState`. Both loops run in lockstep on Cut, Ncut and Mcut. After
+//! `CutState`. It splits atoms the old way too: percolation on the
+//! atom's `induced_subgraph`, seeded by `spread_seeds` and run by
+//! `percolation_with_seeds` on that subgraph, then mapped back to the
+//! members, so every split checks the in-place split's member mapping
+//! and its draw order. Both loops run in lockstep on Cut, Ncut and Mcut. After
 //! every `step_once` the current molecules must agree bit for bit
 //! (assignment, member order, part-weight bits, part count, cut sums), as
 //! must the energies, the temperature, the RNG streams, the best-at-k
@@ -15,9 +19,11 @@
 //! journal cap, adoption) all run; each test checks that they did.
 
 use super::*;
+use crate::config::FissionSplitter;
 use crate::ops::overlap_combine;
 use ff_graph::generators::planted_partition_sparse;
-use ff_graph::GraphBuilder;
+use ff_graph::{induced_subgraph, GraphBuilder, VertexId};
+use ff_metaheur::percolation::{percolation_with_seeds, spread_seeds, PercolationConfig};
 use ff_metaheur::StopCondition;
 use ff_partition::Objective;
 
@@ -25,6 +31,52 @@ fn live_by_scan(p: &Partition) -> usize {
     (0..p.num_parts() as u32)
         .filter(|&q| p.part_size(q) > 0)
         .count()
+}
+
+/// Fission through the atom's induced subgraph, as it was done before
+/// the in-place percolator.
+fn split_via_subgraph(
+    st: &mut CutState,
+    part: u32,
+    splitter: FissionSplitter,
+    rng: &mut ChaCha8Rng,
+) -> Option<u32> {
+    let members = st.partition().part_members(part);
+    if members.len() < 2 {
+        return None;
+    }
+    let half: Vec<VertexId> = match splitter {
+        FissionSplitter::Percolation => {
+            let sub = induced_subgraph(st.graph(), &members);
+            let seeds = spread_seeds(&sub.graph, 2, rng.gen());
+            let p = percolation_with_seeds(
+                &sub.graph,
+                &seeds,
+                &PercolationConfig {
+                    max_rounds: 6,
+                    seed: rng.gen(),
+                },
+            );
+            (0..members.len())
+                .filter(|&i| p.part_of(i as VertexId) == 1)
+                .map(|i| members[i])
+                .collect()
+        }
+        FissionSplitter::RandomHalf => {
+            let mut shuffled = members.clone();
+            shuffled.shuffle(rng);
+            shuffled.truncate(members.len() / 2);
+            shuffled
+        }
+    };
+    if half.is_empty() || half.len() == members.len() {
+        return None;
+    }
+    let new_part = st.add_part();
+    for v in half {
+        st.move_vertex(v, new_part);
+    }
+    Some(new_part)
 }
 
 /// The step loop with every bookkeeping shortcut taken out.
@@ -141,7 +193,7 @@ impl<'g> Naive<'g> {
         allow_secondary: bool,
     ) -> Option<(usize, usize)> {
         let size_before = self.st.partition().part_size(atom);
-        let new_half = fission_split(&mut self.st, atom, self.cfg.splitter, &mut self.rng)?;
+        let new_half = split_via_subgraph(&mut self.st, atom, self.cfg.splitter, &mut self.rng)?;
         let part = self.st.partition();
         let bigger = if part.part_size(atom) >= part.part_size(new_half) {
             atom
@@ -161,7 +213,8 @@ impl<'g> Naive<'g> {
                 if let Some(&(target, _)) =
                     targets.iter().max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
                 {
-                    let _ = fission_split(&mut self.st, target, self.cfg.splitter, &mut self.rng);
+                    let _ =
+                        split_via_subgraph(&mut self.st, target, self.cfg.splitter, &mut self.rng);
                 }
             }
             nfusion(&mut self.st, v);

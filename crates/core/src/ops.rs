@@ -1,8 +1,8 @@
 //! The fusion and fission operators (§4.2).
 
 use crate::config::FissionSplitter;
-use ff_graph::{induced_subgraph, Graph, VertexId};
-use ff_metaheur::percolation::{percolation_with_seeds, spread_seeds, PercolationConfig};
+use ff_graph::{Graph, VertexId};
+use ff_metaheur::percolation::{PercolationConfig, Percolator};
 use ff_partition::{CutState, Partition};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -146,10 +146,20 @@ pub fn nfusion(st: &mut CutState, v: VertexId) {
 
 /// Splits `part` in two. The new half gets a fresh part id, which is
 /// returned; `None` when the atom has fewer than 2 nucleons.
+///
+/// The percolation splitter (§4.4) runs `perc` on the atom's sorted
+/// members in place: no induced subgraph is built and nothing is
+/// allocated per flow. A [`FusionFissionRun`](crate::FusionFissionRun)
+/// owns the percolator it passes here, so the buffers move with the run
+/// between threads. The splitter draws two `u64`s, as it always has: the
+/// first spreads the two seeds; the second once seeded a config field
+/// percolation never read, and is still drawn so the RNG stream stays
+/// where it was.
 pub fn fission_split(
     st: &mut CutState,
     part: u32,
     splitter: FissionSplitter,
+    perc: &mut Percolator,
     rng: &mut ChaCha8Rng,
 ) -> Option<u32> {
     let members = st.partition().part_members(part);
@@ -158,19 +168,17 @@ pub fn fission_split(
     }
     let half: Vec<VertexId> = match splitter {
         FissionSplitter::Percolation => {
-            let sub = induced_subgraph(st.graph(), &members);
-            let seeds = spread_seeds(&sub.graph, 2, rng.gen());
-            let p = percolation_with_seeds(
-                &sub.graph,
-                &seeds,
-                &PercolationConfig {
-                    max_rounds: 6,
-                    seed: rng.gen(),
-                },
-            );
-            (0..members.len())
-                .filter(|&i| p.part_of(i as VertexId) == 1)
-                .map(|i| members[i])
+            let cfg = PercolationConfig {
+                max_rounds: 6,
+                seed: rng.gen(),
+            };
+            let _: u64 = rng.gen(); // the retired second draw
+            let color = perc.percolate(st.graph(), &members, 2, &cfg);
+            members
+                .iter()
+                .zip(color)
+                .filter(|&(_, &c)| c == 1)
+                .map(|(&v, _)| v)
                 .collect()
         }
         FissionSplitter::RandomHalf => {
@@ -324,8 +332,14 @@ mod tests {
         let g = two_cliques_bridge(6, 2.0, 0.1);
         let mut st = state(&g, vec![0u32; 12], 1);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let new = fission_split(&mut st, 0, FissionSplitter::Percolation, &mut rng)
-            .expect("split must succeed");
+        let new = fission_split(
+            &mut st,
+            0,
+            FissionSplitter::Percolation,
+            &mut Percolator::new(),
+            &mut rng,
+        )
+        .expect("split must succeed");
         // The percolation split should cut only the bridge.
         assert!((st.cut() - 0.1).abs() < 1e-9, "cut = {}", st.cut());
         assert_eq!(
@@ -339,7 +353,14 @@ mod tests {
         let g = grid2d(2, 2);
         let mut st = state(&g, vec![0, 1, 1, 1], 2);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert!(fission_split(&mut st, 0, FissionSplitter::Percolation, &mut rng).is_none());
+        assert!(fission_split(
+            &mut st,
+            0,
+            FissionSplitter::Percolation,
+            &mut Percolator::new(),
+            &mut rng
+        )
+        .is_none());
     }
 
     #[test]
@@ -347,7 +368,14 @@ mod tests {
         let g = grid2d(4, 4);
         let mut st = state(&g, vec![0u32; 16], 1);
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let new = fission_split(&mut st, 0, FissionSplitter::RandomHalf, &mut rng).unwrap();
+        let new = fission_split(
+            &mut st,
+            0,
+            FissionSplitter::RandomHalf,
+            &mut Percolator::new(),
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(st.partition().part_size(new), 8);
         assert!(st.drift() < 1e-9);
     }
