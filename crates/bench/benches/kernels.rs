@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the substrate kernels every partitioner
 //! is built on: spmv, Lanczos Fiedler solves, matching + coarsening, FM
-//! passes, percolation, incremental move bookkeeping, and the
-//! fusion–fission step loop (core loop and agglomeration).
+//! passes, percolation, incremental move bookkeeping, the fusion–fission
+//! step loop (core loop and agglomeration) and its fission split.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ff_atc::{FabopConfig, FabopInstance};
@@ -167,6 +167,43 @@ fn bench_ff_agglomerate(c: &mut Criterion) {
     });
 }
 
+fn bench_ff_fission(c: &mut Criterion) {
+    use ff_core::ops::fission_split;
+    use ff_core::FissionSplitter;
+    use ff_graph::generators::planted_partition_sparse;
+    use ff_metaheur::Percolator;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    // The flat_sparse_1e4 benchmark instance, and an atom the size of its
+    // average primary split: 2400 vertices, two planted groups and 40% of
+    // a third. Each iteration splits the same atom with the same draws,
+    // reusing one percolator as a run does.
+    let g = planted_partition_sparse(10, 1000, 0.008, 2e-5, 1);
+    let atom = (0..g.num_vertices())
+        .map(|v| u32::from(v >= 2400))
+        .collect();
+    let molecule = Partition::from_assignment(&g, atom, 2);
+    let mut perc = Percolator::new();
+    c.bench_function("ff_core_fission_sparse_1e4", |b| {
+        b.iter_batched(
+            || {
+                let st = CutState::new(&g, molecule.clone());
+                (st, ChaCha8Rng::seed_from_u64(1))
+            },
+            |(mut st, mut rng)| {
+                fission_split(
+                    &mut st,
+                    0,
+                    FissionSplitter::Percolation,
+                    &mut perc,
+                    &mut rng,
+                )
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 criterion_group!(
     benches,
     bench_spmv,
@@ -177,6 +214,7 @@ criterion_group!(
     bench_percolation,
     bench_move_bookkeeping,
     bench_ff_steps,
-    bench_ff_agglomerate
+    bench_ff_agglomerate,
+    bench_ff_fission
 );
 criterion_main!(benches);
