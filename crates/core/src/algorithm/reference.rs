@@ -33,8 +33,9 @@ fn live_by_scan(p: &Partition) -> usize {
         .count()
 }
 
-/// Fission through the atom's induced subgraph, as it was done before
-/// the in-place percolator.
+/// Percolation fission through the atom's induced subgraph, as it was
+/// done before the in-place percolator. Other splits go to
+/// `fission_split`.
 fn split_via_subgraph(
     st: &mut CutState,
     part: u32,
@@ -42,33 +43,23 @@ fn split_via_subgraph(
     rng: &mut ChaCha8Rng,
 ) -> Option<u32> {
     let members = st.partition().part_members(part);
-    if members.len() < 2 {
-        return None;
+    if splitter != FissionSplitter::Percolation || members.len() < 2 {
+        return fission_split(st, part, splitter, &mut Percolator::new(), rng);
     }
-    let half: Vec<VertexId> = match splitter {
-        FissionSplitter::Percolation => {
-            let sub = induced_subgraph(st.graph(), &members);
-            let seeds = spread_seeds(&sub.graph, 2, rng.gen());
-            let p = percolation_with_seeds(
-                &sub.graph,
-                &seeds,
-                &PercolationConfig {
-                    max_rounds: 6,
-                    seed: rng.gen(),
-                },
-            );
-            (0..members.len())
-                .filter(|&i| p.part_of(i as VertexId) == 1)
-                .map(|i| members[i])
-                .collect()
-        }
-        FissionSplitter::RandomHalf => {
-            let mut shuffled = members.clone();
-            shuffled.shuffle(rng);
-            shuffled.truncate(members.len() / 2);
-            shuffled
-        }
-    };
+    let sub = induced_subgraph(st.graph(), &members);
+    let seeds = spread_seeds(&sub.graph, 2, rng.gen());
+    let p = percolation_with_seeds(
+        &sub.graph,
+        &seeds,
+        &PercolationConfig {
+            max_rounds: 6,
+            seed: rng.gen(),
+        },
+    );
+    let half: Vec<VertexId> = (0..members.len())
+        .filter(|&i| p.part_of(i as VertexId) == 1)
+        .map(|i| members[i])
+        .collect();
     if half.is_empty() || half.len() == members.len() {
         return None;
     }

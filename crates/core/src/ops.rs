@@ -151,10 +151,9 @@ pub fn nfusion(st: &mut CutState, v: VertexId) {
 /// members in place: no induced subgraph is built and nothing is
 /// allocated per flow. A [`FusionFissionRun`](crate::FusionFissionRun)
 /// owns the percolator it passes here, so the buffers move with the run
-/// between threads. The splitter draws two `u64`s, as it always has: the
-/// first spreads the two seeds; the second once seeded a config field
-/// percolation never read, and is still drawn so the RNG stream stays
-/// where it was.
+/// between threads. The splitter draws two `u64`s: the first spreads the
+/// two seeds, and the second goes unused but is drawn so that the RNG
+/// stream, and every result pinned on it, stays as it is.
 pub fn fission_split(
     st: &mut CutState,
     part: u32,
@@ -172,7 +171,7 @@ pub fn fission_split(
                 max_rounds: 6,
                 seed: rng.gen(),
             };
-            let _: u64 = rng.gen(); // the retired second draw
+            let _: u64 = rng.gen(); // unused; keeps the stream
             let color = perc.percolate(st.graph(), &members, 2, &cfg);
             members
                 .iter()

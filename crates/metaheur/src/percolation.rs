@@ -134,7 +134,7 @@ impl Percolator {
     ///
     /// Panics unless `1 ≤ k ≤ members.len()` and `members` is strictly
     /// ascending and in range.
-    pub fn spread_seeds(
+    pub(crate) fn spread_seeds(
         &mut self,
         g: &Graph,
         members: &[VertexId],
@@ -151,7 +151,8 @@ impl Percolator {
     ///
     /// # Panics
     ///
-    /// As [`Percolator::spread_seeds`].
+    /// Panics unless `1 ≤ k ≤ members.len()` and `members` is strictly
+    /// ascending and in range.
     pub fn percolate(
         &mut self,
         g: &Graph,
@@ -172,7 +173,7 @@ impl Percolator {
     /// Panics if `seeds` is empty, longer than `members`, out of range or
     /// contains duplicates, or if `members` is not strictly ascending and
     /// in range.
-    pub fn percolate_from(
+    pub(crate) fn percolate_from(
         &mut self,
         g: &Graph,
         members: &[VertexId],
@@ -443,9 +444,10 @@ impl BondQueue {
     }
 }
 
-/// Farthest-point seed spreading (BFS metric) on all of `g`,
-/// deterministic under `seed`: [`Percolator::spread_seeds`] with every
-/// vertex a member.
+/// Farthest-point seed spreading (BFS metric), deterministic under
+/// `seed`: a uniformly drawn first seed, then repeatedly the vertex
+/// farthest in hops from every seed so far (unreachable counts as
+/// farthest, ties go to the highest id).
 pub fn spread_seeds(g: &Graph, k: usize, seed: u64) -> Vec<VertexId> {
     let all: Vec<VertexId> = g.vertices().collect();
     Percolator::new().spread_seeds(g, &all, k, seed).to_vec()
@@ -462,8 +464,8 @@ pub fn percolation_partition(g: &Graph, k: usize, cfg: &PercolationConfig) -> Pa
 ///
 /// # Panics
 ///
-/// Panics if `seeds` is empty, contains duplicates, or exceeds the vertex
-/// count.
+/// Panics if `seeds` is empty, contains duplicates or a vertex out of
+/// range, or exceeds the vertex count.
 pub fn percolation_with_seeds(g: &Graph, seeds: &[VertexId], cfg: &PercolationConfig) -> Partition {
     let all: Vec<VertexId> = g.vertices().collect();
     let color = Percolator::new()
