@@ -1,8 +1,8 @@
 //! Induced subgraph extraction with back-mapping.
 //!
-//! Used by recursive bisection (partition one side further) and by the
-//! fusion–fission fission operator (split one atom with percolation run on
-//! that atom's induced subgraph).
+//! Used by recursive bisection (spectral and multilevel: partition one
+//! side further). Fusion–fission's fission operator does not build one: it
+//! percolates an atom in place (`ff_metaheur::Percolator`).
 
 use crate::{Graph, VertexId};
 

@@ -45,15 +45,15 @@
 //! `(bond bits, id)` pairs pops them, stale entries skipped. The order is
 //! observable, because two vertices with equal bonds at different depths
 //! attenuate their neighbors' bonds differently. The flow's queue keeps
-//! that order exactly without a binary heap. A flow only pushes a bond no
-//! stronger than the one it just popped (`min(bond(v), w/2^d) ≤ bond(v)`),
-//! and it pushes a vertex again only with a strictly stronger bond, so no
-//! `(bits, id)` pair repeats and a monotone radix queue pops the heap's
-//! exact sequence. Entries wait in buckets by the highest bit where they
-//! differ from the last popped bond; the run of entries equal to it pops
-//! as an id-sorted stack, merged with a small id heap that takes the
-//! pushes tying it (on weighted graphs, whenever `w/2^d ≥ bond(v)`).
-//! "Push ≤ last pop" is asserted.
+//! that order exactly without a heap over all pairs. A flow only pushes a
+//! bond no stronger than the one it just popped
+//! (`min(bond(v), w/2^d) ≤ bond(v)`), and it pushes a vertex again only
+//! with a strictly stronger bond, so no `(bits, id)` pair repeats and a
+//! monotone radix queue pops the heap's exact sequence. Entries wait in
+//! buckets by the highest bit where they differ from the last popped
+//! bond; the run of entries equal to it pops as an id-sorted stack, merged
+//! with a small id heap that takes the pushes tying it (on weighted
+//! graphs, whenever `w/2^d ≥ bond(v)`). "Push ≤ last pop" is asserted.
 //!
 //! **Zero weights.** The queue compares bonds by their IEEE bits, which
 //! order non-negative floats like their values except that `-0.0` sorts
