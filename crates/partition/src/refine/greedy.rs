@@ -40,8 +40,19 @@ impl Default for GreedyOptions {
 
 /// Greedily refines `st` under `obj`. Returns the number of moves applied.
 pub fn greedy_refine_kway(st: &mut CutState, obj: Objective, opts: &GreedyOptions) -> usize {
-    let g = st.graph();
-    let mut order: Vec<VertexId> = g.vertices().collect();
+    sweep(st, opts, |st, v| best_move(st, obj, &opts.balance, v))
+}
+
+/// Shuffled passes over every vertex, applying the move `choose` picks
+/// for each visited vertex, until a pass moves nothing or `max_passes`
+/// run out. A vertex alone in its part is not visited while
+/// `keep_parts_nonempty` holds. Returns the number of moves applied.
+fn sweep(
+    st: &mut CutState,
+    opts: &GreedyOptions,
+    mut choose: impl FnMut(&CutState, VertexId) -> Option<(u32, f64)>,
+) -> usize {
+    let mut order: Vec<VertexId> = st.graph().vertices().collect();
     let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
     let mut moves_total = 0usize;
 
@@ -53,26 +64,7 @@ pub fn greedy_refine_kway(st: &mut CutState, obj: Objective, opts: &GreedyOption
             if opts.keep_parts_nonempty && st.partition().part_size(from) <= 1 {
                 continue;
             }
-            // Candidate targets: parts that own at least one neighbor
-            // (sorted so tie-breaking is deterministic).
-            let mut best: Option<(u32, f64)> = None;
-            for (to, _) in st.connection_weights(v) {
-                if to == from {
-                    continue;
-                }
-                if !opts.balance.allows_move(
-                    st.partition().part_weight(from),
-                    st.partition().part_weight(to),
-                    g.vertex_weight(v),
-                ) {
-                    continue;
-                }
-                let delta = st.move_delta(obj, v, to);
-                if delta < -1e-12 && best.is_none_or(|(_, bd)| delta < bd) {
-                    best = Some((to, delta));
-                }
-            }
-            if let Some((to, _)) = best {
+            if let Some((to, _)) = choose(st, v) {
                 st.move_vertex(v, to);
                 moved_this_pass += 1;
             }
@@ -84,6 +76,40 @@ pub fn greedy_refine_kway(st: &mut CutState, obj: Objective, opts: &GreedyOption
     }
     moves_total
 }
+
+/// The best strictly improving move of `v` that `balance` admits, as
+/// `(target, delta)`; among equal deltas the lowest part id wins.
+fn best_move(
+    st: &CutState,
+    obj: Objective,
+    balance: &BalanceConstraint,
+    v: VertexId,
+) -> Option<(u32, f64)> {
+    let from = st.partition().part_of(v);
+    // Candidate targets: parts that own at least one neighbor
+    // (sorted so tie-breaking is deterministic).
+    let mut best: Option<(u32, f64)> = None;
+    for (to, _) in st.connection_weights(v) {
+        if to == from {
+            continue;
+        }
+        if !balance.allows_move(
+            st.partition().part_weight(from),
+            st.partition().part_weight(to),
+            st.graph().vertex_weight(v),
+        ) {
+            continue;
+        }
+        let delta = st.move_delta(obj, v, to);
+        if delta < -1e-12 && best.is_none_or(|(_, bd)| delta < bd) {
+            best = Some((to, delta));
+        }
+    }
+    best
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
