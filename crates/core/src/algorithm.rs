@@ -18,7 +18,7 @@ use crate::laws::{LawTable, Reaction};
 use crate::ops::{fission_split, fuse, nfusion, select_partner, weakest_nucleons};
 use ff_graph::Graph;
 use ff_metaheur::{AnytimeTrace, CancelToken, MetaheuristicResult, Percolator};
-use ff_partition::{CutState, Partition};
+use ff_partition::{Connections, CutState, Partition};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -86,6 +86,9 @@ struct Search<'g> {
     value: Option<f64>,
     /// Fission's percolation buffers, reused by every split of this run.
     perc: Percolator,
+    /// Connection-weight slots, reused by every partner choice, nucleon
+    /// absorption and secondary-fission target of this run.
+    conn: Connections,
 }
 
 impl<'g> FusionFission<'g> {
@@ -168,6 +171,7 @@ impl<'g> FusionFission<'g> {
             best_value_per_k: BTreeMap::new(),
             value: None,
             perc: Percolator::new(),
+            conn: Connections::new(),
         };
         // Phase 1 uses no temperature, no secondary fissions, and the
         // sharpest (frozen) α, so every undersized atom fuses.
@@ -283,14 +287,21 @@ impl<'g> FusionFissionRun<'g> {
     /// Returns `(law_size, chosen_ejection)` when a fusion happened.
     fn do_fusion(&mut self, atom: u32, t_norm: f64) -> Option<(usize, usize)> {
         let s = &mut self.s;
-        let partner = select_partner(&s.st, atom, t_norm, self.cfg.size_bias, &mut s.rng)?;
+        let partner = select_partner(
+            &s.st,
+            &mut s.conn,
+            atom,
+            t_norm,
+            self.cfg.size_bias,
+            &mut s.rng,
+        )?;
         s.value = None;
         let merged = fuse(&mut s.st, atom, partner);
         let size = s.st.partition().part_size(merged);
         let law = s.laws.law(Reaction::Fusion, size);
         let eject = law.sample(&mut s.rng, size.saturating_sub(1));
         for v in weakest_nucleons(&s.st, merged, eject) {
-            nfusion(&mut s.st, v);
+            nfusion(&mut s.st, &mut s.conn, v);
         }
         Some((size, eject))
     }
@@ -322,9 +333,9 @@ impl<'g> FusionFissionRun<'g> {
             if high_energy {
                 // §4.2: the hot nucleon triggers a simple fission (no
                 // ejection) of an atom connected to it, then settles.
-                let targets = s.st.connection_weights(v); // sorted by part id
-                if let Some(&(target, _)) =
-                    targets.iter().max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                s.conn.gather_vertex(s.st.graph(), s.st.partition(), v); // ascending part ids
+                if let Some((target, _)) =
+                    s.conn.iter().max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
                 {
                     let _ = fission_split(
                         &mut s.st,
@@ -335,7 +346,7 @@ impl<'g> FusionFissionRun<'g> {
                     );
                 }
             }
-            nfusion(&mut s.st, v);
+            nfusion(&mut s.st, &mut s.conn, v);
         }
         Some((size_before, eject))
     }

@@ -9,7 +9,11 @@
 //! atom's `induced_subgraph`, seeded by `spread_seeds` and run by
 //! `percolation_with_seeds` on that subgraph, then mapped back to the
 //! members, so every split checks the in-place split's member mapping
-//! and its draw order. Both loops run in lockstep on Cut, Ncut and Mcut. After
+//! and its draw order. It gathers connection weights the old way too:
+//! partner choice, nucleon absorption, the secondary-fission target and
+//! the crossover's fusions sum into ordered maps, so every step checks
+//! the dense gather's sums, their order and the tie-breaks that follow
+//! from it. Both loops run in lockstep on Cut, Ncut and Mcut. After
 //! every `step_once` the current molecules must agree bit for bit
 //! (assignment, member order, part-weight bits, part count, cut sums), as
 //! must the energies, the temperature, the RNG streams, the best-at-k
@@ -20,17 +24,130 @@
 
 use super::*;
 use crate::config::FissionSplitter;
-use crate::ops::overlap_combine;
 use ff_graph::generators::planted_partition_sparse;
 use ff_graph::{induced_subgraph, GraphBuilder, VertexId};
 use ff_metaheur::percolation::{percolation_with_seeds, spread_seeds, PercolationConfig};
 use ff_metaheur::StopCondition;
 use ff_partition::Objective;
+use std::collections::HashMap;
 
 fn live_by_scan(p: &Partition) -> usize {
     (0..p.num_parts() as u32)
         .filter(|&q| p.part_size(q) > 0)
         .count()
+}
+
+/// `a`'s weight into each other part through an ordered map, summed in
+/// member-then-edge order.
+fn part_connections(st: &CutState, a: u32) -> Vec<(u32, f64)> {
+    let mut conn: BTreeMap<u32, f64> = BTreeMap::new();
+    for &v in st.partition().part_members_unordered(a) {
+        for (u, w) in st.graph().edges_of(v) {
+            let pu = st.partition().part_of(u);
+            if pu != a {
+                *conn.entry(pu).or_insert(0.0) += w;
+            }
+        }
+    }
+    conn.into_iter().collect()
+}
+
+/// `v`'s weight into each part among its neighbours through an ordered
+/// map, summed in edge order.
+fn connection_weights(st: &CutState, v: VertexId) -> Vec<(u32, f64)> {
+    let mut conn: BTreeMap<u32, f64> = BTreeMap::new();
+    for (u, w) in st.graph().edges_of(v) {
+        *conn.entry(st.partition().part_of(u)).or_insert(0.0) += w;
+    }
+    conn.into_iter().collect()
+}
+
+/// `select_partner` over the ordered-map gather.
+fn naive_select_partner(
+    st: &CutState,
+    a: u32,
+    t_norm: f64,
+    size_bias: f64,
+    rng: &mut ChaCha8Rng,
+) -> Option<u32> {
+    let cands = part_connections(st, a);
+    if cands.is_empty() {
+        return None;
+    }
+    let tau = t_norm.clamp(0.05, 1.0);
+    let scores: Vec<f64> = cands
+        .iter()
+        .map(|&(b, w)| {
+            let size = st.partition().part_size(b).max(1) as f64;
+            (w / size.powf(size_bias)).powf(1.0 / tau)
+        })
+        .collect();
+    let total: f64 = scores.iter().sum();
+    if total <= 0.0 || !total.is_finite() {
+        return Some(cands[rng.gen_range(0..cands.len())].0);
+    }
+    let mut roll = rng.gen::<f64>() * total;
+    for (i, &s) in scores.iter().enumerate() {
+        roll -= s;
+        if roll <= 0.0 {
+            return Some(cands[i].0);
+        }
+    }
+    Some(cands[cands.len() - 1].0)
+}
+
+/// `nfusion` over the ordered-map gather.
+fn naive_nfusion(st: &mut CutState, v: VertexId) {
+    let own = st.partition().part_of(v);
+    let mut best: Option<(u32, f64)> = None;
+    for (p, w) in connection_weights(st, v) {
+        if p != own && best.is_none_or(|(_, bw)| w > bw) {
+            best = Some((p, w));
+        }
+    }
+    if let Some((p, _)) = best {
+        if st.partition().part_size(own) > 1 {
+            st.move_vertex(v, p);
+        }
+    }
+}
+
+/// `overlap_combine` over the ordered-map gather.
+fn naive_overlap_combine(g: &Graph, a: &Partition, b: &Partition, k: usize) -> Partition {
+    let mut class_of: HashMap<(u32, u32), u32> = HashMap::new();
+    let assignment = g
+        .vertices()
+        .map(|v| {
+            let next = class_of.len() as u32;
+            *class_of.entry((a.part_of(v), b.part_of(v))).or_insert(next)
+        })
+        .collect();
+    let classes = class_of.len();
+    let mut st = CutState::new(g, Partition::from_assignment(g, assignment, classes));
+    'fuse: while live_by_scan(st.partition()) > k {
+        let part = st.partition();
+        let mut order: Vec<(usize, u32)> = (0..part.num_parts() as u32)
+            .filter(|&p| part.part_size(p) > 0)
+            .map(|p| (part.part_size(p), p))
+            .collect();
+        order.sort_unstable();
+        for (_, p) in order {
+            let mut best: Option<(u32, f64)> = None;
+            for (q, w) in part_connections(&st, p) {
+                if best.is_none_or(|(_, bw)| bw < w) {
+                    best = Some((q, w));
+                }
+            }
+            if let Some((q, _)) = best {
+                fuse(&mut st, p, q);
+                continue 'fuse;
+            }
+        }
+        break;
+    }
+    let mut child = st.into_partition();
+    child.compact();
+    child
 }
 
 /// Percolation fission through the atom's induced subgraph, as it was
@@ -164,7 +281,8 @@ impl<'g> Naive<'g> {
     }
 
     fn do_fusion(&mut self, atom: u32, t_norm: f64) -> Option<(usize, usize)> {
-        let partner = select_partner(&self.st, atom, t_norm, self.cfg.size_bias, &mut self.rng)?;
+        let partner =
+            naive_select_partner(&self.st, atom, t_norm, self.cfg.size_bias, &mut self.rng)?;
         let merged = fuse(&mut self.st, atom, partner);
         let size = self.st.partition().part_size(merged);
         let eject = self
@@ -172,7 +290,7 @@ impl<'g> Naive<'g> {
             .law(Reaction::Fusion, size)
             .sample(&mut self.rng, size.saturating_sub(1));
         for v in weakest_nucleons(&self.st, merged, eject) {
-            nfusion(&mut self.st, v);
+            naive_nfusion(&mut self.st, v);
         }
         Some((size, eject))
     }
@@ -200,7 +318,7 @@ impl<'g> Naive<'g> {
             let hot =
                 allow_secondary && self.rng.gen::<f64>() < self.cfg.secondary_fission * t_norm;
             if hot {
-                let targets = self.st.connection_weights(v);
+                let targets = connection_weights(&self.st, v);
                 if let Some(&(target, _)) =
                     targets.iter().max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
                 {
@@ -208,7 +326,7 @@ impl<'g> Naive<'g> {
                         split_via_subgraph(&mut self.st, target, self.cfg.splitter, &mut self.rng);
                 }
             }
-            nfusion(&mut self.st, v);
+            naive_nfusion(&mut self.st, v);
         }
         Some((size_before, eject))
     }
@@ -308,7 +426,7 @@ impl<'g> Naive<'g> {
     }
 
     fn inject_crossover(&mut self, foreign: &Partition) -> bool {
-        let child = overlap_combine(self.g, &self.best_molecule, foreign, self.cfg.k);
+        let child = naive_overlap_combine(self.g, &self.best_molecule, foreign, self.cfg.k);
         let adopted_child = self.inject(&child);
         let adopted_foreign = self.inject(foreign);
         adopted_child || adopted_foreign

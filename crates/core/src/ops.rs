@@ -1,28 +1,19 @@
 //! The fusion and fission operators (§4.2).
+//!
+//! Partner choice, nucleon absorption and the crossover's fusions read
+//! connection weights from a [`Connections`] gather the caller owns. A
+//! [`FusionFissionRun`](crate::FusionFissionRun) owns one next to its
+//! [`Percolator`], so both move with the run between epoch threads and a
+//! step allocates no map. The gather lists parts by ascending id, which
+//! fixes every candidate order and tie-break below.
 
 use crate::config::FissionSplitter;
 use ff_graph::{Graph, VertexId};
 use ff_metaheur::percolation::{PercolationConfig, Percolator};
-use ff_partition::{CutState, Partition};
+use ff_partition::{Connections, CutState, Partition};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, HashMap};
-
-/// Total connection weight from part `a` to every other part, sorted by
-/// ascending part id (deterministic order). Each part's weights are
-/// summed in member-then-edge order. O(|a| · deg · log deg).
-pub fn part_connections(st: &CutState, a: u32) -> Vec<(u32, f64)> {
-    let mut conn: BTreeMap<u32, f64> = BTreeMap::new();
-    for &v in st.partition().part_members_unordered(a) {
-        for (u, w) in st.graph().edges_of(v) {
-            let pu = st.partition().part_of(u);
-            if pu != a {
-                *conn.entry(pu).or_insert(0.0) += w;
-            }
-        }
-    }
-    conn.into_iter().collect()
-}
+use std::collections::HashMap;
 
 /// Selects a fusion partner for atom `a`.
 ///
@@ -33,38 +24,43 @@ pub fn part_connections(st: &CutState, a: u32) -> Vec<(u32, f64)> {
 /// (`weight^(1/τ)` with τ the normalized temperature): hot systems pick
 /// almost uniformly among neighbors, cold ones almost always take the
 /// closest small atom. Returns `None` when `a` has no neighboring atom.
+///
+/// The candidates are `a`'s neighbouring atoms by ascending part id, as
+/// [`Connections::gather_part`] lists them into `conn`: one reached only
+/// through zero-weight edges is a candidate too, and is what the uniform
+/// fallback for all-zero scores picks among.
 pub fn select_partner(
     st: &CutState,
+    conn: &mut Connections,
     a: u32,
     t_norm: f64,
     size_bias: f64,
     rng: &mut ChaCha8Rng,
 ) -> Option<u32> {
-    let cands = part_connections(st, a); // sorted by part id
-    if cands.is_empty() {
-        return None;
-    }
+    conn.gather_part(st.graph(), st.partition(), a);
+    let cands = conn.parts();
+    let &last = cands.last()?;
     let tau = t_norm.clamp(0.05, 1.0);
     let scores: Vec<f64> = cands
         .iter()
-        .map(|&(b, w)| {
+        .map(|&b| {
             let size = st.partition().part_size(b).max(1) as f64;
-            (w / size.powf(size_bias)).powf(1.0 / tau)
+            (conn.weight(b) / size.powf(size_bias)).powf(1.0 / tau)
         })
         .collect();
     let total: f64 = scores.iter().sum();
     if total <= 0.0 || !total.is_finite() {
         // Degenerate scores (all zero or overflow): uniform choice.
-        return Some(cands[rng.gen_range(0..cands.len())].0);
+        return Some(cands[rng.gen_range(0..cands.len())]);
     }
     let mut roll = rng.gen::<f64>() * total;
     for (i, &s) in scores.iter().enumerate() {
         roll -= s;
         if roll <= 0.0 {
-            return Some(cands[i].0);
+            return Some(cands[i]);
         }
     }
-    Some(cands.last().unwrap().0)
+    Some(last)
 }
 
 /// Fuses atoms `a` and `b`: all nucleons of the smaller move into the
@@ -121,13 +117,15 @@ pub fn weakest_nucleons(st: &CutState, part: u32, count: usize) -> Vec<VertexId>
     scored.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Absorbs nucleon `v` into its best-connected *other* atom ("nfusion").
-/// No-op for a nucleon with no external connections.
-pub fn nfusion(st: &mut CutState, v: VertexId) {
+/// Absorbs nucleon `v` into its best-connected *other* atom ("nfusion"),
+/// gathering its connection weights into `conn`. No-op for a nucleon
+/// with no external connections.
+pub fn nfusion(st: &mut CutState, conn: &mut Connections, v: VertexId) {
     let own = st.partition().part_of(v);
     let mut best: Option<(u32, f64)> = None;
-    // connection_weights is sorted by part id, so ties break low-id first.
-    for (p, w) in st.connection_weights(v) {
+    conn.gather_vertex(st.graph(), st.partition(), v);
+    // The gather lists parts by ascending id, so ties break low-id first.
+    for (p, w) in conn.iter() {
         if p == own {
             continue;
         }
@@ -230,6 +228,7 @@ pub fn overlap_combine(g: &Graph, a: &Partition, b: &Partition, k: usize) -> Par
     }
     let classes = class_of.len();
     let mut st = CutState::new(g, Partition::from_assignment(g, assignment, classes));
+    let mut conn = Connections::with_parts(classes);
     while st.partition().num_nonempty_parts() > k {
         // Smallest live atom first (ties → lowest id); the first one with
         // a neighbor fuses into its strongest connection.
@@ -241,10 +240,10 @@ pub fn overlap_combine(g: &Graph, a: &Partition, b: &Partition, k: usize) -> Par
         order.sort_unstable();
         let mut fused = false;
         for &(_, p) in &order {
-            let targets = part_connections(&st, p); // sorted by part id
-            let best = targets
+            conn.gather_part(g, st.partition(), p); // ascending part ids
+            let best = conn
                 .iter()
-                .fold(None::<(u32, f64)>, |acc, &(q, w)| match acc {
+                .fold(None::<(u32, f64)>, |acc, (q, w)| match acc {
                     Some((_, bw)) if bw >= w => acc,
                     _ => Some((q, w)),
                 });
@@ -278,8 +277,9 @@ mod tests {
     fn part_connections_counts_boundary() {
         let g = ff_graph::generators::path(4); // 0-1-2-3
         let st = state(&g, vec![0, 0, 1, 2], 3);
-        let conn = part_connections(&st, 0);
-        assert_eq!(conn, vec![(1, 1.0)]);
+        let mut conn = Connections::new();
+        conn.gather_part(&g, st.partition(), 0);
+        assert_eq!(conn.iter().collect::<Vec<_>>(), vec![(1, 1.0)]);
     }
 
     #[test]
@@ -321,7 +321,7 @@ mod tests {
             *item = 1;
         }
         let mut st = state(&g, asg, 2);
-        nfusion(&mut st, 5); // stray vertex rejoins clique B
+        nfusion(&mut st, &mut Connections::new(), 5); // stray vertex rejoins clique B
         assert_eq!(st.partition().part_of(5), 1);
         assert!(st.drift() < 1e-9);
     }
@@ -384,9 +384,13 @@ mod tests {
         let g = ff_graph::generators::path(6); // 0-1-2-3-4-5
         let st = state(&g, vec![0, 0, 1, 1, 2, 2], 3);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut conn = Connections::new();
         // Cold system: part 0 must pick part 1 (its only neighbor).
         for _ in 0..20 {
-            assert_eq!(select_partner(&st, 0, 0.05, 0.5, &mut rng), Some(1));
+            assert_eq!(
+                select_partner(&st, &mut conn, 0, 0.05, 0.5, &mut rng),
+                Some(1)
+            );
         }
     }
 
@@ -451,6 +455,7 @@ mod tests {
         let g = b.build();
         let st = state(&g, vec![0, 0, 1], 2);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        assert_eq!(select_partner(&st, 1, 0.5, 0.5, &mut rng), None);
+        let mut conn = Connections::new();
+        assert_eq!(select_partner(&st, &mut conn, 1, 0.5, 0.5, &mut rng), None);
     }
 }

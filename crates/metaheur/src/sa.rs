@@ -24,7 +24,7 @@
 use crate::anytime::{AnytimeTrace, MetaheuristicResult, StopCondition};
 use crate::percolation::{percolation_partition, PercolationConfig};
 use ff_graph::{Graph, VertexId};
-use ff_partition::{CutState, Objective, Partition};
+use ff_partition::{Connections, CutState, Objective, Partition};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
@@ -120,6 +120,7 @@ impl<'g> SimulatedAnnealing<'g> {
         let k = self.init.num_parts();
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let mut st = CutState::new(g, self.init.clone());
+        let mut conn = Connections::with_parts(k);
         let mut current = st.objective(cfg.objective);
         let mut best = self.init.clone();
         let mut best_value = current;
@@ -162,12 +163,13 @@ impl<'g> SimulatedAnnealing<'g> {
                     })
                     .unwrap_or(from)
             } else {
-                // Random part among those connected to v.
-                // connection_weights is sorted by part id (deterministic).
-                let cands: Vec<u32> = st
-                    .connection_weights(v)
-                    .into_iter()
-                    .map(|(p, _)| p)
+                // Random part among those connected to v, by ascending
+                // part id (deterministic).
+                conn.gather_vertex(g, st.partition(), v);
+                let cands: Vec<u32> = conn
+                    .parts()
+                    .iter()
+                    .copied()
                     .filter(|&p| p != from)
                     .collect();
                 match cands.len() {

@@ -9,6 +9,7 @@
 //! repair pass for consumers (e.g. airspace blocks must be flyable as one
 //! volume).
 
+use crate::connections::Connections;
 use crate::objective::CutState;
 use crate::partition::Partition;
 use ff_graph::{subset_components, Graph, VertexId};
@@ -86,6 +87,7 @@ pub fn analyze(g: &Graph, p: &Partition) -> PartitionReport {
 /// has every non-empty part connected (repair iterates until clean or the
 /// pass cap is hit).
 pub fn repair_connectivity(g: &Graph, p: &mut Partition, max_passes: usize) -> usize {
+    let mut conn = Connections::with_parts(p.num_parts());
     let mut moved_total = 0usize;
     for _ in 0..max_passes {
         let mut moved_this_pass = 0usize;
@@ -115,16 +117,13 @@ pub fn repair_connectivity(g: &Graph, p: &mut Partition, max_passes: usize) -> u
                 if comp[i] == keep {
                     continue;
                 }
-                // Strongest-connected other part.
+                // Strongest-connected other part; ties go to the lowest id.
                 let mut best: Option<(u32, f64)> = None;
-                let mut conn: std::collections::BTreeMap<u32, f64> = Default::default();
-                for (u, w) in g.edges_of(v) {
-                    let pu = p.part_of(u);
-                    if pu != part {
-                        *conn.entry(pu).or_insert(0.0) += w;
+                conn.gather_vertex(g, p, v);
+                for (cand, w) in conn.iter() {
+                    if cand == part {
+                        continue;
                     }
-                }
-                for (cand, w) in conn {
                     if best.is_none_or(|(_, bw)| w > bw) {
                         best = Some((cand, w));
                     }

@@ -9,6 +9,8 @@
 //!   (Shi–Malik normalized cut) and **Mcut** (Ding et al. min-max cut),
 //! * [`CutState`] — incremental per-part internal/external weight tracking
 //!   so a vertex move and its objective delta cost O(deg v),
+//! * [`Connections`] — a reusable dense scratch that gathers a vertex's or
+//!   a part's connection weight into each neighbouring part,
 //! * [`refine`] — local refinement: Kernighan–Lin pairwise swaps,
 //!   Fiduccia–Mattheyses single-move passes with rollback, and greedy
 //!   k-way boundary refinement,
@@ -37,6 +39,7 @@
 
 pub mod analysis;
 pub mod balance;
+pub mod connections;
 pub mod dominance;
 pub mod io;
 pub mod objective;
@@ -45,6 +48,7 @@ pub mod refine;
 
 pub use analysis::{analyze, repair_connectivity, PartStats, PartitionReport};
 pub use balance::{imbalance, BalanceConstraint};
+pub use connections::Connections;
 pub use dominance::{dominates, pareto_front_indices};
 pub use io::{read_partition, write_partition};
 pub use objective::{CutState, Objective, PartConnectivity};

@@ -12,10 +12,17 @@
 //! where `W(A) = Σ_{u∈A, v∈A} w(u, v)` sums **ordered** pairs, i.e. twice
 //! the internal edge weight — so `assoc(A, V)` equals the degree-weight sum
 //! of A, matching Shi–Malik.
+//!
+//! A move's objective delta needs only the moving vertex's connection
+//! weight into its own part and into the target part.
+//! [`CutState::move_delta`] sums both in one walk over the vertex's edges;
+//! a caller that already holds them, from a
+//! [`Connections`](crate::Connections) gather, passes them to
+//! [`CutState::move_delta_with`] and skips the walk.
 
 use crate::partition::{Partition, Undo};
 use ff_graph::{Graph, VertexId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// The three partitioning criteria of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -261,19 +268,10 @@ impl<'g> CutState<'g> {
             .sum()
     }
 
-    /// Weight from `v` into each part among its neighbors, sorted by
-    /// ascending part id (deterministic order). Each part's weights are
-    /// summed in edge order. O(deg v · log deg v).
-    pub fn connection_weights(&self, v: VertexId) -> Vec<(u32, f64)> {
-        let mut conn: BTreeMap<u32, f64> = BTreeMap::new();
-        for (u, w) in self.g.edges_of(v) {
-            *conn.entry(self.part.part_of(u)).or_insert(0.0) += w;
-        }
-        conn.into_iter().collect()
-    }
-
     /// Objective change if `v` moved to part `to`, without applying it.
-    /// O(deg v). Returns 0.0 for a no-op move.
+    /// O(deg v): one walk over `v`'s edges sums its weight into its own
+    /// part and into `to`, then [`CutState::move_delta_with`] applies the
+    /// formula. Returns 0.0 for a no-op move.
     pub fn move_delta(&self, obj: Objective, v: VertexId, to: u32) -> f64 {
         let from = self.part.part_of(v);
         if from == to {
@@ -288,6 +286,27 @@ impl<'g> CutState<'g> {
             } else if pu == to {
                 conn_to += w;
             }
+        }
+        self.move_delta_with(obj, v, to, conn_from, conn_to)
+    }
+
+    /// [`CutState::move_delta`] from `v`'s connection weight `conn_from`
+    /// into its own part and `conn_to` into `to`, without walking the
+    /// edges. O(1). Weights summed in edge order, as
+    /// [`Connections::gather_vertex`](crate::Connections::gather_vertex)
+    /// sums them, give `move_delta`'s result bit for bit. Returns 0.0
+    /// for a no-op move.
+    pub fn move_delta_with(
+        &self,
+        obj: Objective,
+        v: VertexId,
+        to: u32,
+        conn_from: f64,
+        conn_to: f64,
+    ) -> f64 {
+        let from = self.part.part_of(v);
+        if from == to {
+            return 0.0;
         }
         let degw = self.g.degree_weight(v);
         let (ef, if2) = {

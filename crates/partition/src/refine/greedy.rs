@@ -4,10 +4,18 @@
 //! of moving it to each *neighboring* part (the only moves that can reduce
 //! any of the three criteria) and apply the best strictly-improving
 //! admissible move. Repeat until a sweep makes no move. Works for Cut,
-//! Ncut and Mcut because it delegates deltas to
-//! [`CutState::move_delta`].
+//! Ncut and Mcut because it delegates deltas to the objective's own
+//! formula, [`CutState::move_delta_with`].
+//!
+//! Each visit walks the vertex's edges once: a [`Connections`] gather
+//! sums its weight into every neighbouring part, and every candidate's
+//! delta is computed from the gathered weights of the source and the
+//! target part. They are the sums [`CutState::move_delta`] would make,
+//! in the same edge order, so the deltas are bit-identical to it. The
+//! sweep owns one scratch, so a visit allocates nothing.
 
 use crate::balance::BalanceConstraint;
+use crate::connections::Connections;
 use crate::objective::{CutState, Objective};
 use ff_graph::VertexId;
 use rand::prelude::*;
@@ -40,7 +48,10 @@ impl Default for GreedyOptions {
 
 /// Greedily refines `st` under `obj`. Returns the number of moves applied.
 pub fn greedy_refine_kway(st: &mut CutState, obj: Objective, opts: &GreedyOptions) -> usize {
-    sweep(st, opts, |st, v| best_move(st, obj, &opts.balance, v))
+    let mut conn = Connections::with_parts(st.partition().num_parts());
+    sweep(st, opts, |st, v| {
+        best_move(st, obj, &opts.balance, &mut conn, v)
+    })
 }
 
 /// Shuffled passes over every vertex, applying the move `choose` picks
@@ -78,18 +89,22 @@ fn sweep(
 }
 
 /// The best strictly improving move of `v` that `balance` admits, as
-/// `(target, delta)`; among equal deltas the lowest part id wins.
+/// `(target, delta)`; among equal deltas the lowest part id wins. The
+/// candidates are the parts `v`'s neighbours are in, gathered into
+/// `conn`.
 fn best_move(
     st: &CutState,
     obj: Objective,
     balance: &BalanceConstraint,
+    conn: &mut Connections,
     v: VertexId,
 ) -> Option<(u32, f64)> {
     let from = st.partition().part_of(v);
-    // Candidate targets: parts that own at least one neighbor
-    // (sorted so tie-breaking is deterministic).
+    conn.gather_vertex(st.graph(), st.partition(), v);
+    let conn_from = conn.weight(from);
     let mut best: Option<(u32, f64)> = None;
-    for (to, _) in st.connection_weights(v) {
+    // Ascending part ids, so ties keep the lowest.
+    for (to, conn_to) in conn.iter() {
         if to == from {
             continue;
         }
@@ -100,7 +115,7 @@ fn best_move(
         ) {
             continue;
         }
-        let delta = st.move_delta(obj, v, to);
+        let delta = st.move_delta_with(obj, v, to, conn_from, conn_to);
         if delta < -1e-12 && best.is_none_or(|(_, bd)| delta < bd) {
             best = Some((to, delta));
         }

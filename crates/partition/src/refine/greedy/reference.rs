@@ -1,9 +1,10 @@
 //! Lockstep reference test for the greedy k-way refiner.
 //!
-//! The reference below is the refiner as it was first written: for each
-//! visited vertex it sums the weight into every neighbouring part into an
-//! ordered map, then walks the vertex's edges again through
-//! [`CutState::move_delta`] for each candidate part. It and the refiner
+//! The reference below is the refiner as it was before the dense
+//! [`Connections`] gather: for each visited vertex it sums the weight
+//! into every neighbouring part into an ordered map, then walks the
+//! vertex's edges again through [`CutState::move_delta`] for each
+//! candidate part. It and the refiner
 //! run from the same start on random graphs (geometric, planted,
 //! small-integer weights, zero weights) under Cut, Ncut and Mcut, with
 //! and without a balance band, with `keep_parts_nonempty` on and off.
@@ -93,8 +94,9 @@ fn logged_refine(
     opts: &GreedyOptions,
     log: &mut Vec<Visit>,
 ) -> usize {
+    let mut conn = Connections::new();
     sweep(st, opts, |st, v| {
-        let mv = best_move(st, obj, &opts.balance, v);
+        let mv = best_move(st, obj, &opts.balance, &mut conn, v);
         log.push(logged(v, mv));
         mv
     })
