@@ -45,7 +45,7 @@
 
 use crate::sync::lock;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -608,8 +608,9 @@ impl WorkerConn {
         }
     }
 
-    /// Orderly teardown: closing stdin (or the socket) is the protocol's
-    /// goodbye; a spawned worker exits on stdin EOF and is reaped.
+    /// Orderly teardown: closing stdin (or shutting the socket down) is
+    /// the protocol's goodbye; a spawned worker exits on stdin EOF and is
+    /// reaped.
     fn close(self) {
         drop(self.writer);
         drop(self.rx);
@@ -681,8 +682,35 @@ fn connect(target: &Target, opts: &DistOpts) -> Result<Transport, String> {
             let read_half = stream
                 .try_clone()
                 .map_err(|e| format!("failed to clone socket to {addr}: {e}"))?;
-            Ok((None, Box::new(stream), spawn_reader(read_half)))
+            Ok((
+                None,
+                Box::new(SocketWriter(stream)),
+                spawn_reader(read_half),
+            ))
         }
+    }
+}
+
+/// The write half of a TCP worker connection. Dropping it, on close or
+/// on respawn, shuts the socket down both ways: the reader thread holds
+/// a clone of the stream, so without the shutdown the socket would stay
+/// open, and that thread and the worker's connection thread would block
+/// forever.
+struct SocketWriter(TcpStream);
+
+impl Write for SocketWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl Drop for SocketWriter {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
     }
 }
 

@@ -3,7 +3,7 @@
 //! bytes as the in-process [`Solver`] — same seeds, same epoch
 //! schedule, any worker layout.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ff_core::FusionFissionResult;
 use ff_engine::{Adaptive, Combine, MigrationPolicyId, ParetoFront, Solver};
@@ -11,7 +11,7 @@ use ff_graph::io::read_metis;
 use ff_obs::Registry;
 use ff_partition::Objective;
 use ff_service::dist::{solve_distributed, DistOpts, DistSpec, WorkerSet};
-use ff_service::{GraphFormat, GraphSource};
+use ff_service::{Client, GraphFormat, GraphSource, Server, ServerConfig};
 
 const GRID: &str = "9 12\n2 4\n1 3 5\n2 6\n1 5 7\n2 4 6 8\n3 5 9\n4 8\n5 7 9\n6 8\n";
 
@@ -215,5 +215,83 @@ fn improvement_stream_reports_each_island_once_in_order() {
             assert!(pair[1].1 > pair[0].1, "steps must increase");
             assert!(pair[1].2 < pair[0].2, "values must improve");
         }
+    }
+}
+
+/// The server's `ff_connections_open{proto="ndjson"}` gauge, scraped
+/// over its HTTP gateway.
+fn open_ndjson_connections(http: std::net::SocketAddr) -> f64 {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(http).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut page = String::new();
+    stream.read_to_string(&mut page).unwrap();
+    page.lines()
+        .find_map(|line| line.strip_prefix("ff_connections_open{proto=\"ndjson\"} "))
+        .unwrap_or_else(|| panic!("no NDJSON connection gauge in:\n{page}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn tcp_worker_connections_close_after_each_job() {
+    let servers: Vec<_> = (0..2)
+        .map(|_| {
+            let config = ServerConfig {
+                workers: 1,
+                http: Some("127.0.0.1:0".into()),
+                ..ServerConfig::default()
+            };
+            Server::bind_with("127.0.0.1:0", config)
+                .unwrap()
+                .spawn()
+                .unwrap()
+        })
+        .collect();
+    let addrs: Vec<String> = servers.iter().map(|h| h.addr().to_string()).collect();
+    let g = read_metis(GRID.as_bytes()).unwrap();
+    let spec = spec(2, 7, MigrationPolicyId::ReplaceIfBetter);
+    for _ in 0..3 {
+        solve_distributed(
+            &g,
+            &spec,
+            &WorkerSet::Connect {
+                addrs: addrs.clone(),
+            },
+            &DistOpts {
+                reply_timeout: Duration::from_secs(120),
+                ..DistOpts::default()
+            },
+            &mut |_, _| {},
+        )
+        .unwrap();
+    }
+    // Each job's worker connections end with it: every server's gauge
+    // returns to 0 instead of holding two more per job.
+    for handle in &servers {
+        let http = handle.http_addr().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let open = open_ndjson_connections(http);
+            if open == 0.0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{open} NDJSON connections still open on {}",
+                handle.addr()
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+    for handle in servers {
+        Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+        handle.join().unwrap();
     }
 }
