@@ -145,13 +145,25 @@ impl<I: IslandSet> EpochLoop<I> {
                 .filter(move |r| r.trace.tag().unwrap_or(primary) == primary)
         };
         let trace = AnytimeTrace::merged(primary_islands().map(|r| &r.trace));
-        let mut best_value_per_k = BTreeMap::new();
-        for (&k, &v) in primary_islands().flat_map(|r| &r.best_value_per_k) {
-            let entry = best_value_per_k.entry(k).or_insert(f64::INFINITY);
-            if v < *entry {
-                *entry = v;
+        // Min-merge in island order per k, then build the map from the
+        // sorted entries in bulk: inserting one key at a time in
+        // ascending order would leave its nodes about half full.
+        let mut per_k: Vec<(usize, f64)> = primary_islands()
+            .flat_map(|r| r.best_value_per_k.iter().map(|(&k, &v)| (k, v)))
+            .collect();
+        per_k.sort_by_key(|&(k, _)| k); // stable: island order within a k
+        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(per_k.len());
+        for (k, v) in per_k {
+            if merged.last().is_none_or(|&(last, _)| last != k) {
+                merged.push((k, f64::INFINITY));
+            }
+            if let Some((_, best)) = merged.last_mut() {
+                if v < *best {
+                    *best = v;
+                }
             }
         }
+        let best_value_per_k: BTreeMap<usize, f64> = merged.into_iter().collect();
         Ok(EnsembleResult {
             best: islands[best_island].best.clone(),
             best_value: islands[best_island].best_value,
