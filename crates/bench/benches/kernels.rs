@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the substrate kernels every partitioner
 //! is built on: spmv, Lanczos Fiedler solves, matching + coarsening, FM
 //! passes, percolation, incremental move bookkeeping, the fusion–fission
-//! step loop (core loop and agglomeration) and its fission split.
+//! step loop (core loop and agglomeration), its fission split and partner
+//! choice, and one level of greedy k-way refinement.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ff_atc::{FabopConfig, FabopInstance};
@@ -167,6 +168,82 @@ fn bench_ff_agglomerate(c: &mut Criterion) {
     });
 }
 
+/// The `multilevel_sparse_1e5` benchmark graph, its coarsening stack
+/// (the multilevel pipeline's default target of 3000 vertices, matching
+/// seed 7) and an 8-way partition of the coarsest graph along the planted
+/// groups: coarse vertex `c` goes to part `8·group/100` of the group its
+/// lowest fine vertex was planted in.
+fn multilevel_instance() -> (ff_graph::Graph, ff_graph::Hierarchy, Vec<u32>) {
+    use ff_graph::generators::planted_partition_sparse;
+    let g = planted_partition_sparse(100, 1000, 0.008, 2e-5, 1);
+    let h = ff_graph::Hierarchy::build(&g, 3000, 7);
+    let coarse_n = h.coarsest(&g).num_vertices() as u32;
+    let owner = h.project_to_finest(&(0..coarse_n).collect::<Vec<_>>());
+    let mut asg = vec![0u32; coarse_n as usize];
+    for (v, &c) in owner.iter().enumerate().rev() {
+        asg[c as usize] = (v / 1000 * 8 / 100) as u32;
+    }
+    (g, h, asg)
+}
+
+fn bench_select_partner(c: &mut Criterion) {
+    use ff_core::ops::select_partner;
+    use ff_core::FusionFissionConfig;
+    use ff_partition::Connections;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    // One atom of the coarse graph the multilevel search runs on: part 0
+    // of the 8-way planted partition, ~1/8 of the ~1.9k coarse vertices of
+    // average degree ~130, as in the search's core loop.
+    let (g, h, asg) = multilevel_instance();
+    let coarse = h.coarsest(&g);
+    let st = CutState::new(coarse, Partition::from_assignment(coarse, asg, 8));
+    let size_bias = FusionFissionConfig::standard(8).size_bias;
+    let mut conn = Connections::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    c.bench_function("select_partner_coarse_1e5", |b| {
+        b.iter(|| black_box(select_partner(&st, &mut conn, 0, 0.5, size_bias, &mut rng)))
+    });
+}
+
+fn bench_greedy_level(c: &mut Criterion) {
+    use ff_partition::greedy_refine_kway;
+    use ff_partition::refine::greedy::GreedyOptions;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    // The first level `refine_up` refines: the coarse partition, with 10%
+    // of its vertices moved to random parts, projected onto the graph one
+    // level finer than the coarsest, and refined with the pipeline's
+    // default 8 passes.
+    let (g, h, asg) = multilevel_instance();
+    let lvl = h.num_levels() - 1;
+    let fine = h.graph_at(&g, lvl);
+    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    let noisy: Vec<u32> = asg
+        .iter()
+        .map(|&p| {
+            if rng.gen_bool(0.1) {
+                rng.gen_range(0..8)
+            } else {
+                p
+            }
+        })
+        .collect();
+    let part = Partition::from_assignment(fine, h.levels()[lvl].project(&noisy), 8);
+    let opts = GreedyOptions {
+        max_passes: 8,
+        seed: 7,
+        ..GreedyOptions::default()
+    };
+    c.bench_function("greedy_refine_kway_level_1e5", |b| {
+        b.iter_batched(
+            || CutState::new(fine, part.clone()),
+            |mut st| black_box(greedy_refine_kway(&mut st, Objective::Cut, &opts)),
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 fn bench_ff_fission(c: &mut Criterion) {
     use ff_core::ops::fission_split;
     use ff_core::FissionSplitter;
@@ -215,6 +292,8 @@ criterion_group!(
     bench_move_bookkeeping,
     bench_ff_steps,
     bench_ff_agglomerate,
-    bench_ff_fission
+    bench_ff_fission,
+    bench_select_partner,
+    bench_greedy_level
 );
 criterion_main!(benches);
