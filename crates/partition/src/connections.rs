@@ -43,17 +43,13 @@ use ff_graph::{Graph, VertexId};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Connections {
-    /// One slot per part id. Slots outside `parts` hold `+0.0`, unmarked.
-    slots: Vec<Slot>,
+    /// One weight slot per part id; `+0.0` outside `parts`.
+    weight: Vec<f64>,
+    /// Whether the last gather reached each part id; `false` outside
+    /// `parts`.
+    reached: Vec<bool>,
     /// Part ids the last gather reached, ascending once it finished.
     parts: Vec<u32>,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct Slot {
-    weight: f64,
-    /// Whether the current gather reached this part.
-    reached: bool,
 }
 
 impl Connections {
@@ -65,7 +61,8 @@ impl Connections {
     /// A scratch with slots for `num_parts` part ids.
     pub fn with_parts(num_parts: usize) -> Self {
         Connections {
-            slots: vec![Slot::default(); num_parts],
+            weight: vec![0.0; num_parts],
+            reached: vec![false; num_parts],
             parts: Vec::new(),
         }
     }
@@ -108,15 +105,13 @@ impl Connections {
     /// not reach.
     #[inline]
     pub fn weight(&self, p: u32) -> f64 {
-        self.slots.get(p as usize).map_or(0.0, |s| s.weight)
+        self.weight.get(p as usize).copied().unwrap_or(0.0)
     }
 
     /// `(part, weight)` for every part the last gather reached, by
     /// ascending part id.
     pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.parts
-            .iter()
-            .map(|&p| (p, self.slots[p as usize].weight))
+        self.parts.iter().map(|&p| (p, self.weight[p as usize]))
     }
 
     /// Clears the slots the previous gather reached back to `+0.0` and
@@ -124,22 +119,24 @@ impl Connections {
     /// renumbered since.
     fn begin(&mut self, num_parts: usize) {
         for &p in &self.parts {
-            self.slots[p as usize] = Slot::default();
+            self.weight[p as usize] = 0.0;
+            self.reached[p as usize] = false;
         }
         self.parts.clear();
-        if self.slots.len() < num_parts {
-            self.slots.resize(num_parts, Slot::default());
+        if self.weight.len() < num_parts {
+            self.weight.resize(num_parts, 0.0);
+            self.reached.resize(num_parts, false);
         }
     }
 
     #[inline]
     fn add(&mut self, p: u32, w: f64) {
-        let slot = &mut self.slots[p as usize];
-        if !slot.reached {
-            slot.reached = true;
+        let i = p as usize;
+        if !self.reached[i] {
+            self.reached[i] = true;
             self.parts.push(p);
         }
-        slot.weight += w;
+        self.weight[i] += w;
     }
 }
 
