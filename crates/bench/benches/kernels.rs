@@ -223,7 +223,7 @@ fn bench_greedy_level(c: &mut Criterion) {
         .iter()
         .map(|&p| {
             if rng.gen_bool(0.1) {
-                rng.gen_range(0..8)
+                rng.gen_range(0..8u32)
             } else {
                 p
             }
