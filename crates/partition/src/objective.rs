@@ -296,6 +296,7 @@ impl<'g> CutState<'g> {
     /// [`Connections::gather_vertex`](crate::Connections::gather_vertex)
     /// sums them, give `move_delta`'s result bit for bit. Returns 0.0
     /// for a no-op move.
+    #[inline]
     pub fn move_delta_with(
         &self,
         obj: Objective,
