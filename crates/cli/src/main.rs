@@ -481,16 +481,13 @@ fn serve_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// One `  <range> <count>` histogram row per bucket. `inclusive` picks
-/// the bound style: job-duration buckets are `≤ bound` (ff-obs histogram
-/// semantics), permit-wait buckets `< bound` (the gate's layout). The
-/// last bucket is always unbounded.
-fn print_histogram(counts: &[u64], bounds_ms: &[u64], inclusive: bool) {
-    let (inner, last) = if inclusive { ("<=", ">") } else { ("<", ">=") };
+/// One `  <range> <count>` histogram row per bucket. Buckets are
+/// `≤ bound` (ff-obs histogram semantics); the last is unbounded.
+fn print_histogram(counts: &[u64], bounds_ms: &[u64]) {
     for (i, &count) in counts.iter().enumerate() {
         let label = match bounds_ms.get(i) {
-            Some(&bound) => format!("{inner} {bound} ms"),
-            None => format!("{last} {} ms", bounds_ms.last().copied().unwrap_or(0)),
+            Some(&bound) => format!("<= {bound} ms"),
+            None => format!("> {} ms", bounds_ms.last().copied().unwrap_or(0)),
         };
         println!("  {label:<14}{count:>10}");
     }
@@ -576,9 +573,9 @@ fn stats_main(args: &[String]) -> ExitCode {
     println!("  slots       {:>10}", st.workers);
     println!("  gate queued {:>10}", st.gate_queued);
     println!("permit wait (slot acquisitions)");
-    print_histogram(&st.permit_wait_hist, &st.permit_wait_bucket_ms, false);
+    print_histogram(&st.permit_wait_hist, &st.permit_wait_bucket_ms);
     println!("job duration (finished jobs)");
-    print_histogram(&st.job_duration_hist, &st.job_duration_bucket_ms, true);
+    print_histogram(&st.job_duration_hist, &st.job_duration_bucket_ms);
     ExitCode::SUCCESS
 }
 

@@ -19,6 +19,15 @@ use ff_partition::Objective;
 pub enum ConfigError {
     /// `k` was 0 (or never set on a builder).
     NonPositiveK,
+    /// `k` exceeded the graph's vertex count: a partition cannot have
+    /// more non-empty parts than vertices. Checked by the `ff-engine`
+    /// solver builder, which holds the graph.
+    KExceedsVertices {
+        /// Requested part count.
+        k: usize,
+        /// Vertices in the graph.
+        vertices: usize,
+    },
     /// `t_max` did not exceed `t_min`.
     BadTemperatureRange,
     /// `nbt` was 0.
@@ -61,6 +70,9 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::NonPositiveK => write!(f, "k must be positive"),
+            ConfigError::KExceedsVertices { k, vertices } => {
+                write!(f, "k must be in 1..={vertices} (got {k})")
+            }
             ConfigError::BadTemperatureRange => write!(f, "t_max must exceed t_min"),
             ConfigError::ZeroNbt => write!(f, "nbt must be positive"),
             ConfigError::NegativeChoice => {

@@ -235,6 +235,13 @@ impl<'g> Solver<'g> {
     /// Validates the whole configuration without starting anything.
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         self.base.try_validate()?;
+        let vertices = self.g.num_vertices();
+        if self.base.k > vertices {
+            return Err(ConfigError::KExceedsVertices {
+                k: self.base.k,
+                vertices,
+            });
+        }
         if self.islands == 0 {
             return Err(ConfigError::ZeroIslands);
         }

@@ -457,6 +457,33 @@ fn builder_validation_is_typed() {
         .is_ok());
 }
 
+/// `k` is checked against the graph it partitions: more parts than
+/// vertices is a typed error on every entry point, not a panic inside
+/// the search.
+#[test]
+fn k_above_the_vertex_count_is_typed() {
+    use ff_engine::MultilevelOpts;
+    let g = ff_graph::generators::grid2d(2, 2);
+    let over = || Solver::on(&g).k(5).steps(100);
+    assert!(over().try_validate().is_err());
+    let Err(err) = over().run() else {
+        panic!("k = 5 > 4 vertices must be rejected");
+    };
+    assert!(err.to_string().contains("k must be in 1..=4"), "{err}");
+    assert_eq!(
+        err,
+        ff_core::ConfigError::KExceedsVertices { k: 5, vertices: 4 }
+    );
+    assert_eq!(over().start().err(), Some(err.clone()));
+    assert_eq!(
+        over().multilevel(MultilevelOpts::default()).run().err(),
+        Some(err)
+    );
+    // k = n is still a valid request.
+    let all = Solver::on(&g).k(4).steps(100).run().unwrap();
+    assert_eq!(all.best.num_vertices(), 4);
+}
+
 /// The objective-list helpers the CLI, wire schema and builder share.
 #[test]
 fn objective_list_helpers() {

@@ -47,6 +47,7 @@ pub const LOCK_SCOPE: &[&str] = &["crates/service/src", "crates/obs/src"];
 
 /// Request-handling / job-driver files where panics are forbidden.
 pub const PANIC_FILES: &[&str] = &[
+    "crates/service/src/cache.rs",
     "crates/service/src/server.rs",
     "crates/service/src/http.rs",
     "crates/service/src/job.rs",

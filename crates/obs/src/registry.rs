@@ -49,13 +49,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Mirrors an external monotone source: raises the counter to `v` if
-    /// `v` is larger, never lowers it — so scraping stays monotone even
-    /// when the source snapshot briefly lags another thread's update.
-    pub fn raise_to(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -378,17 +371,6 @@ mod tests {
         assert_eq!(h.counts(), vec![2, 1, 1]);
         assert_eq!(h.count(), 4);
         assert!((h.sum() - 106.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn counter_raise_to_never_lowers() {
-        let reg = Registry::new();
-        let c = reg.counter("ff_mirror_total", "h");
-        c.raise_to(5);
-        c.raise_to(3);
-        assert_eq!(c.get(), 5);
-        c.raise_to(9);
-        assert_eq!(c.get(), 9);
     }
 
     #[test]

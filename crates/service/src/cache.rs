@@ -23,8 +23,10 @@
 //!   twice costs one parse and a few dozen bytes of cache metadata, and
 //!   `stats` output never scales with graph size.
 
+use crate::obs::CacheCounters;
 use crate::sync::{lock, wait};
 use ff_graph::Graph;
+use ff_obs::{Counter, Registry};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -119,15 +121,14 @@ struct CacheInner {
     bytes: usize,
     tick: u64,
     next_id: u64,
-    hits: u64,
-    loads: u64,
-    evictions: u64,
 }
 
-/// The lock + the condvar loaders wait on while another thread parses.
+/// The lock, the condvar loaders wait on while another thread parses,
+/// and the counters the cache feeds (updated under the lock).
 struct CacheShared {
     inner: Mutex<CacheInner>,
     loaded_cv: Condvar,
+    counters: CacheCounters,
 }
 
 /// What [`InstanceCache::load`] did.
@@ -220,15 +221,16 @@ impl Drop for PinnedGraph {
         // A cache held over budget by pins reclaims as soon as the last
         // pin drops — not lazily at the next load.
         if unpinned {
-            inner.evict_to_budget(u64::MAX);
+            inner.evict_to_budget(u64::MAX, &self.shared.counters.evictions);
         }
     }
 }
 
 impl CacheInner {
     /// Evicts least-recently-used unpinned entries (never `protect`)
-    /// until the cache fits its budget or nothing more is evictable.
-    fn evict_to_budget(&mut self, protect: u64) {
+    /// until the cache fits its budget or nothing more is evictable,
+    /// counting each on `evictions`.
+    fn evict_to_budget(&mut self, protect: u64, evictions: &Counter) {
         if self.budget == 0 {
             return;
         }
@@ -239,10 +241,11 @@ impl CacheInner {
                 .filter(|(_, e)| e.pins == 0 && e.id != protect)
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(k, _)| k.clone());
-            let Some(key) = victim else { break };
-            let gone = self.entries.remove(&key).unwrap();
+            let Some(gone) = victim.and_then(|key| self.entries.remove(&key)) else {
+                break;
+            };
             self.bytes -= gone.bytes;
-            self.evictions += 1;
+            evictions.inc();
         }
     }
 }
@@ -254,8 +257,15 @@ impl InstanceCache {
     }
 
     /// An empty cache evicting LRU entries past `budget` CSR bytes
-    /// (`0` = unlimited).
+    /// (`0` = unlimited), counting its traffic on a registry of its own.
     pub fn with_budget(budget: usize) -> Self {
+        Self::with_registry(budget, &Registry::new())
+    }
+
+    /// [`InstanceCache::with_budget`], counting hits, loads and evictions
+    /// on `registry`'s `ff_cache_*_total` counters, which
+    /// [`InstanceCache::stats`] reads back.
+    pub fn with_registry(budget: usize, registry: &Registry) -> Self {
         InstanceCache {
             shared: Arc::new(CacheShared {
                 inner: Mutex::new(CacheInner {
@@ -265,11 +275,9 @@ impl InstanceCache {
                     bytes: 0,
                     tick: 0,
                     next_id: 0,
-                    hits: 0,
-                    loads: 0,
-                    evictions: 0,
                 }),
                 loaded_cv: Condvar::new(),
+                counters: CacheCounters::new(registry),
             }),
         }
     }
@@ -290,21 +298,20 @@ impl InstanceCache {
         let digest = source_digest(&source, format);
         let mut inner = lock(&self.shared.inner);
         loop {
-            if inner.entries.get(key).is_some_and(|e| e.digest == digest) {
-                inner.tick += 1;
-                inner.hits += 1;
-                let tick = inner.tick;
-                let existing = inner.entries.get_mut(key).unwrap();
-                existing.last_use = tick;
+            let state = &mut *inner;
+            if let Some(hit) = state.entries.get_mut(key).filter(|e| e.digest == digest) {
+                state.tick += 1;
+                hit.last_use = state.tick;
+                self.shared.counters.hits.inc();
                 return Ok((
-                    existing.graph.clone(),
+                    hit.graph.clone(),
                     LoadOutcome {
                         cached: true,
                         reloaded: false,
                     },
                 ));
             }
-            if !inner.pending.contains(key) {
+            if !state.pending.contains(key) {
                 break; // this thread becomes the loader
             }
             // Another thread is parsing this key: wait, then re-check
@@ -322,7 +329,7 @@ impl InstanceCache {
         let bytes = graph.csr_bytes();
         inner.tick += 1;
         let tick = inner.tick;
-        inner.loads += 1;
+        self.shared.counters.loads.inc();
         let id = inner.next_id;
         inner.next_id += 1;
         let replaced = inner.entries.insert(
@@ -341,7 +348,7 @@ impl InstanceCache {
             inner.bytes -= old.bytes;
         }
         inner.bytes += bytes;
-        inner.evict_to_budget(id);
+        inner.evict_to_budget(id, &self.shared.counters.evictions);
         Ok((
             graph,
             LoadOutcome {
@@ -362,7 +369,7 @@ impl InstanceCache {
         e.pins += 1;
         e.last_use = tick;
         let (graph, id) = (e.graph.clone(), e.id);
-        inner.hits += 1;
+        self.shared.counters.hits.inc();
         Some(PinnedGraph {
             graph,
             key: key.to_string(),
@@ -379,9 +386,8 @@ impl InstanceCache {
         let tick = inner.tick;
         let e = inner.entries.get_mut(key)?;
         e.last_use = tick;
-        let graph = e.graph.clone();
-        inner.hits += 1;
-        Some(graph)
+        self.shared.counters.hits.inc();
+        Some(e.graph.clone())
     }
 
     /// Content digest of the entry under `key`, if resident. This is
@@ -390,13 +396,7 @@ impl InstanceCache {
     /// bytes changed across the restart invalidates its journaled jobs
     /// instead of silently re-executing them on different input.
     pub fn digest(&self, key: &str) -> Option<u64> {
-        self.shared
-            .inner
-            .lock()
-            .unwrap()
-            .entries
-            .get(key)
-            .map(|e| e.digest)
+        lock(&self.shared.inner).entries.get(key).map(|e| e.digest)
     }
 
     /// Number of instances currently cached.
@@ -409,16 +409,18 @@ impl InstanceCache {
         self.len() == 0
     }
 
-    /// Counter snapshot for `stats`.
+    /// Counter snapshot for `stats`. The counters are read under the
+    /// cache lock they are updated under, so the snapshot is coherent.
     pub fn stats(&self) -> CacheStats {
         let inner = lock(&self.shared.inner);
+        let counters = &self.shared.counters;
         CacheStats {
             instances: inner.entries.len(),
             bytes: inner.bytes as u64,
             budget: inner.budget as u64,
-            hits: inner.hits,
-            loads: inner.loads,
-            evictions: inner.evictions,
+            hits: counters.hits.get(),
+            loads: counters.loads.get(),
+            evictions: counters.evictions.get(),
         }
     }
 

@@ -9,21 +9,22 @@
 //! to completion. (A plain `Mutex`/semaphore gives no ordering guarantee;
 //! strict FIFO is what makes the sharing *fair*.)
 //!
-//! Every acquire also records how long it waited into a coarse
-//! logarithmic histogram ([`FairGate::wait_histogram`]) — the server's
-//! `stats` event exposes it, so operators can see contention building up
-//! *before* admission control starts rejecting.
+//! Every acquire, a job's chunk or a worker session's epoch, also
+//! records how long it waited in the coarse logarithmic `ff_permit_wait_ms`
+//! histogram ([`FairGate::wait_histogram`]). The server's `stats` event
+//! and `/metrics` both read that one histogram, so operators can see
+//! contention building up *before* admission control starts rejecting.
 
 use crate::sync::{lock, wait};
+use ff_obs::{Histogram, Registry};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Number of buckets in the permit-wait histogram.
 pub const WAIT_BUCKETS: usize = 5;
 
-/// Upper bounds (exclusive, in milliseconds) of the first
+/// Upper bounds (inclusive, in milliseconds) of the first
 /// `WAIT_BUCKETS - 1` histogram buckets; the last bucket is unbounded.
 pub const WAIT_BUCKET_MS: [u64; WAIT_BUCKETS - 1] = [1, 10, 100, 1000];
 
@@ -38,7 +39,7 @@ struct GateState {
 pub struct FairGate {
     state: Mutex<GateState>,
     cv: Condvar,
-    waits: [AtomicU64; WAIT_BUCKETS],
+    waits: Histogram,
 }
 
 /// An acquired compute slot; released (and the next ticket woken) on drop.
@@ -47,8 +48,15 @@ pub struct Permit {
 }
 
 impl FairGate {
-    /// A gate with `permits` concurrent slots (at least 1).
+    /// A gate with `permits` concurrent slots (at least 1), recording its
+    /// waits on a registry of its own.
     pub fn new(permits: usize) -> Arc<FairGate> {
+        FairGate::with_registry(permits, &Registry::new())
+    }
+
+    /// [`FairGate::new`], recording its waits in `registry`'s
+    /// `ff_permit_wait_ms` histogram.
+    pub fn with_registry(permits: usize, registry: &Registry) -> Arc<FairGate> {
         assert!(permits >= 1, "need at least one permit");
         Arc::new(FairGate {
             state: Mutex::new(GateState {
@@ -57,7 +65,7 @@ impl FairGate {
                 next_ticket: 0,
             }),
             cv: Condvar::new(),
-            waits: Default::default(),
+            waits: crate::obs::permit_wait_ms(registry),
         })
     }
 
@@ -76,12 +84,7 @@ impl FairGate {
         st.queue.pop_front();
         st.available -= 1;
         drop(st);
-        let waited_ms = started.elapsed().as_millis() as u64;
-        let bucket = WAIT_BUCKET_MS
-            .iter()
-            .position(|&hi| waited_ms < hi)
-            .unwrap_or(WAIT_BUCKETS - 1);
-        self.waits[bucket].fetch_add(1, Ordering::Relaxed);
+        self.waits.observe(started.elapsed().as_secs_f64() * 1e3);
         // Another ticket may be eligible too (available > 1).
         self.cv.notify_all();
         Permit { gate: self.clone() }
@@ -93,10 +96,11 @@ impl FairGate {
     }
 
     /// Counts of completed acquires by how long they waited: buckets are
-    /// `< 1 ms`, `< 10 ms`, `< 100 ms`, `< 1 s`, `≥ 1 s`
+    /// `≤ 1 ms`, `≤ 10 ms`, `≤ 100 ms`, `≤ 1 s`, `> 1 s`
     /// (see [`WAIT_BUCKET_MS`]).
     pub fn wait_histogram(&self) -> [u64; WAIT_BUCKETS] {
-        std::array::from_fn(|i| self.waits[i].load(Ordering::Relaxed))
+        let counts = self.waits.counts();
+        std::array::from_fn(|i| counts[i])
     }
 }
 
@@ -169,7 +173,7 @@ mod tests {
     fn wait_histogram_separates_fast_and_slow_acquires() {
         let gate = FairGate::new(1);
         {
-            let _p = gate.acquire(); // uncontended: < 1 ms bucket
+            let _p = gate.acquire(); // uncontended: ≤ 1 ms bucket
         }
         let blocker = gate.acquire();
         let gate2 = gate.clone();

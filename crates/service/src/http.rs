@@ -574,8 +574,8 @@ fn handle_request(
             Ok(true)
         }
         ("GET", ["metrics"]) => {
-            // `stats()` raises the scrape-time mirror counters first, so
-            // the page always agrees with the `stats` event.
+            // The `stats` snapshot sets the point-in-time gauges; every
+            // counter is already current.
             let _ = state.stats();
             let page = state.metrics.registry.render();
             respond_raw(out, 200, ff_obs::EXPOSITION_CONTENT_TYPE, &page, keep, &[])?;

@@ -154,10 +154,10 @@ pub(crate) fn validate_job(spec: &JobRequest, graph: &Graph) -> Result<(), Confi
 /// updates on it, so a client that reacts instantly to `done` (resubmit,
 /// stats) can never observe the finished job as still in flight.
 ///
-/// `obs`, when given, hooks the engine's per-epoch instrumentation into
-/// the server registry, times gate waits, and emits `epoch` log spans.
-/// All of it is observation-only: the solve consumes no RNG, chunking or
-/// output byte differently whether `obs` is `Some` or `None`.
+/// `obs` hooks the engine's per-epoch instrumentation into the server
+/// registry and emits `epoch` log spans (the gate records its own
+/// waits). All of it is observation-only: the solve consumes no RNG,
+/// chunking or output byte differently for being observed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_job(
     job_id: u64,
@@ -166,7 +166,7 @@ pub(crate) fn run_job(
     gate: &Arc<FairGate>,
     token: &CancelToken,
     sink: &EventSink,
-    obs: Option<&Metrics>,
+    obs: &Metrics,
     before_done: impl FnOnce(&DoneInfo),
 ) -> DoneInfo {
     let started = Instant::now();
@@ -176,10 +176,7 @@ pub(crate) fn run_job(
     // have. Same discipline as the dist layer's `FFPART_FAULT`.
     let poisoned = std::env::var("FFPART_JOB_PANIC").is_ok_and(|key| key == spec.instance);
     let multi = spec.is_pareto();
-    let mut solver = job_solver(spec, graph);
-    if let Some(metrics) = obs {
-        solver = solver.observe(metrics.registry.clone());
-    }
+    let solver = job_solver(spec, graph).observe(obs.registry.clone());
     // `run_with` lets the service keep its cooperative chunked drive
     // (gate permits, improvement streaming, cancellation) while the
     // engine decides *where* that drive runs: on the input graph, or —
@@ -196,9 +193,7 @@ pub(crate) fn run_job(
             // stream deterministic values).
             let mut best: HashMap<Objective, f64> = HashMap::new();
             for epoch in 1u64.. {
-                let waiting = Instant::now();
                 let permit = gate.acquire();
-                let waited = waiting.elapsed();
                 if poisoned {
                     // lint: allow(PANIC_PATH) — deliberate fault-injection hook; fires only when the
                     // FFPART_JOB_PANIC env var is set by the crash-recovery tests.
@@ -206,21 +201,18 @@ pub(crate) fn run_job(
                 }
                 let more = run.advance_epoch();
                 drop(permit);
-                if let Some(metrics) = obs {
-                    metrics.permit_wait(waited);
-                    metrics.logger.log(
-                        "epoch",
-                        Some(job_id),
-                        &[
-                            ("epoch", LogValue::U64(epoch)),
-                            ("steps", LogValue::U64(run.total_steps())),
-                            (
-                                "best",
-                                LogValue::F64(run.best_value_at_target().unwrap_or(f64::INFINITY)),
-                            ),
-                        ],
-                    );
-                }
+                obs.logger.log(
+                    "epoch",
+                    Some(job_id),
+                    &[
+                        ("epoch", LogValue::U64(epoch)),
+                        ("steps", LogValue::U64(run.total_steps())),
+                        (
+                            "best",
+                            LogValue::F64(run.best_value_at_target().unwrap_or(f64::INFINITY)),
+                        ),
+                    ],
+                );
                 for (i, island) in run.islands().iter().enumerate() {
                     let objective = island.config().objective;
                     for p in island.trace().points_since(cursors[i]) {
@@ -322,6 +314,10 @@ mod tests {
         (EventSink::new(Box::new(Shared(buf.clone()))), buf)
     }
 
+    fn metrics() -> Metrics {
+        Metrics::new(ff_obs::Registry::new(), ff_obs::Logger::off())
+    }
+
     fn events_from(buf: &Arc<Mutex<Vec<u8>>>) -> Vec<Event> {
         let bytes = lock(buf);
         let text = String::from_utf8(bytes.clone()).unwrap();
@@ -357,7 +353,7 @@ mod tests {
         let run = || {
             let (sink, buf) = sink_to_vec();
             let token = CancelToken::new();
-            let done = run_job(7, &spec, &graph, &gate, &token, &sink, None, |_| ());
+            let done = run_job(7, &spec, &graph, &gate, &token, &sink, &metrics(), |_| ());
             (done, events_from(&buf))
         };
         let (done_a, events_a) = run();
@@ -405,7 +401,7 @@ mod tests {
         };
         let (sink, _buf) = sink_to_vec();
         let token = CancelToken::new();
-        let done = run_job(1, &spec, &graph, &gate, &token, &sink, None, |_| ());
+        let done = run_job(1, &spec, &graph, &gate, &token, &sink, &metrics(), |_| ());
         // The service drive must be bit-equal to driving ff-engine
         // directly with the same shape.
         let direct = Solver::on(&graph)
@@ -441,7 +437,7 @@ mod tests {
         assert!(spec.is_pareto());
         let (sink, buf) = sink_to_vec();
         let token = CancelToken::new();
-        let done = run_job(5, &spec, &graph, &gate, &token, &sink, None, |_| ());
+        let done = run_job(5, &spec, &graph, &gate, &token, &sink, &metrics(), |_| ());
         let front = done.pareto.as_ref().expect("pareto job carries a front");
         // The wire front must equal the library front exactly.
         let direct = job_solver(&spec, &graph).start().unwrap();
@@ -510,7 +506,7 @@ mod tests {
         let run = || {
             let (sink, _buf) = sink_to_vec();
             let token = CancelToken::new();
-            run_job(9, &spec, &graph, &gate, &token, &sink, None, |_| ())
+            run_job(9, &spec, &graph, &gate, &token, &sink, &metrics(), |_| ())
         };
         let a = run();
         let b = run();
@@ -564,7 +560,7 @@ mod tests {
             canceller.cancel();
         });
         let started = Instant::now();
-        let done = run_job(2, &spec, &graph, &gate, &token, &sink, None, |_| ());
+        let done = run_job(2, &spec, &graph, &gate, &token, &sink, &metrics(), |_| ());
         handle.join().unwrap();
         assert_eq!(done.status, JobStatus::Cancelled);
         assert!(
@@ -587,7 +583,7 @@ mod tests {
         let (sink, _buf) = sink_to_vec();
         let token = CancelToken::new();
         let started = Instant::now();
-        let done = run_job(3, &spec, &graph, &gate, &token, &sink, None, |_| ());
+        let done = run_job(3, &spec, &graph, &gate, &token, &sink, &metrics(), |_| ());
         let elapsed = started.elapsed();
         assert_eq!(done.status, JobStatus::Deadline);
         assert!(

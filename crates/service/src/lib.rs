@@ -17,8 +17,10 @@
 //!   cheap parked thread and only compute while holding one of N
 //!   permits, advancing their [`ff_core::FusionFissionRun`] /
 //!   [`ff_engine::SolverRun`] a chunk at a time — M in-flight jobs
-//!   share N slots round-robin instead of queueing whole-job. Permit
-//!   wait times are histogrammed into `stats`.
+//!   share N slots round-robin instead of queueing whole-job. Every
+//!   slot acquisition's wait, job chunks and worker-session epochs
+//!   alike, lands in one histogram that `stats` and `/metrics` both
+//!   read ([`obs`]).
 //! * **Admission control** ([`ServerConfig::max_jobs`],
 //!   [`ServerConfig::max_jobs_per_conn`]): in-flight jobs are bounded
 //!   server-wide and per connection; overflow gets a typed `rejected`
@@ -41,8 +43,8 @@
 //! * **Durability** ([`journal`], [`ServerConfig::journal`]): an
 //!   append-only NDJSON job journal with length/checksum framing.
 //!   Binding replays it: finished jobs are restored into the HTTP
-//!   event-log ring as observable history (counters raised
-//!   monotonically, nothing re-executed), jobs in flight at crash time
+//!   event-log ring as observable history (counters restored from the
+//!   journaled totals, nothing re-executed), jobs in flight at crash time
 //!   are re-executed from their journaled request — byte-identically
 //!   when step-budgeted. A torn final record (the crash shape) is
 //!   tolerated; any other corruption fails the bind with a byte offset.

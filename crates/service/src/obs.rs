@@ -2,25 +2,26 @@
 //! `GET /metrics` and the extended `stats` event, plus the optional
 //! structured operational logger behind `ffpart serve --log-format`.
 //!
-//! Two update disciplines keep every metric observation-only:
+//! The registry is the service's only counter store. Each count and
+//! histogram is updated where its event happens (admission, rejection,
+//! `done`, a cache hit, load or eviction, a gate acquisition, a
+//! connection), and the `stats` event is built by reading those same
+//! handles, so `stats` and `/metrics` cannot disagree. The point-in-time
+//! gauges (jobs in flight, gate queue, cache bytes and instances) are
+//! read from their owners by the one snapshot both of them take. None of
+//! it touches the engine's RNG or chunking, so every metric is
+//! observation-only.
 //!
-//! * **Event-time**: completions by status, job durations, permit waits
-//!   and connection traffic are recorded where the event happens — all
-//!   outside the engine's RNG/chunking path.
-//! * **Scrape-time mirrors**: counters the server already keeps for
-//!   `stats` (submits, rejections, cache traffic) are raised to the
-//!   authoritative snapshot on every scrape via [`Counter::raise_to`],
-//!   so `/metrics` stays monotone and can never disagree with `stats`
-//!   on direction.
-//!
-//! The registry is always live (a scrape of an idle server reports
-//! zeros — families are pre-registered so the catalog is visible from
-//! the first scrape); only the logger is opt-in.
+//! This module is the one place that names a family: each family's name,
+//! help, labels and bounds are written once here, and the cache, the
+//! gate, the journal and the distributed coordinator get their handles
+//! from it. The registry is always live (a scrape of an idle server
+//! reports zeros — families are pre-registered so the catalog is visible
+//! from the first scrape); only the logger is opt-in.
 
 use crate::gate::WAIT_BUCKET_MS;
 use crate::protocol::{DoneInfo, JobStatus, StatsInfo};
 use ff_obs::{Counter, Gauge, Histogram, LogValue, Logger, Registry};
-use std::time::Duration;
 
 /// Buckets in the job-duration histogram (the last is unbounded).
 pub const DURATION_BUCKETS: usize = 6;
@@ -28,6 +29,9 @@ pub const DURATION_BUCKETS: usize = 6;
 /// Upper bounds (inclusive, in milliseconds) of the first
 /// `DURATION_BUCKETS - 1` job-duration buckets.
 pub const DURATION_BUCKET_MS: [u64; DURATION_BUCKETS - 1] = [10, 100, 1_000, 10_000, 60_000];
+
+/// The `status` label of each [`JobStatus`], indexed by `status as usize`.
+const STATUSES: [&str; 3] = ["completed", "cancelled", "deadline"];
 
 fn ms_bounds(bounds_ms: &[u64]) -> Vec<f64> {
     bounds_ms.iter().map(|&b| b as f64).collect()
@@ -38,44 +42,38 @@ fn ms_bounds(bounds_ms: &[u64]) -> Vec<f64> {
 pub(crate) struct Metrics {
     pub(crate) registry: Registry,
     pub(crate) logger: Logger,
-    // Event-time.
-    completed: Counter,
-    cancelled: Counter,
-    deadline: Counter,
+    /// Jobs admitted; counted at admission.
+    pub(crate) submitted: Counter,
+    /// Submits refused by admission control; counted at rejection.
+    pub(crate) rejected: Counter,
+    /// Worker-pool width, set once at bind.
+    pub(crate) workers: Gauge,
+    /// `ff_jobs_completed_total`, one series per [`JobStatus`].
+    completed: [Counter; 3],
     panicked: Counter,
     job_duration_ms: Histogram,
-    permit_wait_ms: Histogram,
-    // Scrape-time mirrors of the counters `stats` owns.
-    submitted: Counter,
-    rejected: Counter,
-    cache_hits: Counter,
-    cache_loads: Counter,
-    cache_evictions: Counter,
-    cache_bytes: Gauge,
-    instances: Gauge,
     jobs_in_flight: Gauge,
     gate_queued: Gauge,
-    workers: Gauge,
+    cache_bytes: Gauge,
+    instances: Gauge,
 }
 
 impl Metrics {
     pub(crate) fn new(registry: Registry, logger: Logger) -> Metrics {
         let m = Metrics {
-            completed: registry.counter_with(
-                "ff_jobs_completed_total",
-                "Jobs finished, by final status",
-                &[("status", "completed")],
+            submitted: registry.counter("ff_jobs_submitted_total", "Jobs admitted since start"),
+            rejected: registry.counter(
+                "ff_jobs_rejected_total",
+                "Jobs refused by admission control",
             ),
-            cancelled: registry.counter_with(
-                "ff_jobs_completed_total",
-                "Jobs finished, by final status",
-                &[("status", "cancelled")],
-            ),
-            deadline: registry.counter_with(
-                "ff_jobs_completed_total",
-                "Jobs finished, by final status",
-                &[("status", "deadline")],
-            ),
+            workers: registry.gauge("ff_workers", "Worker-pool width (compute slots)"),
+            completed: STATUSES.map(|status| {
+                registry.counter_with(
+                    "ff_jobs_completed_total",
+                    "Jobs finished, by final status",
+                    &[("status", status)],
+                )
+            }),
             panicked: registry.counter(
                 "ff_jobs_panicked_total",
                 "Job driver threads that panicked (slot and permit were released)",
@@ -85,27 +83,6 @@ impl Metrics {
                 "Wall-clock milliseconds from job start to done",
                 &ms_bounds(&DURATION_BUCKET_MS),
             ),
-            permit_wait_ms: registry.histogram(
-                "ff_permit_wait_ms",
-                "Milliseconds a job chunk blocked waiting for a compute slot",
-                &ms_bounds(&WAIT_BUCKET_MS),
-            ),
-            submitted: registry.counter("ff_jobs_submitted_total", "Jobs admitted since start"),
-            rejected: registry.counter(
-                "ff_jobs_rejected_total",
-                "Jobs refused by admission control",
-            ),
-            cache_hits: registry.counter("ff_cache_hits_total", "Instance-cache hits served"),
-            cache_loads: registry.counter(
-                "ff_cache_loads_total",
-                "Graph loads (parse + CSR build) performed",
-            ),
-            cache_evictions: registry.counter(
-                "ff_cache_evictions_total",
-                "Instances evicted to stay within the cache byte budget",
-            ),
-            cache_bytes: registry.gauge("ff_cache_bytes", "CSR bytes resident in the cache"),
-            instances: registry.gauge("ff_cache_instances", "Instances currently cached"),
             jobs_in_flight: registry.gauge(
                 "ff_jobs_in_flight",
                 "Jobs admitted and not yet done (queued + running)",
@@ -114,59 +91,46 @@ impl Metrics {
                 "ff_gate_queued",
                 "Job chunks currently blocked waiting for a compute slot",
             ),
-            workers: registry.gauge("ff_workers", "Worker-pool width (compute slots)"),
+            cache_bytes: registry.gauge("ff_cache_bytes", "CSR bytes resident in the cache"),
+            instances: registry.gauge("ff_cache_instances", "Instances currently cached"),
             registry,
             logger,
         };
-        // Pre-register the families event-driven paths fill in later, so
-        // the full catalog (connections, distributed coordination) is
-        // present — at zero — from the first scrape.
+        // Pre-register the families other owners fill in (the cache, the
+        // gate, connections, distributed coordination, the journal), so
+        // the full catalog is present — at zero — from the first scrape.
+        CacheCounters::new(&m.registry);
+        permit_wait_ms(&m.registry);
         for proto in ["ndjson", "http"] {
-            m.registry.counter_with(
-                "ff_connections_opened_total",
-                "Client connections accepted, by front-end",
-                &[("proto", proto)],
-            );
-            m.registry.gauge_with(
-                "ff_connections_open",
-                "Client connections currently open, by front-end",
-                &[("proto", proto)],
-            );
+            connections(&m.registry, proto);
         }
         dist_families(&m.registry);
         journal_families(&m.registry);
         m
     }
 
-    /// Records one finished job: status-labelled completion count, the
-    /// duration histogram, and the `done` span log line.
+    /// Records one finished job: [`Metrics::count_done`] plus the `done`
+    /// span log line.
     pub(crate) fn job_done(&self, done: &DoneInfo) {
-        let status = match done.status {
-            JobStatus::Completed => {
-                self.completed.inc();
-                "completed"
-            }
-            JobStatus::Cancelled => {
-                self.cancelled.inc();
-                "cancelled"
-            }
-            JobStatus::Deadline => {
-                self.deadline.inc();
-                "deadline"
-            }
-        };
-        self.job_duration_ms.observe(done.elapsed_ms as f64);
+        self.count_done(done);
         self.logger.log(
             "done",
             Some(done.job),
             &[
-                ("status", LogValue::Str(status)),
+                ("status", LogValue::Str(STATUSES[done.status as usize])),
                 ("value", LogValue::F64(done.value)),
                 ("steps", LogValue::U64(done.steps)),
                 ("elapsed_ms", LogValue::U64(done.elapsed_ms)),
                 ("migrations", LogValue::U64(done.migrations)),
             ],
         );
+    }
+
+    /// Counts one finished job, live or replayed from the journal: the
+    /// status-labelled completion counter and the duration histogram.
+    pub(crate) fn count_done(&self, done: &DoneInfo) {
+        self.completed[done.status as usize].inc();
+        self.job_duration_ms.observe(done.elapsed_ms as f64);
     }
 
     /// Records a driver-thread panic: the counter plus a `panic` span
@@ -179,74 +143,40 @@ impl Metrics {
             .log("panic", Some(job), &[("released", LogValue::Bool(true))]);
     }
 
-    /// Raises the status-labelled completion counters to what the
-    /// journal replayed — [`Counter::raise_to`], so a replay can only
-    /// move the scrape forward, exactly like the stats mirrors.
-    pub(crate) fn replay_totals(&self, completed: u64, cancelled: u64, deadline: u64) {
-        self.completed.raise_to(completed);
-        self.cancelled.raise_to(cancelled);
-        self.deadline.raise_to(deadline);
-    }
-
-    /// Feeds one journaled `done` duration into the histogram, so a
-    /// restarted server's duration profile covers its whole history.
-    pub(crate) fn replay_duration(&self, elapsed_ms: u64) {
-        self.job_duration_ms.observe(elapsed_ms as f64);
-    }
-
-    /// Records how long one chunk blocked on the gate. Separate from the
-    /// gate's own histogram (which `stats` keeps as ground truth): this
-    /// one is measured at the job driver and rendered as a Prometheus
-    /// histogram with `sum`/`count`.
-    pub(crate) fn permit_wait(&self, waited: Duration) {
-        self.permit_wait_ms.observe(waited.as_secs_f64() * 1e3);
-    }
-
     /// Counts a connection open and returns a guard that counts the
     /// close when dropped.
     pub(crate) fn connection(&self, proto: &'static str) -> ConnectionGuard {
-        self.registry
-            .counter_with(
-                "ff_connections_opened_total",
-                "Client connections accepted, by front-end",
-                &[("proto", proto)],
-            )
-            .inc();
-        let open = self.registry.gauge_with(
-            "ff_connections_open",
-            "Client connections currently open, by front-end",
-            &[("proto", proto)],
-        );
+        let (opened, open) = connections(&self.registry, proto);
+        opened.inc();
         open.add(1.0);
         ConnectionGuard { open }
     }
 
-    /// Per-bucket counts of the job-duration histogram (the `stats`
-    /// event carries them alongside the gate's permit-wait histogram).
+    /// Per-bucket counts of the job-duration histogram.
     pub(crate) fn job_duration_counts(&self) -> [u64; DURATION_BUCKETS] {
         let counts = self.job_duration_ms.counts();
         std::array::from_fn(|i| counts[i])
     }
 
-    /// Jobs that finished cancelled (the `stats` event's counter).
-    pub(crate) fn jobs_cancelled(&self) -> u64 {
-        self.cancelled.get()
+    /// Jobs finished in any status: the sum of the
+    /// `ff_jobs_completed_total` series.
+    pub(crate) fn jobs_done(&self) -> u64 {
+        self.completed.iter().map(Counter::get).sum()
     }
 
-    /// Raises the mirror counters to `stats`'s authoritative snapshot
-    /// and sets the point-in-time gauges. Called on every `stats`
-    /// request and `/metrics` scrape.
-    pub(crate) fn sync(&self, st: &StatsInfo) {
-        self.submitted.raise_to(st.jobs_submitted);
-        self.rejected.raise_to(st.jobs_rejected);
-        self.cache_hits.raise_to(st.cache_hits);
-        self.cache_loads.raise_to(st.cache_loads);
-        self.cache_evictions.raise_to(st.cache_evictions);
-        self.cache_bytes.set(st.cache_bytes as f64);
-        self.instances.set(st.instances as f64);
+    /// Jobs that finished cancelled.
+    pub(crate) fn jobs_cancelled(&self) -> u64 {
+        self.completed[JobStatus::Cancelled as usize].get()
+    }
+
+    /// Sets the point-in-time gauges from a snapshot of their owners
+    /// (the job registry, the gate and the cache). Called by the one
+    /// snapshot both `stats` and `/metrics` take.
+    pub(crate) fn set_gauges(&self, st: &StatsInfo) {
         self.jobs_in_flight.set(st.jobs_running as f64);
         self.gate_queued.set(st.gate_queued as f64);
-        self.workers.set(st.workers as f64);
+        self.cache_bytes.set(st.cache_bytes as f64);
+        self.instances.set(st.instances as f64);
     }
 }
 
@@ -261,59 +191,105 @@ impl Drop for ConnectionGuard {
     }
 }
 
+/// A front-end's connection families: connections accepted, and open now.
+fn connections(registry: &Registry, proto: &str) -> (Counter, Gauge) {
+    let labels = [("proto", proto)];
+    (
+        registry.counter_with(
+            "ff_connections_opened_total",
+            "Client connections accepted, by front-end",
+            &labels,
+        ),
+        registry.gauge_with(
+            "ff_connections_open",
+            "Client connections currently open, by front-end",
+            &labels,
+        ),
+    )
+}
+
+/// The instance cache's traffic counters, which
+/// [`InstanceCache::stats`](crate::cache::InstanceCache::stats) reads back.
+pub(crate) struct CacheCounters {
+    pub(crate) hits: Counter,
+    pub(crate) loads: Counter,
+    pub(crate) evictions: Counter,
+}
+
+impl CacheCounters {
+    pub(crate) fn new(registry: &Registry) -> CacheCounters {
+        CacheCounters {
+            hits: registry.counter("ff_cache_hits_total", "Instance-cache hits served"),
+            loads: registry.counter(
+                "ff_cache_loads_total",
+                "Graph loads (parse + CSR build) performed",
+            ),
+            evictions: registry.counter(
+                "ff_cache_evictions_total",
+                "Instances evicted to stay within the cache byte budget",
+            ),
+        }
+    }
+}
+
+/// The gate's permit-wait histogram: one observation per slot
+/// acquisition, job chunks and worker-session epochs alike.
+pub(crate) fn permit_wait_ms(registry: &Registry) -> Histogram {
+    registry.histogram(
+        "ff_permit_wait_ms",
+        "Milliseconds a job chunk blocked waiting for a compute slot",
+        &ms_bounds(&WAIT_BUCKET_MS),
+    )
+}
+
 /// Bucket bounds for the distributed coordinator's replay-length
 /// histogram (ops replayed into a respawned worker).
 const REPLAY_BUCKETS: [f64; 5] = [1.0, 10.0, 100.0, 1000.0, 10000.0];
+
+fn wire_failures(registry: &Registry, kind: &str) -> Counter {
+    registry.counter_with(
+        "ff_dist_wire_failures_total",
+        "Worker wire failures observed by the coordinator, by kind",
+        &[("kind", kind)],
+    )
+}
+
+fn respawns(registry: &Registry) -> Counter {
+    registry.counter(
+        "ff_dist_respawns_total",
+        "Workers respawned/reconnected after a wire failure",
+    )
+}
+
+fn replay_ops(registry: &Registry) -> Histogram {
+    registry.histogram(
+        "ff_dist_replay_ops",
+        "Ops replayed into a freshly respawned worker",
+        &REPLAY_BUCKETS,
+    )
+}
 
 /// Registers the distributed-coordinator metric families on `registry`
 /// (zero-valued until a coordinator runs with this registry via
 /// [`DistOpts::obs`](crate::dist::DistOpts)). Idempotent.
 pub(crate) fn dist_families(registry: &Registry) {
     for kind in ["dead", "timeout", "corrupt"] {
-        registry.counter_with(
-            "ff_dist_wire_failures_total",
-            "Worker wire failures observed by the coordinator, by kind",
-            &[("kind", kind)],
-        );
+        wire_failures(registry, kind);
     }
-    registry.counter(
-        "ff_dist_respawns_total",
-        "Workers respawned/reconnected after a wire failure",
-    );
-    registry.histogram(
-        "ff_dist_replay_ops",
-        "Ops replayed into a freshly respawned worker",
-        &REPLAY_BUCKETS,
-    );
+    respawns(registry);
+    replay_ops(registry);
 }
 
 /// Records one wire failure: the by-kind counter plus the length of the
 /// op log about to be replayed.
-pub(crate) fn dist_wire_failure(registry: &Registry, kind: &'static str, replay_ops: usize) {
-    registry
-        .counter_with(
-            "ff_dist_wire_failures_total",
-            "Worker wire failures observed by the coordinator, by kind",
-            &[("kind", kind)],
-        )
-        .inc();
-    registry
-        .histogram(
-            "ff_dist_replay_ops",
-            "Ops replayed into a freshly respawned worker",
-            &REPLAY_BUCKETS,
-        )
-        .observe(replay_ops as f64);
+pub(crate) fn dist_wire_failure(registry: &Registry, kind: &'static str, replayed: usize) {
+    wire_failures(registry, kind).inc();
+    replay_ops(registry).observe(replayed as f64);
 }
 
 /// Counts one worker respawn/reconnect attempt.
 pub(crate) fn dist_respawn(registry: &Registry) {
-    registry
-        .counter(
-            "ff_dist_respawns_total",
-            "Workers respawned/reconnected after a wire failure",
-        )
-        .inc();
+    respawns(registry).inc();
 }
 
 /// Sets the per-worker epoch gauge — the coordinator updates it as each
@@ -399,7 +375,6 @@ mod tests {
     #[test]
     fn idle_server_catalog_is_complete_and_zero() {
         let m = Metrics::new(Registry::new(), Logger::off());
-        m.sync(&StatsInfo::default());
         let page = m.registry.render();
         let samples = parse_exposition(&page).unwrap();
         for family in [
@@ -437,23 +412,6 @@ mod tests {
         assert_eq!(counts[0], 1); // ≤ 10 ms
         assert_eq!(counts[1], 1); // ≤ 100 ms
         assert_eq!(counts[2], 1); // ≤ 1 s
-    }
-
-    #[test]
-    fn sync_mirrors_are_monotone_even_on_stale_snapshots() {
-        let m = Metrics::new(Registry::new(), Logger::off());
-        let mut st = StatsInfo {
-            jobs_submitted: 10,
-            ..StatsInfo::default()
-        };
-        m.sync(&st);
-        st.jobs_submitted = 7; // a lagging snapshot must not lower it
-        m.sync(&st);
-        let page = m.registry.render();
-        assert!(
-            page.contains("ff_jobs_submitted_total 10"),
-            "counter regressed:\n{page}"
-        );
     }
 
     #[test]

@@ -461,11 +461,12 @@ wire_struct! {
         pub workers: usize = 0,
         /// Chunks currently blocked waiting for a compute slot.
         pub gate_queued: usize = 0,
-        /// Permit-wait histogram: completed slot acquisitions bucketed by
-        /// how long they blocked (`< 1 ms`, `< 10 ms`, `< 100 ms`, `< 1 s`,
-        /// `≥ 1 s`).
+        /// Permit-wait histogram: completed slot acquisitions (job chunks
+        /// and worker-session epochs) bucketed by how long they blocked
+        /// (`≤ 1 ms`, `≤ 10 ms`, `≤ 100 ms`, `≤ 1 s`, `> 1 s`) — the
+        /// buckets of `/metrics`' `ff_permit_wait_ms`, de-cumulated.
         pub permit_wait_hist: [u64; WAIT_BUCKETS],
-        /// Upper bounds (ms, exclusive) of the first `WAIT_BUCKETS - 1`
+        /// Upper bounds (ms, inclusive) of the first `WAIT_BUCKETS - 1`
         /// permit-wait buckets, so a dashboard can label the histogram
         /// without hard-coding the server's bucket layout.
         pub permit_wait_bucket_ms: [u64; WAIT_BUCKETS - 1] = WAIT_BUCKET_MS,

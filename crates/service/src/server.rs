@@ -22,9 +22,7 @@ use crate::http::{handle_http_client, log_sink, EventLog};
 use crate::job::{run_job, validate_job, EventSink};
 use crate::journal::{read_journal, JournalRecord, JournalTap, JournalWriter, ReplaySummary};
 use crate::obs::{Metrics, DURATION_BUCKET_MS};
-use crate::protocol::{
-    DoneInfo, Event, JobRequest, JobStatus, Request, StatsInfo, PROTOCOL_VERSION,
-};
+use crate::protocol::{DoneInfo, Event, JobRequest, Request, StatsInfo, PROTOCOL_VERSION};
 use crate::sync::lock;
 use crate::wsession;
 use ff_metaheur::CancelToken;
@@ -85,7 +83,7 @@ impl ServerConfig {
     }
 }
 
-/// Shared server state: cache, worker pool, job registry, counters.
+/// Shared server state: cache, worker pool, job registry, metrics.
 pub(crate) struct ServerState {
     pub(crate) cache: InstanceCache,
     pub(crate) gate: Arc<FairGate>,
@@ -98,12 +96,10 @@ pub(crate) struct ServerState {
     /// Completion order of HTTP jobs, for bounded log retention.
     finished_logs: Mutex<VecDeque<u64>>,
     next_job: AtomicU64,
-    submitted: AtomicU64,
-    finished: AtomicU64,
-    rejected: AtomicU64,
     shutdown: AtomicBool,
     /// The always-on metrics registry (behind `GET /metrics` and the
-    /// extended `stats` event) plus the opt-in operational logger.
+    /// extended `stats` event, and the only store of the server's
+    /// counters) plus the opt-in operational logger.
     pub(crate) metrics: Metrics,
     /// The append end of the job journal, when `--journal` is set.
     pub(crate) journal: Option<Arc<JournalTap>>,
@@ -120,6 +116,7 @@ impl ServerState {
                 None => Logger::off(),
             },
         );
+        metrics.workers.set(workers as f64);
         let journal = match &config.journal {
             Some(path) => Some(Arc::new(JournalTap::new(
                 JournalWriter::open(path)?,
@@ -128,8 +125,8 @@ impl ServerState {
             None => None,
         };
         Ok(Arc::new(ServerState {
-            cache: InstanceCache::with_budget(config.cache_bytes),
-            gate: FairGate::new(workers),
+            cache: InstanceCache::with_registry(config.cache_bytes, &metrics.registry),
+            gate: FairGate::with_registry(workers, &metrics.registry),
             workers,
             max_jobs: config.max_jobs,
             max_jobs_per_conn: config.max_jobs_per_conn,
@@ -137,9 +134,6 @@ impl ServerState {
             logs: Mutex::new(HashMap::new()),
             finished_logs: Mutex::new(VecDeque::new()),
             next_job: AtomicU64::new(1),
-            submitted: AtomicU64::new(0),
-            finished: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             metrics,
             journal,
@@ -196,11 +190,13 @@ impl ServerState {
         lock(&self.logs).get(&job).cloned()
     }
 
-    /// One coherent statistics snapshot. Also raises the registry's
-    /// mirror counters to it, so a `/metrics` scrape taken through this
-    /// path can never disagree with the `stats` event on direction.
+    /// One statistics snapshot, read from the registry's counters and
+    /// histograms and from the owners of the point-in-time values. Also
+    /// sets the registry's gauges from it: `stats` and `/metrics` both
+    /// take this snapshot.
     pub(crate) fn stats(&self) -> StatsInfo {
         let cache = self.cache.stats();
+        let metrics = &self.metrics;
         let info = StatsInfo {
             instances: cache.instances,
             cache_hits: cache.hits,
@@ -208,20 +204,20 @@ impl ServerState {
             cache_evictions: cache.evictions,
             cache_bytes: cache.bytes,
             cache_budget_bytes: cache.budget,
-            jobs_submitted: self.submitted.load(Ordering::Relaxed),
+            jobs_submitted: metrics.submitted.get(),
             jobs_running: lock(&self.jobs).len() as u64,
-            jobs_done: self.finished.load(Ordering::Relaxed),
-            jobs_cancelled: self.metrics.jobs_cancelled(),
-            jobs_rejected: self.rejected.load(Ordering::Relaxed),
+            jobs_done: metrics.jobs_done(),
+            jobs_cancelled: metrics.jobs_cancelled(),
+            jobs_rejected: metrics.rejected.get(),
             max_jobs: self.max_jobs as u64,
             workers: self.workers,
             gate_queued: self.gate.queued(),
             permit_wait_hist: self.gate.wait_histogram(),
             permit_wait_bucket_ms: WAIT_BUCKET_MS,
-            job_duration_hist: self.metrics.job_duration_counts(),
+            job_duration_hist: metrics.job_duration_counts(),
             job_duration_bucket_ms: DURATION_BUCKET_MS,
         };
-        self.metrics.sync(&info);
+        metrics.set_gauges(&info);
         info
     }
 }
@@ -245,8 +241,8 @@ fn resolve_workers(workers: usize) -> usize {
 /// 2. Finished jobs (a `done` event exists) are restored into the
 ///    event-log retention ring *without re-execution*: their journaled
 ///    `improvement`/`done` lines become a finished [`EventLog`], served
-///    by `GET /jobs/:id/events` exactly like a live job's, and the
-///    counters are raised to the journaled history.
+///    by `GET /jobs/:id/events` exactly like a live job's, and each
+///    `done` is counted on the fresh registry like a live one.
 /// 3. Jobs with a journaled spec but no `done` were in flight at crash
 ///    time: they are re-executed from the spec through the same driver
 ///    path as a live submit (step-budgeted jobs land byte-identically,
@@ -314,23 +310,14 @@ fn replay_journal(state: &Arc<ServerState>, path: &str) -> std::io::Result<Repla
             JournalRecord::Event(_) => {}
         }
     }
-    // Counters: restored monotonically, never re-counted by replay.
+    // Totals: counted once on the fresh registry, which starts at zero.
+    let metrics = &state.metrics;
     state.next_job.store(max_job + 1, Ordering::Relaxed);
-    state.submitted.store(specs.len() as u64, Ordering::Relaxed);
-    state.finished.store(dones.len() as u64, Ordering::Relaxed);
-    state.rejected.store(rejected, Ordering::Relaxed);
-    let (mut completed, mut cancelled, mut deadline) = (0u64, 0u64, 0u64);
-    for (done, _) in dones.values() {
-        match done.status {
-            JobStatus::Completed => completed += 1,
-            JobStatus::Cancelled => cancelled += 1,
-            JobStatus::Deadline => deadline += 1,
-        }
-        state.metrics.replay_duration(done.elapsed_ms);
-    }
-    state.metrics.replay_totals(completed, cancelled, deadline);
+    metrics.submitted.add(specs.len() as u64);
+    metrics.rejected.add(rejected);
     // Finished jobs: observation-only restore into the retention ring.
-    for (job, (_, done_line)) in &dones {
+    for (job, (done, done_line)) in &dones {
+        metrics.count_done(done);
         let log = EventLog::new();
         for line in improvements.remove(job).unwrap_or_default() {
             log.push_line(line);
@@ -357,12 +344,12 @@ fn replay_journal(state: &Arc<ServerState>, path: &str) -> std::io::Result<Repla
             );
         }
     }
-    let registry = &state.metrics.registry;
-    crate::obs::journal_replayed_records(registry).raise_to(summary.records as u64);
-    crate::obs::journal_replay_jobs(registry, "finished").raise_to(summary.finished as u64);
-    crate::obs::journal_replay_jobs(registry, "resumed").raise_to(summary.resumed as u64);
-    crate::obs::journal_replay_jobs(registry, "skipped").raise_to(summary.skipped as u64);
-    state.metrics.logger.log(
+    let registry = &metrics.registry;
+    crate::obs::journal_replayed_records(registry).add(summary.records as u64);
+    crate::obs::journal_replay_jobs(registry, "finished").add(summary.finished as u64);
+    crate::obs::journal_replay_jobs(registry, "resumed").add(summary.resumed as u64);
+    crate::obs::journal_replay_jobs(registry, "skipped").add(summary.skipped as u64);
+    metrics.logger.log(
         "replay",
         None,
         &[
@@ -387,9 +374,6 @@ fn resume_job(state: &Arc<ServerState>, job_id: u64, spec: &JobRequest) -> bool 
     let Some(graph) = state.cache.pin(&spec.instance) else {
         return false;
     };
-    if spec.k == 0 || spec.k > graph.num_vertices() {
-        return false;
-    }
     if validate_job(spec, graph.graph()).is_err() {
         return false;
     }
@@ -774,7 +758,7 @@ pub(crate) fn submit_job(
         let mut jobs = lock(&state.jobs);
         let in_flight = jobs.len() as u64;
         let reject = |reason: String| {
-            state.rejected.fetch_add(1, Ordering::Relaxed);
+            state.metrics.rejected.inc();
             state.metrics.logger.log(
                 "reject",
                 None,
@@ -826,17 +810,6 @@ pub(crate) fn submit_job(
             job: None,
         };
     };
-    if spec.k == 0 || spec.k > graph.num_vertices() {
-        release_slot();
-        return Event::Error {
-            message: format!(
-                "k must be in 1..={} for instance `{}`",
-                graph.num_vertices(),
-                spec.instance
-            ),
-            job: None,
-        };
-    }
     // Full engine-level validation up front: the driver thread must never
     // panic on a config the wire schema happened to allow — the typed
     // error goes back to the client instead.
@@ -847,7 +820,7 @@ pub(crate) fn submit_job(
             job: None,
         };
     }
-    state.submitted.fetch_add(1, Ordering::Relaxed);
+    state.metrics.submitted.inc();
     state.metrics.logger.log(
         "submit",
         Some(job_id),
@@ -958,12 +931,11 @@ fn spawn_driver(
             &state.gate,
             &token,
             &sink,
-            Some(&state.metrics),
+            &state.metrics,
             |done| {
                 finished.store(true, Ordering::Release);
                 lock(&state.jobs).remove(&job_id);
                 conn_jobs.fetch_sub(1, Ordering::Relaxed);
-                state.finished.fetch_add(1, Ordering::Relaxed);
                 state.metrics.job_done(done);
             },
         );

@@ -120,10 +120,6 @@ pub(crate) fn start_session(
             start.instance
         ));
     };
-    let n = graph.graph().num_vertices();
-    if start.k > n {
-        return Err(format!("k {} exceeds {} vertices", start.k, n));
-    }
     shard_solver(&start, graph.graph())
         .try_validate()
         .map_err(|e| format!("invalid session configuration: {e}"))?;

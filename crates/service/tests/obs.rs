@@ -15,7 +15,9 @@ use ff_graph::io::read_metis;
 use ff_obs::{parse_exposition, LogFormat, Logger, Registry, Sample, EXPOSITION_CONTENT_TYPE};
 use ff_partition::Objective;
 use ff_service::dist::{solve_distributed, DistOpts, DistSpec, WorkerSet};
-use ff_service::{Client, GraphFormat, GraphSource, JobRequest, JobStatus, Server, ServerConfig};
+use ff_service::{
+    Client, GraphFormat, GraphSource, JobRequest, JobStatus, Server, ServerConfig, SubmitOutcome,
+};
 
 const GRID: &str = "9 12\n2 4\n1 3 5\n2 6\n1 5 7\n2 4 6 8\n3 5 9\n4 8\n5 7 9\n6 8\n";
 const GOLDEN: &str = "0.964286";
@@ -371,4 +373,192 @@ fn distributed_observation_changes_no_output_byte() {
         assert!(v.get("ts_ms").and_then(|t| t.as_u64()).is_some());
         assert!(v.get("workers").and_then(|w| w.as_u64()).is_some());
     }
+}
+
+// ------------------------------------------------ stats vs /metrics
+
+/// A histogram's cumulative `_bucket` samples, de-cumulated, in the
+/// order of the `stats` event's bounds followed by `+Inf`.
+fn decumulated(samples: &[Sample], family: &str, bounds_ms: &[u64]) -> Vec<u64> {
+    let name = format!("{family}_bucket");
+    let mut below = 0;
+    bounds_ms
+        .iter()
+        .map(u64::to_string)
+        .chain(["+Inf".to_string()])
+        .map(|le| {
+            let cumulative = sample(samples, &name, &[("le", &le)]).value as u64;
+            let count = cumulative - below;
+            below = cumulative;
+            count
+        })
+        .collect()
+}
+
+/// Takes a `stats` snapshot and a `/metrics` scrape of a quiescent
+/// server and checks every `stats` field that has a metric family
+/// against its scraped sample. Returns the snapshot.
+fn assert_stats_match_scrape(handle: &ff_service::ServerHandle) -> ff_service::StatsInfo {
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let ff_service::Event::Stats(st) = client.stats().unwrap() else {
+        panic!("stats() returns the stats event");
+    };
+    let (status, _, page) = http(handle.http_addr().unwrap(), "GET", "/metrics");
+    assert_eq!(status, 200);
+    let samples = parse_exposition(&page).unwrap();
+    let value = |name: &str, labels: &[(&str, &str)]| sample(&samples, name, labels).value as u64;
+    let by_status = |status: &str| value("ff_jobs_completed_total", &[("status", status)]);
+    let scraped = [
+        value("ff_jobs_submitted_total", &[]),
+        value("ff_jobs_rejected_total", &[]),
+        by_status("completed") + by_status("cancelled") + by_status("deadline"),
+        by_status("cancelled"),
+        value("ff_cache_hits_total", &[]),
+        value("ff_cache_loads_total", &[]),
+        value("ff_cache_evictions_total", &[]),
+        value("ff_cache_bytes", &[]),
+        value("ff_cache_instances", &[]),
+    ];
+    let from_stats = [
+        st.jobs_submitted,
+        st.jobs_rejected,
+        st.jobs_done,
+        st.jobs_cancelled,
+        st.cache_hits,
+        st.cache_loads,
+        st.cache_evictions,
+        st.cache_bytes,
+        st.instances as u64,
+    ];
+    assert_eq!(
+        from_stats, scraped,
+        "`stats` [submitted, rejected, done, cancelled, cache hits, loads, \
+         evictions, bytes, instances] vs /metrics"
+    );
+    assert_eq!(
+        st.permit_wait_hist.to_vec(),
+        decumulated(&samples, "ff_permit_wait_ms", &st.permit_wait_bucket_ms),
+        "`stats` permit-wait buckets vs /metrics ff_permit_wait_ms"
+    );
+    assert_eq!(
+        st.job_duration_hist.to_vec(),
+        decumulated(&samples, "ff_job_duration_ms", &st.job_duration_bucket_ms),
+        "`stats` job-duration buckets vs /metrics ff_job_duration_ms"
+    );
+    st
+}
+
+/// `stats` and `/metrics` read one store, so they agree on every count
+/// they share — including the permit waits of a worker session this
+/// server hosts for a distributed job, and the totals a journal restart
+/// restores.
+#[test]
+fn stats_and_metrics_agree_on_every_shared_count_across_a_restart() {
+    let journal =
+        std::env::temp_dir().join(format!("ff-obs-coherence-{}.ndjson", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let g = read_metis(GRID.as_bytes()).unwrap();
+    let config = ServerConfig {
+        workers: 1,
+        max_jobs: 1,
+        // Room for one resident grid, not two.
+        cache_bytes: g.csr_bytes() + g.csr_bytes() / 2,
+        http: Some("127.0.0.1:0".into()),
+        journal: Some(journal.to_string_lossy().into_owned()),
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind_with("127.0.0.1:0", config.clone())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client
+        .load("grid", GraphSource::Data(GRID.into()), GraphFormat::Metis)
+        .unwrap();
+    // A long job holds the one admission slot, so the next submit is
+    // rejected; then it is cancelled.
+    let long = client
+        .submit(&JobRequest {
+            steps: Some(u64::MAX / 2),
+            chunk: 128,
+            ..JobRequest::new("grid", 2)
+        })
+        .unwrap();
+    match client.try_submit(&golden_job()).unwrap() {
+        SubmitOutcome::Rejected { .. } => {}
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert!(client.cancel(long).unwrap());
+    assert_eq!(
+        client.wait_done(long).unwrap().1.status,
+        JobStatus::Cancelled
+    );
+    // A served job.
+    let id = client.submit(&golden_job()).unwrap();
+    let (_, done) = client.wait_done(id).unwrap();
+    assert_eq!(format!("{:.6}", done.value), GOLDEN);
+    // A second instance evicts the first.
+    client
+        .load("copy", GraphSource::Data(GRID.into()), GraphFormat::Metis)
+        .unwrap();
+    // One worker session of a distributed job, hosted by this server: its
+    // epochs acquire the same compute slots as the served jobs.
+    let spec = DistSpec {
+        instance: "grid".into(),
+        source: GraphSource::Data(GRID.into()),
+        format: GraphFormat::Metis,
+        k: 2,
+        steps: 6_000,
+        seeds: ff_engine::derive_seeds(7, 2),
+        objectives: vec![Objective::MCut; 2],
+        interval: 256,
+        migration: MigrationPolicyId::ReplaceIfBetter,
+        pareto: false,
+    };
+    let workers = WorkerSet::Connect {
+        addrs: vec![handle.addr().to_string()],
+    };
+    let opts = DistOpts {
+        reply_timeout: Duration::from_secs(120),
+        ..DistOpts::default()
+    };
+    solve_distributed(&g, &spec, &workers, &opts, &mut |_, _| {}).unwrap();
+
+    let st = assert_stats_match_scrape(&handle);
+    assert_eq!(
+        (
+            st.jobs_submitted,
+            st.jobs_rejected,
+            st.jobs_done,
+            st.jobs_cancelled
+        ),
+        (2, 1, 2, 1)
+    );
+    assert!(st.cache_evictions >= 1, "the second instance evicts");
+    assert!(
+        st.permit_wait_hist.iter().sum::<u64>() >= 6_000 / 256,
+        "the worker session's epochs acquire slots"
+    );
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+
+    // A restarted server rebuilds its totals from the journal.
+    let handle = Server::bind_with("127.0.0.1:0", config)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    assert_eq!(handle.replay_summary().unwrap().finished, 2);
+    let st = assert_stats_match_scrape(&handle);
+    assert_eq!(
+        (
+            st.jobs_submitted,
+            st.jobs_rejected,
+            st.jobs_done,
+            st.jobs_cancelled
+        ),
+        (2, 1, 2, 1)
+    );
+    Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_file(&journal);
 }
