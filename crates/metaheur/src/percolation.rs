@@ -32,12 +32,15 @@
 //! **In place.** A [`Percolator`] holds reusable buffers and percolates a
 //! strictly ascending vertex subset of a graph without building the
 //! subset's induced [`Graph`]. It copies the subset's internal edges into
-//! a local CSR whose vertex ids are ranks in the subset. Ranks order like
-//! the parent ids, so every local row equals the row
-//! [`ff_graph::induced_subgraph`] builds, and the colors are the ones
-//! percolation of that subgraph gives. Fusion–fission's fission operator
-//! splits its atoms this way with a percolator its run owns;
-//! [`spread_seeds`], [`percolation_partition`] and
+//! a local CSR whose vertex ids are ranks in the subset. The copy has no
+//! branch per edge: it writes every edge of a member's row and moves its
+//! cursor on only past members, so the edge buffers hold the kept rows
+//! plus room for one more row, and what lies past the kept rows is left
+//! over and never read. Ranks order like the parent ids, so every local
+//! row equals the row [`ff_graph::induced_subgraph`] builds, and the
+//! colors are the ones percolation of that subgraph gives. Fusion–fission's
+//! fission operator splits its atoms this way with a percolator its run
+//! owns; [`spread_seeds`], [`percolation_partition`] and
 //! [`percolation_with_seeds`] run a fresh one on all vertices.
 //!
 //! **Pop order.** A flow settles its vertices strongest bond first, ties
@@ -51,9 +54,12 @@
 //! with a strictly stronger bond, so no `(bits, id)` pair repeats and a
 //! monotone radix queue pops the heap's exact sequence. Entries wait in
 //! buckets by the highest bit where they differ from the last popped
-//! bond; the run of entries equal to it pops as an id-sorted stack, merged
-//! with a small id heap that takes the pushes tying it (on weighted
-//! graphs, whenever `w/2^d ≥ bond(v)`). "Push ≤ last pop" is asserted.
+//! bond. The *run* of entries equal to it, with the pushes that tie it
+//! (on weighted graphs, whenever `w/2^d ≥ bond(v)`), is a bitset over
+//! ids that pops its highest set bit first, so no run is sorted. An entry
+//! whose vertex has since been pushed with a stronger bond is stale; the
+//! queue drops it when it leaves its bucket instead of popping it.
+//! "Push ≤ last pop" is asserted.
 //!
 //! **Zero weights.** The queue compares bonds by their IEEE bits, which
 //! order non-negative floats like their values except that `-0.0` sorts
@@ -64,7 +70,6 @@ use ff_graph::{Graph, VertexId};
 use ff_partition::Partition;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BinaryHeap;
 
 /// Options for [`percolation_partition`].
 #[derive(Clone, Copy, Debug)]
@@ -93,14 +98,16 @@ const NONE: u32 = u32::MAX;
 /// Each call loads the subgraph induced by `members`, which must be
 /// strictly ascending, and returns colors indexed by rank in `members`.
 /// Nothing carries over between calls except allocations: one `u32` per
-/// vertex of the largest graph seen (the rank map, reset after each load)
-/// and buffers sized to the largest subset.
+/// vertex of the largest graph seen (the rank map, reset after each load),
+/// buffers sized to the largest subset, and edge buffers sized to the most
+/// edges a subset kept plus one row (see "In place" in the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct Percolator {
     /// Vertex of the graph → its rank in the loaded subset; `NONE`
     /// between calls.
     rank: Vec<u32>,
-    /// The subset's induced subgraph in CSR form over ranks.
+    /// The subset's induced subgraph in CSR form over ranks. Entries of
+    /// `adjncy` and `adjwgt` past `xadj[n]` are leftovers, never read.
     xadj: Vec<usize>,
     adjncy: Vec<VertexId>,
     adjwgt: Vec<f64>,
@@ -111,6 +118,9 @@ pub struct Percolator {
     /// One flow's bonds (`-1` = unreached) and hop depths.
     bond: Vec<f64>,
     depth: Vec<u32>,
+    /// `halves[d]` is the attenuation `0.5^d` at depth `d`, for every
+    /// depth a flow has reached.
+    halves: Vec<f64>,
     queue: BondQueue,
     /// The round's strongest bond per vertex, and the color offering it.
     best: Vec<f64>,
@@ -190,7 +200,9 @@ impl Percolator {
         self.xadj.len() - 1
     }
 
-    /// Copies the subgraph induced by `members` into the local CSR.
+    /// Copies the subgraph induced by `members` into the local CSR, each
+    /// row without a branch per edge: every edge is written at the cursor,
+    /// which moves on only past members.
     fn load(&mut self, g: &Graph, members: &[VertexId]) {
         assert!(
             members.windows(2).all(|w| w[0] < w[1]),
@@ -202,28 +214,48 @@ impl Percolator {
                 "member {last} out of range"
             );
         }
-        if self.rank.len() < g.num_vertices() {
-            self.rank.resize(g.num_vertices(), NONE);
+        let Percolator {
+            rank,
+            xadj,
+            adjncy,
+            adjwgt,
+            ..
+        } = self;
+        if rank.len() < g.num_vertices() {
+            rank.resize(g.num_vertices(), NONE);
         }
         for (i, &v) in members.iter().enumerate() {
-            self.rank[v as usize] = i as u32;
+            rank[v as usize] = i as u32;
         }
-        self.xadj.clear();
-        self.adjncy.clear();
-        self.adjwgt.clear();
-        self.xadj.push(0);
+        xadj.clear();
+        xadj.push(0);
+        let mut kept = 0;
         for &v in members {
-            for (u, w) in g.edges_of(v) {
-                let r = self.rank[u as usize];
-                if r != NONE {
-                    self.adjncy.push(r);
-                    self.adjwgt.push(w);
+            let (nbrs, wgts) = (g.neighbors(v), g.neighbor_weights(v));
+            let end = kept + nbrs.len();
+            if adjncy.len() < end {
+                // Climb the capacity ladder that pushes climb (4, 8, 16,
+                // …) rather than jump to `end`: off-ladder sizes change
+                // where the allocator places later large buffers, which
+                // cost multilevel runs ~4 MB of peak RSS with two islands.
+                while adjncy.capacity() < end {
+                    let cap = (2 * adjncy.capacity()).max(4);
+                    adjncy.reserve_exact(cap - adjncy.len());
+                    adjwgt.reserve_exact(cap - adjwgt.len());
                 }
+                adjncy.resize(end, NONE);
+                adjwgt.resize(end, 0.0);
             }
-            self.xadj.push(self.adjncy.len());
+            for (&u, &w) in nbrs.iter().zip(wgts) {
+                let r = rank[u as usize];
+                adjncy[kept] = r;
+                adjwgt[kept] = w;
+                kept += usize::from(r != NONE);
+            }
+            xadj.push(kept);
         }
         for &v in members {
-            self.rank[v as usize] = NONE;
+            rank[v as usize] = NONE;
         }
     }
 
@@ -233,25 +265,32 @@ impl Percolator {
         assert!(k >= 1 && k <= n, "need 1 ≤ k ≤ n");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut newest = rng.gen_range(0..n) as VertexId;
-        self.seeds.clear();
-        self.seeds.push(newest);
-        self.dist.clear();
-        self.dist.resize(n, u32::MAX);
-        while self.seeds.len() < k {
+        let Percolator {
+            xadj,
+            adjncy,
+            seeds,
+            dist,
+            fifo,
+            ..
+        } = self;
+        seeds.clear();
+        seeds.push(newest);
+        dist.clear();
+        dist.resize(n, u32::MAX);
+        while seeds.len() < k {
             // Lower every distance that the newest seed shortens: a BFS
             // from it that stops where it does not improve.
-            self.dist[newest as usize] = 0;
-            self.fifo.clear();
-            self.fifo.push(newest);
+            dist[newest as usize] = 0;
+            fifo.clear();
+            fifo.push(newest);
             let mut head = 0;
-            while let Some(&v) = self.fifo.get(head) {
+            while let Some(&v) = fifo.get(head) {
                 head += 1;
-                let d = self.dist[v as usize] + 1;
-                let (lo, hi) = (self.xadj[v as usize], self.xadj[v as usize + 1]);
-                for &u in &self.adjncy[lo..hi] {
-                    if d < self.dist[u as usize] {
-                        self.dist[u as usize] = d;
-                        self.fifo.push(u);
+                let d = dist[v as usize] + 1;
+                for &u in &adjncy[xadj[v as usize]..xadj[v as usize + 1]] {
+                    if d < dist[u as usize] {
+                        dist[u as usize] = d;
+                        fifo.push(u);
                     }
                 }
             }
@@ -260,12 +299,12 @@ impl Percolator {
             // every vertex still unseeded, so none is picked twice.
             let mut far = 0;
             for v in 0..n {
-                if self.dist[v] >= self.dist[far] {
+                if dist[v] >= dist[far] {
                     far = v;
                 }
             }
             newest = far as VertexId;
-            self.seeds.push(newest);
+            seeds.push(newest);
         }
     }
 
@@ -318,40 +357,60 @@ impl Percolator {
     /// when `confined`, flows onward only through its own.
     fn flow(&mut self, c: usize, confined: bool) {
         let n = self.len();
-        let source = self.seeds[c];
+        let Percolator {
+            xadj,
+            adjncy,
+            adjwgt,
+            seeds,
+            bond,
+            depth,
+            queue,
+            best,
+            color,
+            prev,
+            halves,
+            ..
+        } = self;
+        let source = seeds[c];
         let c = c as u32;
-        self.bond.clear();
-        self.bond.resize(n, -1.0);
-        self.bond[source as usize] = f64::MAX;
+        bond.clear();
+        bond.resize(n, -1.0);
+        bond[source as usize] = f64::MAX;
         // Every push writes its vertex's depth; only the source's is not.
-        self.depth.resize(n, 0);
-        self.depth[source as usize] = 0;
-        self.queue.clear();
-        self.queue.push(f64::MAX.to_bits(), source);
-        while let Some((bits, v)) = self.queue.pop() {
+        depth.resize(n, 0);
+        depth[source as usize] = 0;
+        queue.clear();
+        queue.push(f64::MAX.to_bits(), source);
+        // An entry is stale once its vertex was pushed again with a
+        // stronger bond. The queue drops stale entries before they reach a
+        // run, and an entry in the run cannot go stale: that would take a
+        // push above the last pop.
+        while let Some((bits, v)) = queue.pop_live(|bits, u| bond[u as usize].to_bits() == bits) {
             let vi = v as usize;
-            let b = self.bond[vi];
-            if b.to_bits() != bits {
-                continue; // stale: v has since been pushed with a stronger bond
+            let b = bond[vi];
+            debug_assert_eq!(b.to_bits(), bits, "popped a stale entry");
+            if b > best[vi] {
+                best[vi] = b;
+                color[vi] = c;
             }
-            if b > self.best[vi] {
-                self.best[vi] = b;
-                self.color[vi] = c;
-            }
-            if confined && v != source && self.prev[vi] != c {
+            if confined && v != source && prev[vi] != c {
                 continue;
             }
-            let d = self.depth[vi];
-            let atten = 0.5f64.powi(d as i32);
-            for e in self.xadj[vi]..self.xadj[vi + 1] {
-                let u = self.adjncy[e] as usize;
+            let d = depth[vi];
+            // A vertex at depth d was pushed by one at depth d - 1.
+            if halves.len() == d as usize {
+                halves.push(0.5f64.powi(d as i32));
+            }
+            let atten = halves[d as usize];
+            let (lo, hi) = (xadj[vi], xadj[vi + 1]);
+            for (&u, &w) in adjncy[lo..hi].iter().zip(&adjwgt[lo..hi]) {
                 // Weakest link along the path, attenuated per hop. A
                 // settled u already holds a bond of at least b.
-                let cand = b.min(self.adjwgt[e] * atten);
-                if cand > self.bond[u] {
-                    self.bond[u] = cand;
-                    self.depth[u] = d + 1;
-                    self.queue.push(cand.to_bits(), u as VertexId);
+                let cand = b.min(w * atten);
+                if cand > bond[u as usize] {
+                    bond[u as usize] = cand;
+                    depth[u as usize] = d + 1;
+                    queue.push(cand.to_bits(), u);
                 }
             }
         }
@@ -366,11 +425,9 @@ impl Percolator {
 struct BondQueue {
     /// Bits of the last popped bond; `u64::MAX` before the first pop.
     last: u64,
-    /// Ids pushed with bits equal to `last` before it was popped,
-    /// ascending; they pop from the back.
-    run: Vec<VertexId>,
-    /// Ids pushed with bits equal to `last` after it was popped.
-    ties: BinaryHeap<VertexId>,
+    /// The ids pending with bits equal to `last`, pushed before or after
+    /// it was popped.
+    run: IdRun,
     /// `buckets[i]` holds the entries below `last` whose highest bit
     /// differing from it is bit `i`, so lower buckets hold stronger bonds.
     buckets: Vec<Vec<(u64, VertexId)>>,
@@ -380,8 +437,7 @@ impl Default for BondQueue {
     fn default() -> Self {
         BondQueue {
             last: u64::MAX,
-            run: Vec::new(),
-            ties: BinaryHeap::new(),
+            run: IdRun::default(),
             buckets: vec![Vec::new(); 64],
         }
     }
@@ -397,7 +453,6 @@ impl BondQueue {
     fn clear(&mut self) {
         self.last = u64::MAX;
         self.run.clear();
-        self.ties.clear();
         for b in &mut self.buckets {
             b.clear();
         }
@@ -409,38 +464,115 @@ impl BondQueue {
             "percolation pushed a bond above the last one popped"
         );
         if bits == self.last {
-            self.ties.push(id);
+            self.run.insert(id);
         } else {
             self.buckets[bucket(bits, self.last)].push((bits, id));
         }
     }
 
+    /// [`BondQueue::pop_live`] with no entry stale.
+    #[cfg(test)]
     fn pop(&mut self) -> Option<(u64, VertexId)> {
-        if self.run.is_empty() && self.ties.is_empty() {
+        self.pop_live(|_, _| true)
+    }
+
+    /// Pops in the heap's order, skipping the entries `live` rejects. It
+    /// is asked as an entry leaves its bucket, so a rejected entry moves
+    /// no further. `live` must be monotone (an entry it rejects once, it
+    /// rejects for good); then every entry it rejects would only have
+    /// popped to be skipped.
+    fn pop_live(&mut self, live: impl Fn(u64, VertexId) -> bool) -> Option<(u64, VertexId)> {
+        let popped = self.last;
+        while self.run.len == 0 {
             // Start the next run: the strongest bits left sit in the
             // lowest non-empty bucket. Its other entries agree with them
             // above bit i, so they move to lower buckets; entries of
-            // higher buckets keep theirs.
-            let i = self.buckets.iter().position(|b| !b.is_empty())?;
+            // higher buckets keep theirs. If every entry of the strongest
+            // bits is stale, the run stays empty and the next one starts.
+            let Some(i) = self.buckets.iter().position(|b| !b.is_empty()) else {
+                // Only stale entries were left, so the last pop stands.
+                self.last = popped;
+                return None;
+            };
             let (lower, rest) = self.buckets.split_at_mut(i);
             let top = &mut rest[0];
             let last = top.iter().map(|&(bits, _)| bits).max()?;
             for (bits, id) in top.drain(..) {
+                if !live(bits, id) {
+                    continue;
+                }
                 if bits == last {
-                    self.run.push(id);
+                    self.run.insert(id);
                 } else {
                     lower[bucket(bits, last)].push((bits, id));
                 }
             }
-            self.run.sort_unstable();
             self.last = last;
         }
-        let id = match (self.run.last(), self.ties.peek()) {
-            (Some(&r), Some(&t)) if t > r => self.ties.pop(),
-            (Some(_), _) => self.run.pop(),
-            (None, _) => self.ties.pop(),
-        }?;
-        Some((self.last, id))
+        Some((self.last, self.run.pop()?))
+    }
+}
+
+/// A multiset of ids that pops its highest id first: one bit per id,
+/// highest set bit first, with no sorting. An id inserted while its bit
+/// is set is also listed in `repeats`, so a repeated pair pops as often as
+/// a heap pops it; a flow never repeats one.
+#[derive(Clone, Debug, Default)]
+struct IdRun {
+    /// Bit `id % 64` of word `id / 64` is set while `id` is pending.
+    words: Vec<u64>,
+    /// No word above `top` has a bit set.
+    top: usize,
+    /// Ids pending, repeats included.
+    len: usize,
+    /// A copy of an id for each insertion beyond its first.
+    repeats: Vec<VertexId>,
+}
+
+impl IdRun {
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.words[..=self.top].fill(0);
+        }
+        self.top = 0;
+        self.len = 0;
+        self.repeats.clear();
+    }
+
+    #[inline]
+    fn insert(&mut self, id: VertexId) {
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        if self.words[w] & bit != 0 {
+            self.repeats.push(id);
+        }
+        self.words[w] |= bit;
+        self.top = self.top.max(w);
+        self.len += 1;
+    }
+
+    /// Removes the highest pending id, walking `top` down past words that
+    /// emptied.
+    #[inline]
+    fn pop(&mut self) -> Option<VertexId> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        while self.words[self.top] == 0 {
+            self.top -= 1;
+        }
+        let high = 63 - self.words[self.top].leading_zeros();
+        let id = (self.top * 64) as VertexId + high;
+        match self.repeats.iter().position(|&r| r == id) {
+            Some(i) => {
+                self.repeats.swap_remove(i);
+            }
+            None => self.words[self.top] &= !(1u64 << high),
+        }
+        Some(id)
     }
 }
 

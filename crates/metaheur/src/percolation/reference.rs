@@ -12,14 +12,17 @@
 //! subset shows. The inputs carry small-integer and zero weights, so equal
 //! bonds at different depths and same-bond pushes occur, and sparse
 //! subsets fall apart, so the round-robin fallback runs; each test checks
-//! that these paths ran. A property test checks the bond queue alone
-//! against `BinaryHeap` on random monotone push/pop sequences with ties.
+//! that these paths ran. A dense graph shaped like the multilevel coarse
+//! graph checks the load's leftovers: small subsets loaded after a large
+//! one keep few of their edges. Property tests check the bond queue alone
+//! against `BinaryHeap` on random monotone push/pop sequences with ties,
+//! with ids across several bitset words, and with stale entries dropped.
 
 use super::*;
 use ff_graph::generators::{grid2d, planted_partition_sparse, random_geometric};
 use ff_graph::{induced_subgraph, GraphBuilder};
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What the reference runs saw, so each test can insist its paths ran.
 #[derive(Debug, Default)]
@@ -260,6 +263,54 @@ fn subsets_match_the_induced_subgraph_reference() {
     assert_covered(&cov);
 }
 
+/// A random graph with mean degree `2·m/n` from `m` edge draws, weights
+/// from {½, 1, 2, 3} (parallel draws sum).
+fn dense_graph(n: usize, m: usize, rng: &mut ChaCha8Rng) -> Graph {
+    const WEIGHTS: [f64; 4] = [0.5, 1.0, 2.0, 3.0];
+    let mut b = GraphBuilder::new(n);
+    for _ in 0..m {
+        let u = rng.gen_range(0..n) as VertexId;
+        let v = rng.gen_range(0..n) as VertexId;
+        if u != v {
+            b.add_edge(u, v, WEIGHTS[rng.gen_range(0..WEIGHTS.len())]);
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn dense_subsets_after_a_large_one_match_the_reference() {
+    let mut rng = ChaCha8Rng::seed_from_u64(17);
+    let g = dense_graph(240, 240 * 40, &mut rng);
+    let degree_sum = |vs: &[VertexId]| vs.iter().map(|&v| g.degree(v)).sum::<usize>();
+    let all: Vec<VertexId> = g.vertices().collect();
+    assert!(
+        degree_sum(&all) >= 64 * g.num_vertices(),
+        "mean degree {} below 64",
+        degree_sum(&all) / g.num_vertices()
+    );
+    let mut perc = Percolator::new();
+    let mut cov = Coverage::default();
+    // The large subset leaves its rows in the edge buffers; each small one
+    // after it keeps only a few of its edges, so the large load's entries
+    // and this load's own external edges lie past its kept rows.
+    let large = random_subset(&g, 0.8, &mut rng);
+    check_subset(&mut perc, &g, &large, &mut rng, &mut cov);
+    for p in [0.02, 0.05, 0.1, 0.2, 0.05] {
+        let members = random_subset(&g, p, &mut rng);
+        let kept = induced_subgraph(&g, &members).graph.num_edges() * 2;
+        assert!(
+            2 * kept < degree_sum(&members),
+            "{} of {} edge ends kept",
+            kept,
+            degree_sum(&members)
+        );
+        check_subset(&mut perc, &g, &members, &mut rng, &mut cov);
+    }
+    assert!(cov.same_bond_pushes > 0, "no same-bond push: {cov:?}");
+    assert!(cov.confined_rounds > 0, "no confined round: {cov:?}");
+}
+
 #[test]
 fn whole_graphs_match_the_reference() {
     let mut rng = ChaCha8Rng::seed_from_u64(16);
@@ -336,6 +387,137 @@ proptest! {
             prop_assert_eq!(queue.pop(), None);
         }
     }
+}
+
+/// Pops `want` from `queue` and counts pops of one run that skip at
+/// least one empty bitset word.
+fn pop_across_words(
+    queue: &mut BondQueue,
+    want: Option<(u64, VertexId)>,
+    prev: &mut Option<(u64, VertexId)>,
+    gaps: &mut u32,
+) -> Result<(), String> {
+    prop_assert_eq!(queue.pop(), want);
+    if let (Some((pb, pi)), Some((b, i))) = (*prev, want) {
+        *gaps += u32::from(pb == b && pi / 64 > i / 64 + 1);
+    }
+    *prev = want;
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn queue_pops_like_binary_heap_across_words(seed in any::<u64>(), ops in 300usize..900) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let pool: Vec<u64> = (0..4)
+            .map(|_| rng.gen::<u64>() >> rng.gen_range(0..64))
+            .collect();
+        let mut queue = BondQueue::default();
+        let mut heap: BinaryHeap<(u64, VertexId)> = BinaryHeap::new();
+        let mut last = u64::MAX;
+        let mut prev = None;
+        // Same-bond pushes into a word above every id pending at that
+        // bond, and pops that skip an empty word.
+        let (mut above, mut gaps) = (0u32, 0u32);
+        for _ in 0..ops {
+            if heap.is_empty() || rng.gen_bool(0.55) {
+                let bits = monotone_bits(last, &pool, &mut rng);
+                let id = rng.gen_range(0..300u32);
+                let mut pending = heap
+                    .iter()
+                    .filter(|&&(b, _)| b == bits)
+                    .map(|&(_, i)| i / 64);
+                above += u32::from(
+                    bits == last
+                        && pending.next().is_some_and(|w| w < id / 64)
+                        && pending.all(|w| w < id / 64),
+                );
+                queue.push(bits, id);
+                heap.push((bits, id));
+            } else {
+                let want = heap.pop();
+                pop_across_words(&mut queue, want, &mut prev, &mut gaps)?;
+                last = want.map_or(last, |(bits, _)| bits);
+            }
+        }
+        while let Some(want) = heap.pop() {
+            pop_across_words(&mut queue, Some(want), &mut prev, &mut gaps)?;
+        }
+        prop_assert_eq!(queue.pop(), None);
+        prop_assert!(above > 0 && gaps > 0, "above {} gaps {}", above, gaps);
+    }
+}
+
+/// One random sequence through `queue` against a heap that skips stale
+/// entries; returns how many entries went stale. As in a flow, an id's
+/// latest push is its live entry, and an id is pushed again only with more
+/// bits, which leaves its earlier entry stale.
+fn stale_sequence(queue: &mut BondQueue, seed: u64, ops: usize) -> Result<u32, String> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let pool: Vec<u64> = (0..4)
+        .map(|_| rng.gen::<u64>() >> rng.gen_range(0..64))
+        .collect();
+    queue.clear();
+    let mut heap: BinaryHeap<(u64, VertexId)> = BinaryHeap::new();
+    let mut current: Vec<Option<u64>> = vec![None; 300];
+    let live =
+        |current: &[Option<u64>], bits: u64, id: VertexId| current[id as usize] == Some(bits);
+    let pop =
+        |queue: &mut BondQueue, heap: &mut BinaryHeap<(u64, VertexId)>, current: &[Option<u64>]| {
+            let want = loop {
+                match heap.pop() {
+                    Some((bits, id)) if !live(current, bits, id) => continue,
+                    other => break other,
+                }
+            };
+            (queue.pop_live(|bits, id| live(current, bits, id)), want)
+        };
+    let mut last = u64::MAX;
+    let mut stale = 0;
+    for _ in 0..ops {
+        if heap.is_empty() || rng.gen_bool(0.6) {
+            let bits = monotone_bits(last, &pool, &mut rng);
+            // Half the pushes raise a pending entry, if it allows.
+            let id = match heap.len() {
+                len if len > 0 && rng.gen_bool(0.5) => {
+                    heap.iter().nth(rng.gen_range(0..len)).unwrap().1
+                }
+                _ => rng.gen_range(0..300u32),
+            };
+            match current[id as usize] {
+                Some(b) if b >= bits => continue,
+                Some(_) => stale += 1,
+                None => {}
+            }
+            current[id as usize] = Some(bits);
+            queue.push(bits, id);
+            heap.push((bits, id));
+        } else {
+            let (got, want) = pop(queue, &mut heap, &current);
+            prop_assert_eq!(got, want);
+            last = want.map_or(last, |(bits, _)| bits);
+        }
+    }
+    loop {
+        let (got, want) = pop(queue, &mut heap, &current);
+        prop_assert_eq!(got, want);
+        if want.is_none() {
+            return Ok(stale);
+        }
+    }
+}
+
+#[test]
+fn queue_drops_stale_entries_like_a_skipping_heap() {
+    let mut queue = BondQueue::default();
+    let mut stale = 0;
+    for seed in 0..256 {
+        stale += stale_sequence(&mut queue, seed, 1 + seed as usize * 3)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+    assert!(stale > 1000, "{stale} entries went stale");
 }
 
 #[test]
