@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks for the substrate kernels every partitioner
 //! is built on: spmv, Lanczos Fiedler solves, matching + coarsening, FM
-//! passes, percolation, incremental move bookkeeping, the fusion–fission
-//! step loop (core loop and agglomeration), its fission split and partner
-//! choice, and one level of greedy k-way refinement.
+//! passes, percolation (a whole graph, and a coarse atom in place),
+//! incremental move bookkeeping, the fusion–fission step loop (core loop
+//! and agglomeration), its fission split and partner choice, and one
+//! level of greedy k-way refinement.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ff_atc::{FabopConfig, FabopInstance};
@@ -93,6 +94,29 @@ fn bench_percolation(c: &mut Criterion) {
                 &PercolationConfig::default(),
             ))
         })
+    });
+}
+
+/// One percolation of an atom of the coarse graph the multilevel search
+/// runs on (part 0 of the 8-way planted partition: ~240 vertices of
+/// average degree ~130, most of their edges external), as fission splits
+/// it: k = 2, 6 rounds, one percolator reused.
+fn bench_percolate_coarse(c: &mut Criterion) {
+    use ff_metaheur::Percolator;
+    let (g, h, asg) = multilevel_instance();
+    let coarse = h.coarsest(&g);
+    let members: Vec<u32> = (0..)
+        .zip(&asg)
+        .filter(|&(_, &p)| p == 0)
+        .map(|(v, _)| v)
+        .collect();
+    let cfg = PercolationConfig {
+        max_rounds: 6,
+        seed: 1,
+    };
+    let mut perc = Percolator::new();
+    c.bench_function("percolate_coarse_1e5", |b| {
+        b.iter(|| black_box(perc.percolate(coarse, &members, 2, &cfg)[0]))
     });
 }
 
@@ -289,6 +313,7 @@ criterion_group!(
     bench_fm_pass,
     bench_mincut,
     bench_percolation,
+    bench_percolate_coarse,
     bench_move_bookkeeping,
     bench_ff_steps,
     bench_ff_agglomerate,
