@@ -58,16 +58,21 @@ fn panics_fixture_matches_golden() {
     assert_matches_golden(out, "panics.expected");
 }
 
-/// The gate itself: the live workspace must be clean under the committed
-/// baseline, exactly as `cargo run -p ff-lint -- --deny` requires in CI.
-#[test]
-fn live_workspace_is_clean_under_deny() {
+/// The linter's report on the live workspace under the committed baseline.
+fn live_report() -> ff_lint::Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("workspace root above crates/lint")
         .to_path_buf();
-    let report = ff_lint::run(&root, ff_lint::BASELINE_PATH).expect("lint run succeeds");
+    ff_lint::run(&root, ff_lint::BASELINE_PATH).expect("lint run succeeds")
+}
+
+/// The gate itself: the live workspace must be clean under the committed
+/// baseline, exactly as `cargo run -p ff-lint -- --deny` requires in CI.
+#[test]
+fn live_workspace_is_clean_under_deny() {
+    let report = live_report();
     assert!(
         report.findings.is_empty(),
         "live workspace has lint findings:\n{}",
@@ -84,4 +89,21 @@ fn live_workspace_is_clean_under_deny() {
         !report.lock_graph.edges.is_empty(),
         "lock graph lost its edges — did the acquisition scanner break?"
     );
+}
+
+/// The job registry's lock guards only the registry. Rejections are
+/// journaled and logged after it is released, and `stats` reads the gate
+/// outside it, so no edge leaves it for the journal file, the log target
+/// or the gate's state.
+#[test]
+fn jobs_lock_is_not_held_across_journal_log_or_gate() {
+    let report = live_report();
+    for to in ["JournalWriter.file", "LogTarget.out", "FairGate.state"] {
+        let held = report
+            .lock_graph
+            .edges
+            .iter()
+            .find(|e| e.from == "ServerState.jobs" && e.to == to);
+        assert!(held.is_none(), "ServerState.jobs -> {to}: {held:?}");
+    }
 }

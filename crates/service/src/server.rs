@@ -197,6 +197,11 @@ impl ServerState {
     pub(crate) fn stats(&self) -> StatsInfo {
         let cache = self.cache.stats();
         let metrics = &self.metrics;
+        // Each owner's lock is taken on its own, none while another is
+        // held: the gate's first, then the job registry's.
+        let gate_queued = self.gate.queued();
+        let permit_wait_hist = self.gate.wait_histogram();
+        let jobs_running = lock(&self.jobs).len() as u64;
         let info = StatsInfo {
             instances: cache.instances,
             cache_hits: cache.hits,
@@ -205,14 +210,14 @@ impl ServerState {
             cache_bytes: cache.bytes,
             cache_budget_bytes: cache.budget,
             jobs_submitted: metrics.submitted.get(),
-            jobs_running: lock(&self.jobs).len() as u64,
+            jobs_running,
             jobs_done: metrics.jobs_done(),
             jobs_cancelled: metrics.jobs_cancelled(),
             jobs_rejected: metrics.rejected.get(),
             max_jobs: self.max_jobs as u64,
             workers: self.workers,
-            gate_queued: self.gate.queued(),
-            permit_wait_hist: self.gate.wait_histogram(),
+            gate_queued,
+            permit_wait_hist,
             permit_wait_bucket_ms: WAIT_BUCKET_MS,
             job_duration_hist: metrics.job_duration_counts(),
             job_duration_bucket_ms: DURATION_BUCKET_MS,
@@ -753,11 +758,37 @@ pub(crate) fn submit_job(
     // will never run). The in-flight check and the registry insert
     // happen under one lock, so a burst of concurrent submits can never
     // admit past the bound: the slot is reserved here and released below
-    // if validation fails.
-    let (job_id, token) = {
+    // if validation fails. A rejection is only decided under the lock;
+    // it is counted, logged and journaled after the lock is released.
+    let admitted = {
         let mut jobs = lock(&state.jobs);
         let in_flight = jobs.len() as u64;
-        let reject = |reason: String| {
+        if state.max_jobs > 0 && jobs.len() >= state.max_jobs {
+            Err((
+                format!("server at capacity (max {} in-flight jobs)", state.max_jobs),
+                in_flight,
+            ))
+        } else if state.max_jobs_per_conn > 0
+            && conn_jobs.load(Ordering::Relaxed) >= state.max_jobs_per_conn
+        {
+            Err((
+                format!(
+                    "connection at capacity (max {} in-flight jobs per connection)",
+                    state.max_jobs_per_conn
+                ),
+                in_flight,
+            ))
+        } else {
+            let job_id = state.next_job.fetch_add(1, Ordering::Relaxed);
+            let token = CancelToken::new();
+            jobs.insert(job_id, token.clone());
+            conn_jobs.fetch_add(1, Ordering::Relaxed);
+            Ok((job_id, token))
+        }
+    };
+    let (job_id, token) = match admitted {
+        Ok(slot) => slot,
+        Err((reason, in_flight)) => {
             state.metrics.rejected.inc();
             state.metrics.logger.log(
                 "reject",
@@ -769,7 +800,7 @@ pub(crate) fn submit_job(
                 ],
             );
             let event = Event::Rejected {
-                instance: spec.instance.clone(),
+                instance: spec.instance,
                 reason,
                 retry_after_ms: retry_hint_ms(in_flight.max(1), state.workers),
                 in_flight,
@@ -777,27 +808,8 @@ pub(crate) fn submit_job(
             if let Some(tap) = &state.journal {
                 tap.record(&JournalRecord::Event(event.clone()));
             }
-            event
-        };
-        if state.max_jobs > 0 && jobs.len() >= state.max_jobs {
-            return reject(format!(
-                "server at capacity (max {} in-flight jobs)",
-                state.max_jobs
-            ));
+            return event;
         }
-        if state.max_jobs_per_conn > 0
-            && conn_jobs.load(Ordering::Relaxed) >= state.max_jobs_per_conn
-        {
-            return reject(format!(
-                "connection at capacity (max {} in-flight jobs per connection)",
-                state.max_jobs_per_conn
-            ));
-        }
-        let job_id = state.next_job.fetch_add(1, Ordering::Relaxed);
-        let token = CancelToken::new();
-        jobs.insert(job_id, token.clone());
-        conn_jobs.fetch_add(1, Ordering::Relaxed);
-        (job_id, token)
     };
     let release_slot = || {
         lock(&state.jobs).remove(&job_id);
