@@ -136,13 +136,13 @@
 //! 4 submit rejected by admission control (retry later).
 
 use ff_bench::{run_method_ensemble, MethodBudget, MethodId};
-use ff_engine::{MigrationPolicyId, ParetoFront, ParetoResult, Solver};
+use ff_engine::{EnsembleResult, MigrationPolicyId, ParetoResult};
 use ff_graph::Graph;
-use ff_metaheur::StopCondition;
 use ff_partition::{analyze, imbalance, repair_connectivity, write_partition, Objective};
+use ff_service::{DistSpec, GraphFormat, GraphSource, JobRequest};
 use std::fs::File;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: ffpart <graph> -k <parts> [-m method] [-o objective[,objective…]] \
 [-b budget-secs] [--steps n] [-s seed] [-j islands] [--migration replace|combine|adaptive] \
@@ -247,6 +247,24 @@ fn print_front(front: &[FrontRow]) {
     }
 }
 
+/// [`print_front`] for a library front: each point's values paired with
+/// the front's objective axes.
+fn print_pareto(front: &ParetoResult) {
+    let rows: Vec<FrontRow> = front
+        .points
+        .iter()
+        .map(|p| {
+            let values = front
+                .objectives
+                .iter()
+                .copied()
+                .zip(p.values.iter().copied());
+            (p.island, p.objective, values.collect(), p.parts)
+        })
+        .collect();
+    print_front(&rows);
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut graph_path: Option<String> = None;
     let mut k: Option<usize> = None;
@@ -294,7 +312,10 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("unknown migration policy `{name}`"))?;
             }
             "-b" | "--budget-secs" => {
-                budget_secs = Some(val("-b")?.parse().map_err(|_| "bad budget".to_string())?)
+                let secs = val("-b")?.parse().map_err(|_| "bad budget".to_string())?;
+                // Negative, NaN or out-of-range budgets have no Duration.
+                Duration::try_from_secs_f64(secs).map_err(|_| "bad budget".to_string())?;
+                budget_secs = Some(secs);
             }
             "--steps" => {
                 steps = Some(
@@ -681,21 +702,34 @@ fn submit_main(args: &[String]) -> ExitCode {
     if steps.is_none() && deadline_ms.is_none() {
         return usage_err("need --steps and/or --deadline-ms");
     }
-    let Some(format) = ff_service::GraphFormat::parse(&format) else {
+    let Some(format) = GraphFormat::parse(&format) else {
         return usage_err("unknown format (metis|edgelist)");
+    };
+    let needed = ff_engine::islands_to_cover(&objectives);
+    if ff_engine::distinct_objectives(&objectives).len() > 1 && islands < needed {
+        eprintln!("ffpart: raising --islands {islands} → {needed} (covering every objective)");
+        islands = needed;
+    }
+    let job = JobRequest {
+        instance: instance.unwrap_or_else(|| graph_path.clone()),
+        k,
+        objective: objectives[0],
+        objectives: (objectives.len() > 1).then(|| objectives.clone()),
+        migration,
+        seed,
+        steps,
+        deadline_ms,
+        islands,
+        chunk,
+        assignment: true,
+        // `0` asks the server for the engine's default coarse target.
+        multilevel: multilevel.then(|| coarsen_until.unwrap_or(0)),
     };
     if let Some(list) = workers {
         // Federated mode: this process is the coordinator, the listed
-        // servers are the workers. The deterministic contract needs a
-        // pure step budget and the flat solver path.
+        // servers are the workers.
         if connect.is_some() {
             return usage_err("--workers and --connect are mutually exclusive");
-        }
-        if deadline_ms.is_some() || steps.is_none() {
-            return usage_err("--workers needs a pure --steps budget (no --deadline-ms)");
-        }
-        if multilevel {
-            return usage_err("--workers does not combine with --multilevel");
         }
         if cancel_after_ms.is_some() {
             return usage_err("--cancel-after-ms is not supported with --workers");
@@ -711,45 +745,10 @@ fn submit_main(args: &[String]) -> ExitCode {
         if addrs.is_empty() {
             return usage_err("--workers needs a comma list of host:port addresses");
         }
-        return submit_federated(
-            addrs,
-            graph_path,
-            instance,
-            format,
-            k,
-            objectives,
-            migration,
-            steps.unwrap(),
-            seed,
-            islands,
-            chunk,
-            write,
-            quiet,
-        );
+        return submit_federated(addrs, &graph_path, format, &job, write, quiet);
     }
     let Some(connect) = connect else {
         return usage_err("missing --connect");
-    };
-    let instance = instance.unwrap_or_else(|| graph_path.clone());
-    let needed = ff_engine::islands_to_cover(&objectives);
-    if ff_engine::distinct_objectives(&objectives).len() > 1 && islands < needed {
-        eprintln!("ffpart: raising --islands {islands} → {needed} (covering every objective)");
-        islands = needed;
-    }
-    let job = ff_service::JobRequest {
-        instance,
-        k,
-        objective: objectives[0],
-        objectives: (objectives.len() > 1).then(|| objectives.clone()),
-        migration,
-        seed,
-        steps,
-        deadline_ms,
-        islands,
-        chunk,
-        assignment: true,
-        // `0` asks the server for the engine's default coarse target.
-        multilevel: multilevel.then(|| coarsen_until.unwrap_or(0)),
     };
     // With `--retry-ms`, transport failures and admission rejections
     // restart the whole attempt (connect → load → submit → stream) until
@@ -960,32 +959,22 @@ fn submit_attempt(
     Ok(ExitCode::SUCCESS)
 }
 
-/// `ffpart submit --workers`: run one job federated across several
+/// `ffpart submit --workers`: run `job` federated across several
 /// already-running servers, this process acting as the coordinator.
-/// Byte-identical to submitting the same job to a single server: the
-/// coordinator fixes seeds and interval exactly as the server's job
-/// driver would (`chunk` doubles as the migration interval, a single
-/// island keeps the root seed).
-#[allow(clippy::too_many_arguments)]
+/// Byte-identical to submitting the same job to a single server: both
+/// run the islands `job` defines ([`DistSpec::for_job`]).
 fn submit_federated(
     addrs: Vec<String>,
-    graph_path: String,
-    instance: Option<String>,
-    format: ff_service::GraphFormat,
-    k: usize,
-    objectives: Vec<Objective>,
-    migration: MigrationPolicyId,
-    steps: u64,
-    seed: u64,
-    mut islands: usize,
-    chunk: u64,
+    graph_path: &str,
+    format: GraphFormat,
+    job: &JobRequest,
     write: Option<String>,
     quiet: bool,
 ) -> ExitCode {
     // The coordinator needs the graph locally (reduction, molecule
     // reconstruction) and the servers don't share our filesystem, so
     // read the file once and ship it inline.
-    let data = match std::fs::read_to_string(&graph_path) {
+    let data = match std::fs::read_to_string(graph_path) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("ffpart submit: cannot read {graph_path}: {e}");
@@ -993,8 +982,8 @@ fn submit_federated(
         }
     };
     let parsed = match format {
-        ff_service::GraphFormat::Metis => ff_graph::io::read_metis(data.as_bytes()),
-        ff_service::GraphFormat::EdgeList => ff_graph::io::read_edge_list(data.as_bytes()),
+        GraphFormat::Metis => ff_graph::io::read_metis(data.as_bytes()),
+        GraphFormat::EdgeList => ff_graph::io::read_edge_list(data.as_bytes()),
     };
     let g = match parsed {
         Ok(g) => g,
@@ -1003,48 +992,25 @@ fn submit_federated(
             return ExitCode::from(3);
         }
     };
-    if k == 0 || k > g.num_vertices() {
-        eprintln!(
-            "ffpart submit: -k must be in 1..={} for this graph",
-            g.num_vertices()
-        );
+    if let Err(e) = job.solver(&g).try_validate() {
+        eprintln!("ffpart submit: invalid job configuration: {e}");
         return ExitCode::from(2);
     }
-    if islands == 0 {
-        eprintln!("ffpart submit: --islands must be at least 1");
-        return ExitCode::from(2);
-    }
-    let needed = ff_engine::islands_to_cover(&objectives);
-    let pareto = ff_engine::distinct_objectives(&objectives).len() > 1;
-    if pareto && islands < needed {
-        eprintln!("ffpart: raising --islands {islands} → {needed} (covering every objective)");
-        islands = needed;
-    }
-    let spec = ff_service::DistSpec {
-        instance: instance.unwrap_or_else(|| graph_path.clone()),
-        source: ff_service::GraphSource::Data(data),
-        format,
-        k,
-        steps,
-        // Match the server's job driver: one island keeps the root
-        // seed, ensembles derive per-island seeds from it.
-        seeds: if islands == 1 {
-            vec![seed]
-        } else {
-            ff_engine::derive_seeds(seed, islands)
-        },
-        objectives: (0..islands)
-            .map(|i| objectives[i % objectives.len()])
-            .collect(),
-        interval: chunk,
-        migration,
-        pareto,
+    // The deterministic contract needs a pure step budget and the flat
+    // solver path.
+    let spec = match DistSpec::for_job(job, GraphSource::Data(data), format) {
+        Ok(spec) => spec,
+        Err(e) => {
+            eprintln!("ffpart submit: --workers: {e}");
+            return ExitCode::from(2);
+        }
     };
     eprintln!(
-        "ffpart: federating {islands} island(s) across {} server(s)",
+        "ffpart: federating {} island(s) across {} server(s)",
+        job.islands,
         addrs.len()
     );
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let result = ff_service::solve_distributed(
         &g,
         &spec,
@@ -1067,24 +1033,7 @@ fn submit_federated(
         }
     };
     if let Some(front) = &result.pareto {
-        let rows: Vec<FrontRow> = front
-            .points
-            .iter()
-            .map(|p| {
-                (
-                    p.island,
-                    p.objective,
-                    front
-                        .objectives
-                        .iter()
-                        .copied()
-                        .zip(p.values.iter().copied())
-                        .collect(),
-                    p.parts,
-                )
-            })
-            .collect();
-        print_front(&rows);
+        print_pareto(front);
     }
     println!(
         "done status=completed value={:.6} parts={} steps={} migrations={} time={}ms",
@@ -1109,36 +1058,70 @@ fn submit_federated(
     ExitCode::SUCCESS
 }
 
-/// One-shot `--workers`: shard the island ensemble across spawned
-/// `ffpart worker` child processes. Byte-identical to the same run
-/// without `--workers` — same seeds, same epoch schedule — which is why
-/// it insists on the deterministic budget shape (`--steps`, no `-b`).
-fn run_distributed_oneshot(
+/// One-shot fusion–fission: the job `ffpart submit` would send for the
+/// same flags, with `chunk` at the solver's default migration interval
+/// (1024). It runs in process through [`JobRequest::solver`], with
+/// `--threads` lifting the served one-thread cap, or across `--workers`.
+fn run_ff(g: &Graph, args: &Args, islands: usize) -> Result<(EnsembleResult, Duration), ExitCode> {
+    if args.coarsen_until == Some(0) {
+        // The job's `multilevel: Some(0)` means the engine default.
+        eprintln!(
+            "ffpart: invalid configuration: {}",
+            ff_core::ConfigError::ZeroCoarsenTarget
+        );
+        return Err(ExitCode::from(2));
+    }
+    let job = JobRequest {
+        objective: args.objectives[0],
+        objectives: (args.objectives.len() > 1).then(|| args.objectives.clone()),
+        migration: args.migration,
+        seed: args.seed,
+        steps: args.steps,
+        // `--steps` without `-b` is purely step-bounded; with neither,
+        // the budget is 10 s.
+        deadline_ms: match (args.budget_secs, args.steps) {
+            (Some(secs), _) => Some((secs * 1000.0).round() as u64),
+            (None, Some(_)) => None,
+            (None, None) => Some(10_000),
+        },
+        islands,
+        chunk: 1024,
+        multilevel: args
+            .multilevel
+            .then(|| args.coarsen_until.unwrap_or(0) as u64),
+        ..JobRequest::new(args.graph_path.clone(), args.k)
+    };
+    let started = Instant::now();
+    let result = match &args.workers {
+        Some(workers) => run_distributed(g, args, &job, workers)?,
+        None => job.solver(g).threads(args.threads).run().map_err(|e| {
+            eprintln!("ffpart: invalid configuration: {e}");
+            ExitCode::from(2)
+        })?,
+    };
+    Ok((result, started.elapsed()))
+}
+
+/// One-shot `--workers`: shard `job`'s islands across spawned `ffpart
+/// worker` child processes. Byte-identical to the same run without
+/// `--workers`, which is why [`DistSpec::for_job`] insists on the
+/// deterministic budget shape (`--steps`, no `-b`).
+fn run_distributed(
     g: &Graph,
     args: &Args,
-    islands: usize,
-    pareto_run: bool,
+    job: &JobRequest,
     workers_spec: &str,
-) -> Result<(ff_partition::Partition, Duration), ExitCode> {
+) -> Result<EnsembleResult, ExitCode> {
     let fail = |code: u8, msg: &str| {
         eprintln!("ffpart: {msg}");
-        Err::<(ff_partition::Partition, Duration), ExitCode>(ExitCode::from(code))
+        ExitCode::from(code)
     };
-    if args.method != MethodId::FusionFission {
-        return fail(
-            2,
-            "--workers needs -m ff (it distributes the fusion–fission ensemble)",
-        );
-    }
-    if args.multilevel {
-        return fail(2, "--workers does not combine with --multilevel");
-    }
-    let Some(steps) = args.steps else {
-        return fail(2, "--workers needs a pure step budget (--steps without -b)");
+    let Some(format) = GraphFormat::parse(&args.format) else {
+        return Err(fail(2, "unknown format (metis|edgelist)"));
     };
-    if args.budget_secs.is_some() {
-        return fail(2, "--workers needs a pure step budget (--steps without -b)");
-    }
+    let source = GraphSource::Path(args.graph_path.clone());
+    let spec =
+        DistSpec::for_job(job, source, format).map_err(|e| fail(2, &format!("--workers: {e}")))?;
     let workers = if workers_spec == "auto" {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -1147,46 +1130,21 @@ fn run_distributed_oneshot(
         match workers_spec.parse::<usize>() {
             Ok(n) if n > 0 => n,
             _ => {
-                return fail(
-                    2,
-                    &format!("bad --workers value `{workers_spec}` (count or `auto`)"),
-                )
+                let msg = format!("bad --workers value `{workers_spec}` (count or `auto`)");
+                return Err(fail(2, &msg));
             }
         }
     }
-    .min(islands);
-    let Some(format) = ff_service::GraphFormat::parse(&args.format) else {
-        return fail(2, "unknown format (metis|edgelist)");
-    };
+    .min(job.islands);
     let exe = match std::env::current_exe() {
         Ok(p) => p.to_string_lossy().into_owned(),
-        Err(e) => return fail(3, &format!("cannot locate own executable: {e}")),
+        Err(e) => return Err(fail(3, &format!("cannot locate own executable: {e}"))),
     };
-    let spec = ff_service::DistSpec {
-        instance: args.graph_path.clone(),
-        source: ff_service::GraphSource::Path(args.graph_path.clone()),
-        format,
-        k: args.k,
-        steps,
-        // Match the in-process run: one island keeps the root seed,
-        // ensembles derive per-island seeds from it.
-        seeds: if islands == 1 {
-            vec![args.seed]
-        } else {
-            ff_engine::derive_seeds(args.seed, islands)
-        },
-        objectives: (0..islands)
-            .map(|i| args.objectives[i % args.objectives.len()])
-            .collect(),
-        // The Solver's default migration interval — what the run would
-        // use in-process.
-        interval: 1024,
-        migration: args.migration,
-        pareto: pareto_run,
-    };
-    eprintln!("ffpart: distributing {islands} island(s) across {workers} worker process(es)");
-    let started = std::time::Instant::now();
-    let result = ff_service::solve_distributed(
+    eprintln!(
+        "ffpart: distributing {} island(s) across {workers} worker process(es)",
+        job.islands
+    );
+    ff_service::solve_distributed(
         g,
         &spec,
         &ff_service::WorkerSet::Spawn {
@@ -1195,33 +1153,8 @@ fn run_distributed_oneshot(
         },
         &ff_service::DistOpts::default(),
         &mut |_, _| {},
-    );
-    match result {
-        Ok(result) => {
-            if let Some(front) = &result.pareto {
-                let rows: Vec<FrontRow> = front
-                    .points
-                    .iter()
-                    .map(|p| {
-                        (
-                            p.island,
-                            p.objective,
-                            front
-                                .objectives
-                                .iter()
-                                .copied()
-                                .zip(p.values.iter().copied())
-                                .collect(),
-                            p.parts,
-                        )
-                    })
-                    .collect();
-                print_front(&rows);
-            }
-            Ok((result.best.clone(), started.elapsed()))
-        }
-        Err(e) => fail(3, &e),
-    }
+    )
+    .map_err(|e| fail(3, &e))
 }
 
 fn main() -> ExitCode {
@@ -1285,13 +1218,6 @@ fn main() -> ExitCode {
         eprintln!("ffpart: --multilevel needs -m ff (it accelerates the fusion–fission engine)");
         return ExitCode::from(2);
     }
-    let ml_opts = args.multilevel.then(|| {
-        let mut opts = ff_engine::MultilevelOpts::default();
-        if let Some(n) = args.coarsen_until {
-            opts.coarsen_until = n;
-        }
-        opts
-    });
     // Cycling the objective list needs enough islands that every
     // distinct objective gets one (duplicates in the list weight the
     // cycle, so this can exceed the distinct count).
@@ -1327,49 +1253,10 @@ fn main() -> ExitCode {
         );
     }
 
-    // `--steps` without `-b` means purely step-bounded: the run's output
-    // is then a pure function of (graph, config, seed) — byte-identical
-    // across repeated invocations and island/thread counts.
-    let budget = match (args.budget_secs, args.steps) {
-        (Some(secs), Some(steps)) => MethodBudget {
-            time: Duration::from_secs_f64(secs),
-            steps,
-        },
-        (Some(secs), None) => MethodBudget::seconds(secs),
-        (None, Some(steps)) => MethodBudget {
-            time: Duration::MAX,
-            steps,
-        },
-        (None, None) => MethodBudget::seconds(10.0),
-    };
-    let (mut partition, elapsed) = if let Some(spec) = &args.workers {
-        match run_distributed_oneshot(&g, &args, islands, pareto_run, spec) {
+    let (mut partition, elapsed) = if args.method == MethodId::FusionFission {
+        let (result, elapsed) = match run_ff(&g, &args, islands) {
             Ok(out) => out,
             Err(code) => return code,
-        }
-    } else if pareto_run {
-        // Mixed objectives: drive the Solver directly, print the front,
-        // continue with the representative (best under the primary —
-        // first — objective) for the per-part report and -w.
-        let started = std::time::Instant::now();
-        let mut solver = Solver::on(&g)
-            .k(args.k)
-            .objectives(args.objectives.clone())
-            .islands(islands)
-            .threads(args.threads)
-            .migration(args.migration.build())
-            .reduction(ParetoFront)
-            .stop(StopCondition::new(budget.steps, budget.time))
-            .seed(args.seed);
-        if let Some(opts) = ml_opts {
-            solver = solver.multilevel(opts);
-        }
-        let result = match solver.run() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("ffpart: invalid configuration: {e}");
-                return ExitCode::from(2);
-            }
         };
         if let Some(info) = &result.multilevel {
             eprintln!(
@@ -1377,54 +1264,29 @@ fn main() -> ExitCode {
                 info.levels, info.coarse_vertices
             );
         }
-        let front: &ParetoResult = result.pareto.as_ref().expect("pareto reduction ran");
-        let rows: Vec<FrontRow> = front
-            .points
-            .iter()
-            .map(|p| {
-                (
-                    p.island,
-                    p.objective,
-                    front
-                        .objectives
-                        .iter()
-                        .copied()
-                        .zip(p.values.iter().copied())
-                        .collect(),
-                    p.parts,
-                )
-            })
-            .collect();
-        print_front(&rows);
-        (result.best.clone(), started.elapsed())
-    } else if let Some(opts) = ml_opts {
-        // Multilevel ff drives the Solver directly; `run_method_ensemble`
-        // stays the flat path so existing pinned outputs are untouched.
-        let started = std::time::Instant::now();
-        let result = Solver::on(&g)
-            .k(args.k)
-            .objective(args.objectives[0])
-            .islands(islands)
-            .threads(args.threads)
-            .migration(args.migration.build())
-            .stop(StopCondition::new(budget.steps, budget.time))
-            .seed(args.seed)
-            .multilevel(opts)
-            .run();
-        let result = match result {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("ffpart: invalid configuration: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let info = result.multilevel.as_ref().expect("multilevel pipeline ran");
-        eprintln!(
-            "ffpart: multilevel: {} levels, coarse {} vertices",
-            info.levels, info.coarse_vertices
-        );
-        (result.best.clone(), started.elapsed())
+        // A Pareto run continues with its representative (best under
+        // the primary, first, objective) for the report and -w.
+        if let Some(front) = &result.pareto {
+            print_pareto(front);
+        }
+        (result.best, elapsed)
+    } else if args.workers.is_some() {
+        eprintln!("ffpart: --workers needs -m ff (it distributes the fusion–fission ensemble)");
+        return ExitCode::from(2);
     } else {
+        // `--steps` without `-b` means purely step-bounded: the run's
+        // output is then a pure function of (graph, config, seed).
+        let budget = match (args.budget_secs, args.steps) {
+            (Some(secs), steps) => MethodBudget {
+                time: Duration::from_secs_f64(secs),
+                steps: steps.unwrap_or(u64::MAX),
+            },
+            (None, Some(steps)) => MethodBudget {
+                time: Duration::MAX,
+                steps,
+            },
+            (None, None) => MethodBudget::seconds(10.0),
+        };
         let out = run_method_ensemble(
             args.method,
             &g,

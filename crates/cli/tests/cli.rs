@@ -475,6 +475,42 @@ fn invalid_k_and_objective_combinations_exit_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `-b` with no `Duration` (negative, NaN, infinite or too large) is a
+/// usage error for every method, not a panic.
+#[test]
+fn unrepresentable_budget_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("ffpart-test-budget-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = write_sample_graph(&dir);
+    for method in ["ff", "sa"] {
+        for budget in ["-1", "NaN", "inf", "1e30"] {
+            let output = ffpart()
+                .args([
+                    graph.to_str().unwrap(),
+                    "-k",
+                    "2",
+                    "-m",
+                    method,
+                    "-b",
+                    budget,
+                ])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "-m {method} -b {budget}: {stderr}"
+            );
+            assert!(
+                stderr.contains("bad budget"),
+                "-m {method} -b {budget}: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Kills the serve process if a test assertion unwinds first.
 struct ServeGuard(std::process::Child);
 impl Drop for ServeGuard {
@@ -601,7 +637,10 @@ fn serve_and_submit_roundtrip_deterministically_with_cancel() {
 }
 
 /// Satellite: `ffpart submit --multilevel` runs the coarsen→solve→refine
-/// pipeline server-side and reproduces byte-identically on resubmit.
+/// pipeline server-side and reproduces byte-identically on resubmit. The
+/// one-shot `--multilevel` run is the same job: with one island it keeps
+/// the root seed like the served job, and an ensemble equals the served
+/// job at the one-shot migration interval (`--chunk 1024`).
 #[test]
 fn submit_multilevel_job_reproduces_byte_identically() {
     let dir = std::env::temp_dir().join(format!("ffpart-test-submit-ml-{}", std::process::id()));
@@ -613,44 +652,44 @@ fn submit_multilevel_job_reproduces_byte_identically() {
     drop(f);
     let (guard, addr) = spawn_server();
 
-    let submit = |out: &std::path::Path| {
-        let output = ffpart()
-            .args([
-                "submit",
-                "--connect",
-                &addr,
-                graph.to_str().unwrap(),
-                "-k",
-                "4",
-                "-s",
-                "3",
-                "--steps",
-                "2000",
-                "-j",
-                "2",
-                "--multilevel",
-                "--coarsen-until",
-                "60",
-                "-q",
-                "-w",
-                out.to_str().unwrap(),
-            ])
-            .output()
-            .unwrap();
+    let job = |out: &std::path::Path, islands: &str| {
+        vec![
+            graph.to_str().unwrap().to_string(),
+            "-k".into(),
+            "4".into(),
+            "-s".into(),
+            "3".into(),
+            "--steps".into(),
+            "2000".into(),
+            "-j".into(),
+            islands.into(),
+            "--multilevel".into(),
+            "--coarsen-until".into(),
+            "60".into(),
+            "-q".into(),
+            "-w".into(),
+            out.to_str().unwrap().to_string(),
+        ]
+    };
+    let run = |args: Vec<String>| {
+        let output = ffpart().args(&args).output().unwrap();
         assert!(
             output.status.success(),
-            "stderr: {}",
+            "{args:?} stderr: {}",
             String::from_utf8_lossy(&output.stderr)
         );
-        assert!(
-            String::from_utf8_lossy(&output.stdout).contains("status=completed"),
-            "stdout: {}",
-            String::from_utf8_lossy(&output.stdout)
-        );
+        String::from_utf8_lossy(&output.stdout).into_owned()
+    };
+    let submit = |out: &std::path::Path, islands: &str, extra: &[&str]| {
+        let mut args = vec!["submit".to_string(), "--connect".into(), addr.clone()];
+        args.extend(job(out, islands));
+        args.extend(extra.iter().map(|a| a.to_string()));
+        let stdout = run(args);
+        assert!(stdout.contains("status=completed"), "stdout: {stdout}");
     };
     let (a, b) = (dir.join("a.part"), dir.join("b.part"));
-    submit(&a);
-    submit(&b);
+    submit(&a, "2", &[]);
+    submit(&b, "2", &[]);
     let pa = std::fs::read(&a).unwrap();
     assert_eq!(
         pa.len(),
@@ -658,6 +697,18 @@ fn submit_multilevel_job_reproduces_byte_identically() {
         "fine-graph partition, one line per vertex"
     );
     assert_eq!(pa, std::fs::read(&b).unwrap(), "resubmit must reproduce");
+
+    for (islands, extra) in [("1", &[][..]), ("2", &["--chunk", "1024"][..])] {
+        let served = dir.join(format!("served{islands}.part"));
+        let oneshot = dir.join(format!("oneshot{islands}.part"));
+        submit(&served, islands, extra);
+        run(job(&oneshot, islands));
+        assert_eq!(
+            std::fs::read(&oneshot).unwrap(),
+            std::fs::read(&served).unwrap(),
+            "one-shot --multilevel -j {islands} diverged from the served job"
+        );
+    }
 
     ff_service::Client::connect(&*addr)
         .unwrap()

@@ -29,13 +29,6 @@ pub struct MultilevelOpts {
     pub coarsen_until: usize,
     /// Greedy refinement sweeps per uncoarsening level (default 8).
     pub refine_passes: usize,
-    /// Optional fine-graph polish: after uncoarsening, warm-start one
-    /// fusion–fission run (`FusionFission::with_initial`) on the input
-    /// graph from the refined partition for this many steps, keeping the
-    /// result only if it is at least as good. `0` (default) disables it.
-    /// Ignored for Pareto reductions, whose points are refined per
-    /// objective instead.
-    pub polish_steps: u64,
 }
 
 impl Default for MultilevelOpts {
@@ -43,7 +36,6 @@ impl Default for MultilevelOpts {
         MultilevelOpts {
             coarsen_until: 3000,
             refine_passes: 8,
-            polish_steps: 0,
         }
     }
 }

@@ -460,22 +460,6 @@ impl<'g> Solver<'g> {
             .map(|r| r.value_after)
             .unwrap_or(res.best_value);
         res.best = fine;
-        if opts.polish_steps > 0 {
-            // Warm-start one fine-graph fusion–fission run from the
-            // refined partition; keep it when at least as good.
-            let polish_seed = derive_seeds(seed, islands + 1)[islands];
-            let cfg = FusionFissionConfig {
-                objective: win_obj,
-                stop: StopCondition::steps(opts.polish_steps),
-                ..base
-            };
-            let polished = FusionFission::with_initial(g, cfg, polish_seed, res.best.clone()).run();
-            res.steps += polished.steps;
-            if polished.best_value <= res.best_value {
-                res.best_value = polished.best_value;
-                res.best = polished.best;
-            }
-        }
         res.multilevel = Some(MultilevelInfo {
             levels: vc.num_levels(),
             coarse_vertices: vc.coarsest().num_vertices(),

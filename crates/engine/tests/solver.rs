@@ -748,29 +748,3 @@ fn multilevel_pareto_points_are_fine_and_non_dominated() {
         front.points.len()
     );
 }
-
-#[test]
-fn multilevel_polish_never_worsens_and_stays_deterministic() {
-    use ff_engine::MultilevelOpts;
-    let g = planted_partition(4, 80, 0.15, 0.005, 17);
-    let run = |polish: u64| {
-        Solver::on(&g)
-            .k(4)
-            .steps(1_500)
-            .seed(23)
-            .multilevel(MultilevelOpts {
-                coarsen_until: 50,
-                polish_steps: polish,
-                ..Default::default()
-            })
-            .run()
-            .unwrap()
-    };
-    let plain = run(0);
-    let polished = run(1_000);
-    assert!(polished.best_value <= plain.best_value);
-    assert!(polished.steps > plain.steps, "polish steps are counted");
-    let polished2 = run(1_000);
-    assert_eq!(polished2.best.assignment(), polished.best.assignment());
-    assert_eq!(polished2.best_value, polished.best_value);
-}

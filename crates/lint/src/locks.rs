@@ -475,7 +475,7 @@ impl<'a> Walk<'a> {
         {
             let (path, path_start) = receiver_path(toks, i - 2)?;
             let node = self.resolve(&path)?;
-            let var = binding_before(toks, path_start);
+            let var = binding_before(toks, path_start).filter(|_| binds_guard(toks, i + 3));
             return Some(Acq {
                 node,
                 line: toks[i].line,
@@ -509,7 +509,7 @@ impl<'a> Walk<'a> {
                 return None;
             }
             let node = self.resolve(&path)?;
-            let var = binding_before(toks, i);
+            let var = binding_before(toks, i).filter(|_| binds_guard(toks, j + 1));
             return Some(Acq {
                 node,
                 line: toks[i].line,
@@ -597,6 +597,34 @@ fn binding_before(toks: &[Tok], start: usize) -> Option<String> {
         return Some(name.text.clone());
     }
     None
+}
+
+/// Does the acquisition ending before token `i` make up the whole `let`
+/// initializer, optionally followed by `.unwrap()`, `.expect(..)` or
+/// `?`? Only then does the `let` bind the guard itself; in
+/// `let n = lock(&x).len();` the guard is a statement temporary, dropped
+/// at the `;`.
+fn binds_guard(toks: &[Tok], mut i: usize) -> bool {
+    if toks.get(i).is_some_and(|t| t.is_punct('?')) {
+        i += 1;
+    } else if toks.get(i).is_some_and(|t| t.is_punct('.'))
+        && toks
+            .get(i + 1)
+            .is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect"))
+        && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
+    {
+        // Skip the call's balanced argument list.
+        let mut depth = 0i32;
+        i += 2;
+        while let Some(t) = toks.get(i) {
+            depth += i32::from(t.is_punct('(')) - i32::from(t.is_punct(')'));
+            i += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    toks.get(i).is_some_and(|t| t.is_punct(';'))
 }
 
 /// Tarjan SCC over the edge list; every SCC with an internal edge
@@ -747,6 +775,35 @@ impl S {
         let (diags, g) = run(src);
         assert!(diags.is_empty(), "{diags:?}");
         assert!(g.edges.is_empty(), "{:?}", g.edges);
+    }
+
+    #[test]
+    fn let_binding_a_value_read_through_a_guard_holds_nothing() {
+        let read = r#"
+struct S { a: Mutex<u32>, b: Mutex<u32> }
+impl S {
+    fn f(&self) { let n = lock(&a).len(); lock(&b); }
+    fn g(&self) { let m = self.a.lock().unwrap().len(); lock(&b); }
+}
+"#;
+        let (diags, g) = run(read);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert!(g.edges.is_empty(), "{:?}", g.edges);
+        for held in [
+            "let g = lock(&a); lock(&b);",
+            "let g = x.a.lock().unwrap(); lock(&b);",
+            "let g = x.a.lock().expect(\"poisoned\"); lock(&b);",
+            "let g = x.a.read()?; lock(&b);",
+        ] {
+            let src =
+                format!("struct S {{ a: Mutex<u32>, b: Mutex<u32> }}\nfn f(x: &S) {{ {held} }}\n");
+            let (_, g) = run(&src);
+            assert_eq!(g.edges.len(), 1, "{held}: {:?}", g.edges);
+            assert_eq!(
+                (g.edges[0].from.as_str(), g.edges[0].to.as_str()),
+                ("S.a", "S.b")
+            );
+        }
     }
 
     #[test]

@@ -124,8 +124,29 @@ impl<'g> Vcycle<'g> {
             self.coarsest().num_vertices(),
             "partition must cover the coarsest graph"
         );
-        let k = coarse.num_parts();
-        let mut cur = coarse.clone();
+        self.uncoarsen(coarse.clone(), coarse.num_parts(), objective, |lvl, st| {
+            let opts = GreedyOptions {
+                max_passes: self.opts.refine_passes,
+                seed: self.opts.seed.wrapping_add(lvl as u64),
+                ..Default::default()
+            };
+            greedy_refine_kway(st, objective, &opts)
+        })
+    }
+
+    /// The one uncoarsening loop: projects `coarse` down the stack, level
+    /// by level, as a partition with `k` part slots, and hands each
+    /// projection to `refine(level, state)`, which returns the moves it
+    /// applied. Each level's [`LevelReport`] scores the state under
+    /// `objective` before and after `refine`.
+    pub(crate) fn uncoarsen(
+        &self,
+        coarse: Partition,
+        k: usize,
+        objective: Objective,
+        mut refine: impl FnMut(usize, &mut CutState) -> usize,
+    ) -> (Partition, Vec<LevelReport>) {
+        let mut cur = coarse;
         let mut reports = Vec::with_capacity(self.hierarchy.num_levels());
         for lvl in (0..self.hierarchy.num_levels()).rev() {
             let level_start = std::time::Instant::now();
@@ -133,15 +154,7 @@ impl<'g> Vcycle<'g> {
             let fine_asg = self.hierarchy.levels()[lvl].project(cur.assignment());
             let mut st = CutState::new(fine, Partition::from_assignment(fine, fine_asg, k));
             let value_before = st.objective(objective);
-            let moves = greedy_refine_kway(
-                &mut st,
-                objective,
-                &GreedyOptions {
-                    max_passes: self.opts.refine_passes,
-                    seed: self.opts.seed.wrapping_add(lvl as u64),
-                    ..Default::default()
-                },
-            );
+            let moves = refine(lvl, &mut st);
             let value_after = st.objective(objective);
             reports.push(LevelReport {
                 level: lvl,

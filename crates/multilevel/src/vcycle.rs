@@ -2,8 +2,8 @@
 //! uncoarsening.
 
 use crate::initial::{initial_partition, InitialMethod};
-use crate::MultilevelConfig;
-use ff_graph::{Graph, Hierarchy, VertexId};
+use crate::{MultilevelConfig, Vcycle, VcycleOpts};
+use ff_graph::{Graph, VertexId};
 use ff_partition::refine::fm::FmOptions;
 use ff_partition::refine::greedy::GreedyOptions;
 use ff_partition::refine::pairwise::{pairwise_refine_kway, PairwiseMethod, PairwiseOptions};
@@ -16,32 +16,33 @@ use ff_partition::{
 /// refinement at every level.
 pub fn multilevel_bisection(g: &Graph, cfg: &MultilevelConfig) -> Partition {
     assert!(g.num_vertices() >= 2, "bisection needs ≥ 2 vertices");
-    let h = Hierarchy::build(g, cfg.coarsen_until.max(4), cfg.seed);
-    let coarsest = h.coarsest(g);
-    let mut part = initial_partition(coarsest, 2, cfg.initial, cfg.seed);
-
-    // Uncoarsen with per-level FM refinement.
-    for lvl in (0..h.num_levels()).rev() {
-        let fine = h.graph_at(g, lvl);
-        let fine_assignment = h.levels()[lvl].project(part.assignment());
-        part = Partition::from_assignment(fine, fine_assignment, 2);
-        let ideal = fine.total_vertex_weight() / 2.0;
-        let mut st = CutState::new(fine, part);
-        fm_refine_bisection(
-            &mut st,
-            0,
-            1,
-            &FmOptions {
-                balance: BalanceConstraint {
-                    lo: ideal * (1.0 - cfg.balance_eps),
-                    hi: ideal * (1.0 + cfg.balance_eps),
-                },
-                ..Default::default()
-            },
-        );
-        part = st.into_partition();
-    }
+    let vc = vcycle(g, cfg.coarsen_until.max(4), cfg.seed);
+    let part = initial_partition(vc.coarsest(), 2, cfg.initial, cfg.seed);
+    let (part, _) = vc.uncoarsen(part, 2, Objective::Cut, |_, st| {
+        let ideal = st.graph().total_vertex_weight() / 2.0;
+        let balance = BalanceConstraint {
+            lo: ideal * (1.0 - cfg.balance_eps),
+            hi: ideal * (1.0 + cfg.balance_eps),
+        };
+        let opts = FmOptions {
+            balance,
+            ..Default::default()
+        };
+        fm_refine_bisection(st, 0, 1, &opts);
+        0 // FM counts gain, not moves; this driver drops the reports.
+    });
     part
+}
+
+/// The V-cycle of one Table 1 driver: its coarsening stack, untrimmed.
+fn vcycle(g: &Graph, coarsen_until: usize, seed: u64) -> Vcycle<'_> {
+    let opts = VcycleOpts {
+        coarsen_until,
+        seed,
+        min_coarse_vertices: 0,
+        ..Default::default()
+    };
+    Vcycle::new(g, opts)
 }
 
 /// Recursive multilevel bisection to `k` parts (`Multilevel (Bi)`).
@@ -110,11 +111,10 @@ fn recurse_bisect(
 /// octasection by default), greedy k-way + pairwise FM refinement during
 /// uncoarsening.
 pub fn multilevel_kway(g: &Graph, k: usize, cfg: &MultilevelConfig) -> Partition {
-    let coarsen_until = cfg.coarsen_until.max(3 * k);
-    let h = Hierarchy::build(g, coarsen_until, cfg.seed);
-    let coarsest = h.coarsest(g);
+    let vc = vcycle(g, cfg.coarsen_until.max(3 * k), cfg.seed);
+    let coarsest = vc.coarsest();
     let k_eff = k.min(coarsest.num_vertices());
-    let mut part = match cfg.initial {
+    let part = match cfg.initial {
         InitialMethod::Spectral => {
             let scfg = ff_spectral::SpectralConfig {
                 mode: ff_spectral::SectionMode::Octasection,
@@ -128,29 +128,20 @@ pub fn multilevel_kway(g: &Graph, k: usize, cfg: &MultilevelConfig) -> Partition
             crate::initial::region_growing_kway(coarsest, k_eff, cfg.seed)
         }
     };
-
-    for lvl in (0..h.num_levels()).rev() {
-        let fine = h.graph_at(g, lvl);
-        let fine_assignment = h.levels()[lvl].project(part.assignment());
-        part = Partition::from_assignment(fine, fine_assignment, k_eff);
-        let ideal = fine.total_vertex_weight() / k_eff as f64;
+    let (part, _) = vc.uncoarsen(part, k_eff, Objective::Cut, |_, st| {
+        let ideal = st.graph().total_vertex_weight() / k_eff as f64;
         let balance = BalanceConstraint {
             lo: ideal * (1.0 - 3.0 * cfg.balance_eps).max(0.0),
             hi: ideal * (1.0 + 3.0 * cfg.balance_eps),
         };
-        let mut st = CutState::new(fine, part);
-        greedy_refine_kway(
-            &mut st,
-            Objective::Cut,
-            &GreedyOptions {
-                max_passes: 6,
-                balance,
-                seed: cfg.seed,
-                keep_parts_nonempty: true,
-            },
-        );
-        part = st.into_partition();
-    }
+        let opts = GreedyOptions {
+            max_passes: 6,
+            balance,
+            seed: cfg.seed,
+            keep_parts_nonempty: true,
+        };
+        greedy_refine_kway(st, Objective::Cut, &opts)
+    });
     // Final pairwise polish on the full graph.
     let ideal = g.total_vertex_weight() / k_eff as f64;
     let mut st = CutState::new(g, part);
@@ -173,6 +164,7 @@ mod tests {
     use super::*;
     use crate::{multilevel_partition, MultilevelMode};
     use ff_graph::generators::{grid2d, planted_partition, random_geometric, two_cliques_bridge};
+    use ff_graph::Hierarchy;
     use ff_partition::imbalance;
 
     #[test]

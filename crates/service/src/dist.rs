@@ -61,13 +61,13 @@ use ff_metaheur::AnytimeTrace;
 use ff_partition::{Objective, Partition};
 
 use crate::cache::{GraphFormat, GraphSource};
-use crate::protocol::{Event, MoleculeInfo, Request, WNews, WorkerStart};
+use crate::protocol::{Event, JobRequest, MoleculeInfo, Request, WNews, WorkerStart};
 
 /// What to solve, distributed. `seeds` and `objectives` are the full
-/// per-island lists in global island order — callers (CLI, submit) fix
-/// them exactly as the in-process path would, so the contract "same
-/// seeds in, same bytes out" is theirs to state and this module's to
-/// keep.
+/// per-island lists in global island order, fixed exactly as the
+/// in-process path would fix them: "same seeds in, same bytes out" is
+/// the caller's to state and this module's to keep.
+/// [`DistSpec::for_job`] derives the whole spec from a [`JobRequest`].
 #[derive(Clone, Debug)]
 pub struct DistSpec {
     /// Cache key the workers load the instance under.
@@ -91,6 +91,46 @@ pub struct DistSpec {
     pub migration: MigrationPolicyId,
     /// Reduce with [`ParetoFront`] instead of [`MinEnergy`].
     pub pareto: bool,
+}
+
+impl DistSpec {
+    /// The distributed form of `job`, read from the same definition as
+    /// [`JobRequest::solver`]: its island seeds and per-island objectives,
+    /// `chunk` as the migration interval, and a Pareto reduction exactly
+    /// when the job is a Pareto job. Running it is byte-identical to
+    /// serving `job`. `source` and `format` tell the workers where to get
+    /// the instance.
+    ///
+    /// Lockstep epochs need a pure step budget on the flat search, so a
+    /// job without `steps`, with `deadline_ms`, or with `multilevel` is an
+    /// error.
+    pub fn for_job(
+        job: &JobRequest,
+        source: GraphSource,
+        format: GraphFormat,
+    ) -> Result<DistSpec, String> {
+        if job.deadline_ms.is_some() {
+            return Err("a distributed job needs a pure step budget, not a deadline".into());
+        }
+        let Some(steps) = job.steps else {
+            return Err("a distributed job needs a step budget".into());
+        };
+        if job.multilevel.is_some() {
+            return Err("a distributed job does not combine with multilevel".into());
+        }
+        Ok(DistSpec {
+            instance: job.instance.clone(),
+            source,
+            format,
+            k: job.k,
+            steps,
+            seeds: job.island_seeds(),
+            objectives: job.island_objectives(),
+            interval: job.chunk,
+            migration: job.migration,
+            pareto: job.is_pareto(),
+        })
+    }
 }
 
 /// Where the workers come from.
@@ -780,6 +820,75 @@ mod tests {
                 assert_eq!(hosted.iter().position(|&i| i == global), Some(local));
             }
         }
+    }
+
+    /// `DistSpec::for_job` and `JobRequest::solver` are two readings of
+    /// one job: the same island seeds (the root seed for a lone island),
+    /// the same per-island objectives, and `chunk` as the interval.
+    #[test]
+    fn for_job_distributes_the_islands_the_job_solver_starts() {
+        use ff_core::{FusionFission, FusionFissionConfig};
+        let g = ff_graph::generators::planted_partition(3, 12, 0.5, 0.05, 4);
+        let path = || GraphSource::Path("pp".into());
+        for islands in [1, 2, 5] {
+            let job = JobRequest {
+                steps: Some(600),
+                seed: 11,
+                islands,
+                chunk: 200,
+                objectives: (islands > 1).then(|| vec![Objective::Cut, Objective::MCut]),
+                ..JobRequest::new("pp", 3)
+            };
+            let spec = DistSpec::for_job(&job, path(), GraphFormat::Metis).unwrap();
+            assert_eq!((spec.k, spec.steps, spec.interval), (3, 600, 200));
+            assert_eq!(spec.pareto, islands > 1);
+            let seeds = if islands == 1 {
+                vec![11]
+            } else {
+                ff_engine::derive_seeds(11, islands)
+            };
+            assert_eq!(spec.seeds, seeds);
+            // Each island of the job's solver is the plain run its spec
+            // seed and objective start.
+            let mut shard = job.solver(&g).start().unwrap().into_islands();
+            let Ok(_) = shard.advance(300);
+            assert_eq!(shard.runs().len(), islands);
+            for (i, run) in shard.runs().iter().enumerate() {
+                assert_eq!(run.config().objective, spec.objectives[i], "island {i}");
+                let cfg = FusionFissionConfig {
+                    objective: spec.objectives[i],
+                    stop: ff_metaheur::StopCondition::steps(spec.steps),
+                    ..FusionFissionConfig::standard(spec.k)
+                };
+                let mut plain = FusionFission::new(&g, cfg, spec.seeds[i]).start();
+                plain.advance(300);
+                let (got, want) = (run.best_molecule(), plain.best_molecule());
+                assert_eq!(got.assignment(), want.assignment(), "island {i}");
+                assert_eq!(run.best_energy(), plain.best_energy(), "island {i}");
+            }
+        }
+        // Lockstep epochs need a pure step budget on the flat search.
+        let job = JobRequest {
+            steps: Some(600),
+            ..JobRequest::new("pp", 3)
+        };
+        let reject = |job: JobRequest| DistSpec::for_job(&job, path(), GraphFormat::Metis);
+        let deadline = JobRequest {
+            deadline_ms: Some(50),
+            ..job.clone()
+        };
+        assert!(reject(deadline).unwrap_err().contains("deadline"));
+        let no_steps = JobRequest {
+            steps: None,
+            ..job.clone()
+        };
+        assert!(reject(no_steps).unwrap_err().contains("step budget"));
+        let multilevel = JobRequest {
+            multilevel: Some(0),
+            ..job.clone()
+        };
+        assert!(reject(multilevel).unwrap_err().contains("multilevel"));
+        assert!(reject(job).is_ok());
     }
 
     #[test]

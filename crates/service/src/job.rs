@@ -13,8 +13,8 @@ use crate::journal::{JournalRecord, JournalTap};
 use crate::obs::Metrics;
 use crate::protocol::{DoneInfo, Event, Improvement, JobRequest, JobStatus, ParetoPointInfo};
 use crate::sync::lock;
-use ff_core::{ConfigError, FusionFissionConfig};
-use ff_engine::{MultilevelOpts, ParetoFront, Solver};
+use ff_core::FusionFissionConfig;
+use ff_engine::{derive_seeds, MultilevelOpts, ParetoFront, Solver};
 use ff_graph::Graph;
 use ff_metaheur::{CancelToken, StopCondition};
 use ff_obs::LogValue;
@@ -100,48 +100,55 @@ fn base_config(spec: &JobRequest) -> FusionFissionConfig {
     }
 }
 
-/// The [`Solver`] a job request describes — the single definition both
-/// the submit-time validation and the driver thread use, so a job that
-/// was admitted can never fail to start.
-///
-/// Byte-compat notes: a single-island job's root seed *is* its island
-/// seed (the historical `run_single` contract), while multi-island jobs
-/// derive island seeds from the root; internal waves are capped at one
-/// thread so a job never holds more compute than the single pool slot
-/// its permit represents; the cooperative `chunk` doubles as the
-/// migration interval.
-pub(crate) fn job_solver<'g>(spec: &JobRequest, graph: &'g Graph) -> Solver<'g> {
-    let mut solver = Solver::on(graph)
-        .config(base_config(spec))
-        .islands(spec.islands)
-        .threads(1)
-        .migration_interval(spec.chunk)
-        .migration(spec.migration.build())
-        .seed(spec.seed);
-    if spec.islands == 1 {
-        solver = solver.island_seeds(vec![spec.seed]);
-    }
-    if let Some(list) = &spec.objectives {
-        solver = solver.objectives(list.clone());
-    }
-    if spec.is_pareto() {
-        solver = solver.reduction(ParetoFront);
-    }
-    if let Some(target) = spec.multilevel {
-        let mut opts = MultilevelOpts::default();
-        if target > 0 {
-            opts.coarsen_until = target as usize;
+impl JobRequest {
+    /// Per-island seeds, in island order: a single island keeps the root
+    /// seed, so it is the plain `FusionFission::new(g, cfg, seed)` run;
+    /// an ensemble derives one seed per island from the root.
+    pub fn island_seeds(&self) -> Vec<u64> {
+        if self.islands == 1 {
+            vec![self.seed]
+        } else {
+            derive_seeds(self.seed, self.islands)
         }
-        solver = solver.multilevel(opts);
     }
-    solver
-}
 
-/// Submit-time validation of everything the driver thread would
-/// otherwise panic on — the server maps the typed error into an `error`
-/// event instead of a worker panic.
-pub(crate) fn validate_job(spec: &JobRequest, graph: &Graph) -> Result<(), ConfigError> {
-    job_solver(spec, graph).try_validate()
+    /// The [`Solver`] this job describes: the one place a fusion–fission
+    /// job becomes a run. The server validates a submit with it and its
+    /// driver thread runs it, so an admitted job can never fail to start;
+    /// `ffpart` runs its one-shot jobs through it too, and
+    /// [`DistSpec::for_job`](crate::DistSpec::for_job) distributes the
+    /// same islands.
+    ///
+    /// Island seeds come from [`JobRequest::island_seeds`]; `chunk` is
+    /// also the migration interval. Waves are capped at one thread, so a
+    /// served job never holds more compute than the one pool slot its
+    /// permit stands for; a caller that owns its cores may lift the cap
+    /// with [`Solver::threads`], which never changes a step-budgeted
+    /// result.
+    pub fn solver<'g>(&self, graph: &'g Graph) -> Solver<'g> {
+        let mut solver = Solver::on(graph)
+            .config(base_config(self))
+            .islands(self.islands)
+            .threads(1)
+            .migration_interval(self.chunk)
+            .migration(self.migration.build())
+            .seed(self.seed)
+            .island_seeds(self.island_seeds());
+        if let Some(list) = &self.objectives {
+            solver = solver.objectives(list.clone());
+        }
+        if self.is_pareto() {
+            solver = solver.reduction(ParetoFront);
+        }
+        if let Some(target) = self.multilevel {
+            let mut opts = MultilevelOpts::default();
+            if target > 0 {
+                opts.coarsen_until = target as usize;
+            }
+            solver = solver.multilevel(opts);
+        }
+        solver
+    }
 }
 
 /// Runs one job to its end (budget, deadline or cancellation), streaming
@@ -176,7 +183,7 @@ pub(crate) fn run_job(
     // have. Same discipline as the dist layer's `FFPART_FAULT`.
     let poisoned = std::env::var("FFPART_JOB_PANIC").is_ok_and(|key| key == spec.instance);
     let multi = spec.is_pareto();
-    let solver = job_solver(spec, graph).observe(obs.registry.clone());
+    let solver = spec.solver(graph).observe(obs.registry.clone());
     // `run_with` lets the service keep its cooperative chunked drive
     // (gate permits, improvement streaming, cancellation) while the
     // engine decides *where* that drive runs: on the input graph, or —
@@ -297,6 +304,7 @@ pub(crate) fn run_job(
 mod tests {
     use super::*;
     use crate::cache::{GraphFormat, GraphSource, InstanceCache};
+    use ff_core::ConfigError;
 
     fn sink_to_vec() -> (EventSink, Arc<Mutex<Vec<u8>>>) {
         #[derive(Clone)]
@@ -440,7 +448,7 @@ mod tests {
         let done = run_job(5, &spec, &graph, &gate, &token, &sink, &metrics(), |_| ());
         let front = done.pareto.as_ref().expect("pareto job carries a front");
         // The wire front must equal the library front exactly.
-        let direct = job_solver(&spec, &graph).start().unwrap();
+        let direct = spec.solver(&graph).start().unwrap();
         let mut direct = direct;
         while direct.advance_epoch() {}
         let lib = direct.harvest();
@@ -502,7 +510,7 @@ mod tests {
             multilevel: Some(30),
             ..JobRequest::new("pp", 4)
         };
-        assert!(validate_job(&spec, &graph).is_ok());
+        assert!(spec.solver(&graph).try_validate().is_ok());
         let run = || {
             let (sink, _buf) = sink_to_vec();
             let token = CancelToken::new();
@@ -517,7 +525,7 @@ mod tests {
         assert_eq!(a.assignment.as_ref().unwrap().len(), 120);
         assert_eq!(a.parts, 4);
         // And the served drive is bit-equal to the engine's own run().
-        let direct = job_solver(&spec, &graph).run().unwrap();
+        let direct = spec.solver(&graph).run().unwrap();
         assert_eq!(a.value, direct.best_value);
         assert_eq!(a.assignment.as_deref().unwrap(), direct.best.assignment());
         assert_eq!(a.steps, direct.steps);
@@ -531,14 +539,14 @@ mod tests {
             steps: Some(100),
             ..JobRequest::new("grid", 2)
         };
-        assert!(validate_job(&spec, &graph).is_ok());
+        assert!(spec.solver(&graph).try_validate().is_ok());
         let starved = JobRequest {
             steps: Some(100),
             islands: 0,
             ..JobRequest::new("grid", 2)
         };
         assert_eq!(
-            validate_job(&starved, &graph),
+            starved.solver(&graph).try_validate(),
             Err(ConfigError::ZeroIslands)
         );
     }

@@ -89,7 +89,7 @@ impl Metrics {
             ),
             gate_queued: registry.gauge(
                 "ff_gate_queued",
-                "Job chunks currently blocked waiting for a compute slot",
+                "Job chunks and worker-session epochs currently waiting for a compute slot",
             ),
             cache_bytes: registry.gauge("ff_cache_bytes", "CSR bytes resident in the cache"),
             instances: registry.gauge("ff_cache_instances", "Instances currently cached"),
@@ -237,7 +237,7 @@ impl CacheCounters {
 pub(crate) fn permit_wait_ms(registry: &Registry) -> Histogram {
     registry.histogram(
         "ff_permit_wait_ms",
-        "Milliseconds a job chunk blocked waiting for a compute slot",
+        "Milliseconds a job chunk or worker-session epoch blocked waiting for a compute slot",
         &ms_bounds(&WAIT_BUCKET_MS),
     )
 }

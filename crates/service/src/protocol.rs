@@ -131,17 +131,19 @@ impl JobRequest {
         }
     }
 
+    /// The objective each island minimizes, in island order: island `i`
+    /// takes `objectives[i % len]`, or `objective` when no list is set.
+    pub fn island_objectives(&self) -> Vec<Objective> {
+        match &self.objectives {
+            None => vec![self.objective; self.islands],
+            Some(list) => list.iter().copied().cycle().take(self.islands).collect(),
+        }
+    }
+
     /// The distinct objectives this job optimizes, in island order of
     /// first appearance (a single-objective job yields one entry).
     pub fn distinct_objectives(&self) -> Vec<Objective> {
-        match &self.objectives {
-            None => vec![self.objective],
-            Some(list) => {
-                let cycled: Vec<Objective> =
-                    (0..self.islands).map(|i| list[i % list.len()]).collect();
-                ff_engine::distinct_objectives(&cycled)
-            }
-        }
+        ff_engine::distinct_objectives(&self.island_objectives())
     }
 
     /// Whether the job runs more than one distinct objective (and its
@@ -459,7 +461,8 @@ wire_struct! {
         pub max_jobs: u64 = 0,
         /// Worker-pool width (compute slots).
         pub workers: usize = 0,
-        /// Chunks currently blocked waiting for a compute slot.
+        /// Job chunks and worker-session epochs currently waiting for a
+        /// compute slot.
         pub gate_queued: usize = 0,
         /// Permit-wait histogram: completed slot acquisitions (job chunks
         /// and worker-session epochs) bucketed by how long they blocked

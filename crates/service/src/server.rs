@@ -19,7 +19,7 @@
 use crate::cache::{GraphFormat, GraphSource, InstanceCache, PinnedGraph};
 use crate::gate::{FairGate, WAIT_BUCKET_MS};
 use crate::http::{handle_http_client, log_sink, EventLog};
-use crate::job::{run_job, validate_job, EventSink};
+use crate::job::{run_job, EventSink};
 use crate::journal::{read_journal, JournalRecord, JournalTap, JournalWriter, ReplaySummary};
 use crate::obs::{Metrics, DURATION_BUCKET_MS};
 use crate::protocol::{DoneInfo, Event, JobRequest, Request, StatsInfo, PROTOCOL_VERSION};
@@ -379,7 +379,7 @@ fn resume_job(state: &Arc<ServerState>, job_id: u64, spec: &JobRequest) -> bool 
     let Some(graph) = state.cache.pin(&spec.instance) else {
         return false;
     };
-    if validate_job(spec, graph.graph()).is_err() {
+    if spec.solver(graph.graph()).try_validate().is_err() {
         return false;
     }
     let token = CancelToken::new();
@@ -825,7 +825,7 @@ pub(crate) fn submit_job(
     // Full engine-level validation up front: the driver thread must never
     // panic on a config the wire schema happened to allow — the typed
     // error goes back to the client instead.
-    if let Err(e) = crate::job::validate_job(&spec, graph.graph()) {
+    if let Err(e) = spec.solver(graph.graph()).try_validate() {
         release_slot();
         return Event::Error {
             message: format!("invalid job configuration: {e}"),
