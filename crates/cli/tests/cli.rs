@@ -913,6 +913,73 @@ fn serve_hardening_flags_reject_overflow_and_serve_http() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Both front-ends log the `load` span: an HTTP `PUT /instances/:key`
+/// on a `--log-format json` server carries the same fields as an NDJSON
+/// `load` of the same graph.
+#[test]
+fn http_and_ndjson_loads_log_the_same_load_span() {
+    use std::io::{BufRead, Read, Write};
+    use std::process::Stdio;
+    const GRID: &str = "9 12\n2 4\n1 3 5\n2 6\n1 5 7\n2 4 6 8\n3 5 9\n4 8\n5 7 9\n6 8\n";
+    let mut child = ffpart()
+        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+        .args(["--http", "127.0.0.1:0", "--log-format", "json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    let mut stderr = child.stderr.take().unwrap();
+    let mut banners = std::io::BufReader::new(child.stdout.take().unwrap()).lines();
+    let guard = ServeGuard(child);
+    let mut banner = |prefix: &str| {
+        let line = banners.next().unwrap().unwrap();
+        line.strip_prefix(prefix)
+            .unwrap_or_else(|| panic!("unexpected banner: {line}"))
+            .to_string()
+    };
+    let addr = banner("ffpart: serving on ");
+    let http = banner("ffpart: http on ");
+
+    let mut client = ff_service::Client::connect(&*addr).unwrap();
+    client
+        .load(
+            "ndjson",
+            ff_service::GraphSource::Data(GRID.into()),
+            ff_service::GraphFormat::Metis,
+        )
+        .unwrap();
+    let mut stream = std::net::TcpStream::connect(&*http).unwrap();
+    write!(
+        stream,
+        "PUT /instances/http?format=metis HTTP/1.1\r\nHost: t\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{GRID}",
+        GRID.len()
+    )
+    .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 200"), "raw: {raw}");
+
+    // Each span is logged before its reply is sent, so both are in the
+    // pipe once the server is gone.
+    drop(guard);
+    let mut log = String::new();
+    stderr.read_to_string(&mut log).unwrap();
+    let spans: Vec<&str> = log
+        .lines()
+        .filter(|line| line.contains(r#""event":"load""#))
+        .map(|line| line.split_once(',').map_or(line, |(_ts, rest)| rest))
+        .collect();
+    assert_eq!(
+        spans,
+        [
+            r#""event":"load","instance":"ndjson","vertices":9,"edges":12,"cached":false}"#,
+            r#""event":"load","instance":"http","vertices":9,"edges":12,"cached":false}"#,
+        ],
+        "log: {log}"
+    );
+}
+
 /// Tentpole at the CLI layer: `--workers N|auto` shards the island
 /// ensemble across spawned worker processes, and the resulting `.part`
 /// file (and the summary on stdout) is byte-identical to the plain

@@ -17,7 +17,7 @@ use crate::energy::scaled_energy;
 use crate::laws::{LawTable, Reaction};
 use crate::ops::{fission_split, fuse, nfusion, select_partner, weakest_nucleons};
 use ff_graph::Graph;
-use ff_metaheur::{AnytimeTrace, CancelToken, MetaheuristicResult, Percolator};
+use ff_metaheur::{AnytimeTrace, CancelToken, Percolator};
 use ff_partition::{Connections, CutState, Partition};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -51,18 +51,6 @@ pub struct FusionFissionResult {
     /// behind the paper's "returns good solutions from 27 to 38
     /// partitions" observation.
     pub best_value_per_k: BTreeMap<usize, f64>,
-}
-
-impl FusionFissionResult {
-    /// Converts into the common metaheuristic result shape.
-    pub fn into_metaheuristic_result(self) -> MetaheuristicResult {
-        MetaheuristicResult {
-            best: self.best,
-            best_value: self.best_value,
-            steps: self.steps,
-            trace: self.trace,
-        }
-    }
 }
 
 /// Per-run mutable search state shared by both phases.

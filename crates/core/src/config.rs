@@ -57,10 +57,6 @@ pub enum ConfigError {
     },
     /// A multilevel coarsening target of 0 vertices.
     ZeroCoarsenTarget,
-    /// Multilevel mode combined with a warm-start partition: the initial
-    /// partition lives on the fine graph, but the search runs on the
-    /// coarse one.
-    MultilevelWithInitial,
     /// Multilevel mode requested on the resumable `start()` path: the
     /// V-cycle owns the epoch loop, so only `run()` supports it.
     MultilevelNotResumable,
@@ -92,12 +88,6 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::ZeroCoarsenTarget => {
                 write!(f, "multilevel coarsening target must be positive")
-            }
-            ConfigError::MultilevelWithInitial => {
-                write!(
-                    f,
-                    "multilevel cannot be combined with a warm-start partition"
-                )
             }
             ConfigError::MultilevelNotResumable => {
                 write!(

@@ -3,7 +3,7 @@
 
 use crate::reduction::ParetoResult;
 use ff_core::FusionFissionResult;
-use ff_metaheur::{AnytimeTrace, MetaheuristicResult};
+use ff_metaheur::AnytimeTrace;
 use ff_partition::Partition;
 use std::collections::BTreeMap;
 
@@ -49,18 +49,6 @@ pub struct EnsembleResult {
     /// `islands`, `trace` and `best_value_per_k` describe the coarse
     /// search.
     pub multilevel: Option<crate::MultilevelInfo>,
-}
-
-impl EnsembleResult {
-    /// Converts into the common metaheuristic result shape.
-    pub fn into_metaheuristic_result(self) -> MetaheuristicResult {
-        MetaheuristicResult {
-            best: self.best,
-            best_value: self.best_value,
-            steps: self.steps,
-            trace: self.trace,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use ff_core::{ConfigError, FusionFission, FusionFissionConfig, FusionFissionRun}
 use ff_graph::Graph;
 use ff_metaheur::{CancelToken, StopCondition};
 use ff_multilevel::{Vcycle, VcycleOpts};
-use ff_partition::{pareto_front_indices, Objective, Partition};
+use ff_partition::{pareto_front_indices, Objective};
 
 /// The distinct objectives of a per-island cycle list, in first-
 /// appearance order — the axis order of any Pareto front built over it.
@@ -78,7 +78,6 @@ pub struct Solver<'g> {
     seed: u64,
     island_seeds: Option<Vec<u64>>,
     objectives: Option<Vec<Objective>>,
-    initial: Option<Partition>,
     multilevel: Option<MultilevelOpts>,
     obs: Option<ff_obs::Registry>,
 }
@@ -99,7 +98,6 @@ impl<'g> Solver<'g> {
             seed: 1,
             island_seeds: None,
             objectives: None,
-            initial: None,
             multilevel: None,
             obs: None,
         }
@@ -190,20 +188,11 @@ impl<'g> Solver<'g> {
         self
     }
 
-    /// Warm start: every island skips Algorithm 2's singleton
-    /// agglomeration and starts from `initial` (the
-    /// `FusionFission::with_initial` hybridization).
-    pub fn initial(mut self, initial: Partition) -> Self {
-        self.initial = Some(initial);
-        self
-    }
-
     /// Multilevel acceleration: coarsen the graph, run the (unchanged)
     /// ensemble on the coarse graph, then uncoarsen with per-level greedy
     /// refinement. Only [`Solver::run`] / [`Solver::run_with`] support it
     /// — the V-cycle owns the epoch loop, so [`Solver::start`] rejects it
-    /// with [`ConfigError::MultilevelNotResumable`]. Incompatible with
-    /// [`Solver::initial`] (the warm start lives on the fine graph).
+    /// with [`ConfigError::MultilevelNotResumable`].
     pub fn multilevel(mut self, opts: MultilevelOpts) -> Self {
         self.multilevel = Some(opts);
         self
@@ -269,9 +258,6 @@ impl<'g> Solver<'g> {
             if ml.coarsen_until == 0 {
                 return Err(ConfigError::ZeroCoarsenTarget);
             }
-            if self.initial.is_some() {
-                return Err(ConfigError::MultilevelWithInitial);
-            }
         }
         Ok(())
     }
@@ -309,11 +295,7 @@ impl<'g> Solver<'g> {
                     objective,
                     ..self.base
                 };
-                match &self.initial {
-                    Some(p) => FusionFission::with_initial(self.g, cfg, seed, p.clone()),
-                    None => FusionFission::new(self.g, cfg, seed),
-                }
-                .start()
+                FusionFission::new(self.g, cfg, seed).start()
             })
             .collect();
         let obs = self
@@ -386,7 +368,6 @@ impl<'g> Solver<'g> {
             seed,
             island_seeds: self.island_seeds,
             objectives: self.objectives,
-            initial: None,
             multilevel: None,
             obs: self.obs,
         };

@@ -516,25 +516,6 @@ fn island_seeds_reproduce_a_direct_run() {
     assert_eq!(direct.steps, via_solver.steps);
 }
 
-/// The warm-start path (`Solver::initial`) mirrors
-/// `FusionFission::with_initial`.
-#[test]
-fn warm_start_matches_with_initial() {
-    use ff_partition::Partition;
-    let g = random_geometric(40, 0.3, 6);
-    let cfg = FusionFissionConfig::fast(3);
-    let init = Partition::random(&g, 3, 42);
-    let direct = FusionFission::with_initial(&g, cfg, 9, init.clone()).run();
-    let via_solver = Solver::on(&g)
-        .config(cfg)
-        .initial(init)
-        .islands(1)
-        .island_seeds(vec![9])
-        .run()
-        .unwrap();
-    assert_eq!(direct.best.assignment(), via_solver.best.assignment());
-}
-
 /// A single objective through `objectives([o])` is exactly
 /// `objective(o)`.
 #[test]
@@ -635,7 +616,6 @@ fn multilevel_refinement_monotone_for_every_objective() {
 fn multilevel_validation_and_start_rejection() {
     use ff_core::ConfigError;
     use ff_engine::MultilevelOpts;
-    use ff_partition::Partition;
     let g = random_geometric(30, 0.3, 1);
     assert_eq!(
         Solver::on(&g)
@@ -647,15 +627,6 @@ fn multilevel_validation_and_start_rejection() {
             .run()
             .err(),
         Some(ConfigError::ZeroCoarsenTarget)
-    );
-    assert_eq!(
-        Solver::on(&g)
-            .k(2)
-            .initial(Partition::block(&g, 2))
-            .multilevel(MultilevelOpts::default())
-            .run()
-            .err(),
-        Some(ConfigError::MultilevelWithInitial)
     );
     assert!(matches!(
         Solver::on(&g)

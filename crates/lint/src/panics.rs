@@ -1,9 +1,9 @@
 //! Panic-path lint for the serving layer.
 //!
 //! A panic inside request handling or the job driver either kills a
-//! client connection mid-stream or poisons server state (PR 9's
-//! `DriverGuard` exists because exactly that happened). In the files
-//! on the request/driver path, `unwrap()`, `expect(..)`, `panic!`,
+//! client connection mid-stream or poisons server state (the server's
+//! admission-slot guard exists because exactly that happened). In the
+//! files on the request/driver path, `unwrap()`, `expect(..)`, `panic!`,
 //! `unreachable!`, `todo!` and `unimplemented!` are forbidden; a site
 //! that genuinely cannot fail gets a baseline entry *and* an inline
 //! `// lint: allow(PANIC_PATH) — <reason>` comment, both of which the

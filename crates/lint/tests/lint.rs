@@ -107,3 +107,26 @@ fn jobs_lock_is_not_held_across_journal_log_or_gate() {
         assert!(held.is_none(), "ServerState.jobs -> {to}: {held:?}");
     }
 }
+
+/// The event logs behind `GET /jobs/:id/events` are one map and one
+/// retention order under one lock, and a job's own log lock is taken
+/// on its own: no lock-order edge starts or ends at either.
+#[test]
+fn event_log_locks_are_never_nested() {
+    let report = live_report();
+    for node in ["ServerState.logs", "EventLog.state"] {
+        assert!(
+            report.lock_graph.nodes.contains(node),
+            "{node} is no longer a lock node — did it move or get renamed?"
+        );
+        let nested = report
+            .lock_graph
+            .edges
+            .iter()
+            .find(|e| e.from == node || e.to == node);
+        assert!(
+            nested.is_none(),
+            "{node} nests with another lock: {nested:?}"
+        );
+    }
+}

@@ -67,32 +67,43 @@ impl GraphFormat {
     }
 }
 
-/// 64-bit FNV-1a over the source identity: kind tag, bytes, format.
+/// Streaming 64-bit FNV-1a: the cache's source digest and the journal's
+/// frame checksum. Feeding bytes in pieces hashes exactly like feeding
+/// them at once, so callers never concatenate their input.
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn eat(mut self, bytes: &[u8]) -> Fnv1a {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        self
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// 64-bit FNV-1a over the source identity: kind tag, format, bytes.
 /// Collisions would silently serve a stale graph, but at 64 bits a
 /// server would need ~2^32 *distinct sources under one key* before a
 /// birthday collision is likely — acceptable for a cache keyed by
 /// client-chosen names.
 fn source_digest(source: &GraphSource, format: GraphFormat) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+    let (kind, bytes) = match source {
+        GraphSource::Path(p) => (0x01, p.as_bytes()),
+        GraphSource::Data(d) => (0x02, d.as_bytes()),
     };
-    eat(&[match source {
-        GraphSource::Path(_) => 0x01,
-        GraphSource::Data(_) => 0x02,
-    }]);
-    eat(&[match format {
+    let format = match format {
         GraphFormat::Metis => 0x10,
         GraphFormat::EdgeList => 0x20,
-    }]);
-    match source {
-        GraphSource::Path(p) => eat(p.as_bytes()),
-        GraphSource::Data(d) => eat(d.as_bytes()),
-    }
-    h
+    };
+    Fnv1a::new().eat(&[kind, format]).eat(bytes).finish()
 }
 
 struct CachedInstance {

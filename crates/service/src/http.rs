@@ -1,10 +1,13 @@
 //! The HTTP/1.1 gateway: browsers and `curl` as first-class clients.
 //!
 //! A thin, std-only translation of the HTTP verbs onto the exact same
-//! job layer the NDJSON protocol drives — same admission control, same
-//! FIFO-fair gate, same pinned LRU cache, same [`run_job`] drive — so a
-//! step-budgeted job yields a byte-identical partition on either
-//! transport:
+//! job layer the NDJSON protocol drives: the routes for loads, submits,
+//! cancels and stats become the protocol's [`Request`]s and go through
+//! the one dispatcher both front-ends share, whose reply event maps onto
+//! a status code. So admission control, the FIFO-fair gate, the pinned
+//! LRU cache, the [`run_job`](crate::job::run_job) drive and the `load`
+//! span are the same, and a step-budgeted job yields a byte-identical
+//! partition on either transport:
 //!
 //! | request | effect | response |
 //! |---|---|---|
@@ -22,9 +25,9 @@
 //! `GET /jobs/:id/events` readers — closing the browser tab does not
 //! cancel the job; `DELETE` does.
 
-use crate::job::EventSink;
-use crate::protocol::{Event, JobRequest};
-use crate::server::{read_line_capped, submit_job, LineRead, ServerState, MAX_LINE_BYTES};
+use crate::cache::{GraphFormat, GraphSource};
+use crate::protocol::{Event, JobRequest, Request};
+use crate::server::{dispatch, read_line_capped, LineRead, ServerState, MAX_LINE_BYTES};
 use crate::sync::{lock, wait};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -82,46 +85,6 @@ impl EventLog {
             st = wait(&self.cv, st);
         }
         (st.lines[from.min(st.lines.len())..].to_vec(), st.done)
-    }
-}
-
-/// The `Write` end the job driver streams into: whole `\n`-terminated
-/// lines become log entries. [`EventSink`] writes one event per line
-/// under its lock, so split-on-newline reassembles exactly the events.
-struct LogWriter {
-    log: Arc<EventLog>,
-    buf: Vec<u8>,
-}
-
-/// An [`EventSink`] whose output is a job's [`EventLog`] — the sink
-/// shape behind HTTP-submitted jobs and journal-resumed jobs, with the
-/// server's journal tap threaded through when journaling is on.
-pub(crate) fn log_sink(
-    log: &Arc<EventLog>,
-    journal: Option<Arc<crate::journal::JournalTap>>,
-) -> EventSink {
-    EventSink::with_journal(
-        Box::new(LogWriter {
-            log: log.clone(),
-            buf: Vec::new(),
-        }),
-        journal,
-    )
-}
-
-impl Write for LogWriter {
-    fn write(&mut self, chunk: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(chunk);
-        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.buf.drain(..=pos).collect();
-            self.log
-                .push_line(String::from_utf8_lossy(&line[..line.len() - 1]).into_owned());
-        }
-        Ok(chunk.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
     }
 }
 
@@ -365,23 +328,6 @@ fn respond_raw(
 
 /// [`respond_raw`] for the JSON routes: one event object, `\n`-terminated
 /// like its NDJSON twin.
-fn respond(
-    out: &mut TcpStream,
-    code: u16,
-    body: &str,
-    keep_alive: bool,
-    extra: &[String],
-) -> std::io::Result<()> {
-    respond_raw(
-        out,
-        code,
-        "application/json",
-        &format!("{body}\n"),
-        keep_alive,
-        extra,
-    )
-}
-
 fn respond_event(
     out: &mut TcpStream,
     code: u16,
@@ -389,7 +335,8 @@ fn respond_event(
     keep_alive: bool,
     extra: &[String],
 ) -> std::io::Result<()> {
-    respond(out, code, &event.to_value().to_string(), keep_alive, extra)
+    let body = format!("{}\n", event.to_value());
+    respond_raw(out, code, "application/json", &body, keep_alive, extra)
 }
 
 fn error_body(
@@ -476,102 +423,19 @@ fn handle_request(
     let keep = req.keep_alive;
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
-        ("PUT", ["instances", key @ ..]) if !key.is_empty() => {
-            let key = key.join("/");
-            let name = query_param(&req.query, "format").unwrap_or("metis");
-            let Some(format) = crate::cache::GraphFormat::parse(name) else {
-                error_body(
-                    400,
-                    &format!("unknown format `{name}` (metis|edgelist)"),
-                    out,
-                    keep,
-                )?;
-                return Ok(true);
-            };
-            let data = String::from_utf8_lossy(&req.body).into_owned();
-            let source = crate::cache::GraphSource::Data(data);
-            // Clone the source only when a journal will record it.
-            let journal_copy = state.journal.is_some().then(|| source.clone());
-            match state.cache.load(&key, source, format) {
-                Ok((graph, outcome)) => {
-                    if !outcome.cached {
-                        if let Some(source) = journal_copy {
-                            state.journal_instance(&key, &source, format);
-                        }
-                    }
-                    respond_event(
-                        out,
-                        200,
-                        &Event::Loaded {
-                            instance: key,
-                            vertices: graph.num_vertices(),
-                            edges: graph.num_edges(),
-                            cached: outcome.cached,
-                            reloaded: outcome.reloaded,
-                        },
-                        keep,
-                        &[],
-                    )?
-                }
-                Err(message) => error_body(400, &message, out, keep)?,
-            }
-            Ok(true)
-        }
-        ("POST", ["jobs"]) => {
-            let body = String::from_utf8_lossy(&req.body);
-            let spec = serde_json::from_str(&body)
-                .map_err(|e| format!("bad JSON body: {e}"))
-                .and_then(|v| JobRequest::from_value(&v));
-            let spec = match spec {
-                Ok(s) => s,
-                Err(message) => {
-                    error_body(400, &message, out, keep)?;
-                    return Ok(true);
-                }
-            };
-            let log = EventLog::new();
-            let sink = log_sink(&log, state.journal.clone());
-            let reply = submit_job(state, spec, sink, conn_jobs, Some(log));
-            match &reply {
-                Event::Accepted { .. } => respond_event(out, 202, &reply, keep, &[])?,
-                Event::Rejected { retry_after_ms, .. } => {
-                    let retry = format!("Retry-After: {}", retry_after_ms.div_ceil(1000).max(1));
-                    respond_event(out, 429, &reply, keep, &[retry])?;
-                }
-                _ => respond_event(out, 400, &reply, keep, &[])?,
-            }
-            Ok(true)
-        }
-        ("GET", ["jobs", id, "events"]) => match id.parse::<u64>().ok() {
-            Some(id) => match state.event_log(id) {
-                Some(log) => {
+        ("GET", ["jobs", id, "events"]) => {
+            let log = job_id(id).and_then(|id| {
+                state
+                    .event_log(id)
+                    .ok_or_else(|| (404, format!("no event log for job {id}")))
+            });
+            match log {
+                Ok(log) => {
                     stream_events(out, &log)?;
-                    Ok(false)
+                    return Ok(false);
                 }
-                None => {
-                    error_body(404, &format!("no event log for job {id}"), out, keep)?;
-                    Ok(true)
-                }
-            },
-            None => {
-                error_body(400, &format!("bad job id `{id}`"), out, keep)?;
-                Ok(true)
+                Err((code, message)) => error_body(code, &message, out, keep)?,
             }
-        },
-        ("DELETE", ["jobs", id]) => match id.parse::<u64>().ok() {
-            Some(id) => {
-                let known = state.cancel_job(id);
-                respond_event(out, 200, &Event::Cancelling { job: id, known }, keep, &[])?;
-                Ok(true)
-            }
-            None => {
-                error_body(400, &format!("bad job id `{id}`"), out, keep)?;
-                Ok(true)
-            }
-        },
-        ("GET", ["stats"]) => {
-            respond_event(out, 200, &Event::Stats(state.stats()), keep, &[])?;
-            Ok(true)
         }
         ("GET", ["metrics"]) => {
             // The `stats` snapshot sets the point-in-time gauges; every
@@ -579,26 +443,64 @@ fn handle_request(
             let _ = state.stats();
             let page = state.metrics.registry.render();
             respond_raw(out, 200, ff_obs::EXPOSITION_CONTENT_TYPE, &page, keep, &[])?;
-            Ok(true)
         }
-        (_, ["jobs"])
-        | (_, ["jobs", ..])
-        | (_, ["instances", ..])
-        | (_, ["stats"])
-        | (_, ["metrics"]) => {
-            error_body(405, &format!("{} not allowed here", req.method), out, keep)?;
-            Ok(true)
-        }
-        _ => {
-            error_body(
-                404,
-                &format!("no route for {} {}", req.method, req.path),
-                out,
-                keep,
-            )?;
-            Ok(true)
-        }
+        (method, route) => match shared_request(req, method, route) {
+            Ok(request) => {
+                let reply = dispatch(state, request, None, conn_jobs);
+                let (code, extra) = match &reply {
+                    Event::Accepted { .. } => (202, vec![]),
+                    Event::Rejected { retry_after_ms, .. } => (
+                        429,
+                        vec![format!(
+                            "Retry-After: {}",
+                            retry_after_ms.div_ceil(1000).max(1)
+                        )],
+                    ),
+                    Event::Error { .. } => (400, vec![]),
+                    _ => (200, vec![]),
+                };
+                respond_event(out, code, &reply, keep, &extra)?;
+            }
+            Err((code, message)) => error_body(code, &message, out, keep)?,
+        },
     }
+    Ok(true)
+}
+
+/// The shared [`Request`] a load, submit, cancel or stats route stands
+/// for, or the status and message that refuse the request.
+fn shared_request(
+    req: &HttpRequest,
+    method: &str,
+    route: &[&str],
+) -> Result<Request, (u16, String)> {
+    match (method, route) {
+        ("PUT", ["instances", key @ ..]) if !key.is_empty() => {
+            let name = query_param(&req.query, "format").unwrap_or("metis");
+            let format = GraphFormat::parse(name)
+                .ok_or_else(|| (400, format!("unknown format `{name}` (metis|edgelist)")))?;
+            Ok(Request::Load {
+                instance: key.join("/"),
+                source: GraphSource::Data(String::from_utf8_lossy(&req.body).into_owned()),
+                format,
+            })
+        }
+        ("POST", ["jobs"]) => serde_json::from_str(&String::from_utf8_lossy(&req.body))
+            .map_err(|e| format!("bad JSON body: {e}"))
+            .and_then(|v| JobRequest::from_value(&v))
+            .map(Request::Submit)
+            .map_err(|message| (400, message)),
+        ("DELETE", ["jobs", id]) => Ok(Request::Cancel { job: job_id(id)? }),
+        ("GET", ["stats"]) => Ok(Request::Stats),
+        (_, ["jobs", ..] | ["instances", ..] | ["stats"] | ["metrics"]) => {
+            Err((405, format!("{method} not allowed here")))
+        }
+        _ => Err((404, format!("no route for {method} {}", req.path))),
+    }
+}
+
+fn job_id(id: &str) -> Result<u64, (u16, String)> {
+    id.parse().map_err(|_| (400, format!("bad job id `{id}`")))
 }
 
 #[cfg(test)]
@@ -620,21 +522,5 @@ mod tests {
         assert_eq!(query_param("a=1&format=metis&b=2", "format"), Some("metis"));
         assert_eq!(query_param("formats=x", "format"), None);
         assert_eq!(query_param("", "format"), None);
-    }
-
-    #[test]
-    fn log_writer_reassembles_lines_across_partial_writes() {
-        let log = EventLog::new();
-        let mut w = LogWriter {
-            log: log.clone(),
-            buf: Vec::new(),
-        };
-        w.write_all(b"{\"a\":").unwrap();
-        w.write_all(b"1}\n{\"b\":2}\n{\"c").unwrap();
-        w.write_all(b"\":3}\n").unwrap();
-        log.finish();
-        let (lines, done) = log.wait_since(0);
-        assert!(done);
-        assert_eq!(lines, vec!["{\"a\":1}", "{\"b\":2}", "{\"c\":3}"]);
     }
 }

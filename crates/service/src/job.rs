@@ -9,6 +9,7 @@
 //! within one chunk.
 
 use crate::gate::FairGate;
+use crate::http::EventLog;
 use crate::journal::{JournalRecord, JournalTap};
 use crate::obs::Metrics;
 use crate::protocol::{DoneInfo, Event, Improvement, JobRequest, JobStatus, ParetoPointInfo};
@@ -24,21 +25,33 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A line-atomic, shareable event writer (one per client connection, or
-/// one per HTTP-submitted job, where the "stream" is the job's buffered
-/// event log).
+/// A line-atomic, shareable event writer: a client stream (one per
+/// connection), or one job's buffered event log (HTTP-submitted and
+/// journal-resumed jobs).
 ///
 /// Clones share the underlying stream; each event is written as one
 /// `\n`-terminated line under the lock, so events from concurrent jobs
 /// interleave *between* lines, never within one.
 #[derive(Clone)]
 pub struct EventSink {
-    out: Arc<Mutex<Box<dyn Write + Send>>>,
+    to: Target,
     /// When the server journals, job-progress events (`improvement`,
     /// `done`) are appended to the journal *before* the client write —
     /// write-ahead, so a crash can lose a client line but never a
     /// journaled fact the client already saw.
     journal: Option<Arc<JournalTap>>,
+}
+
+#[derive(Clone)]
+enum Target {
+    Stream(Arc<ClientStream>),
+    Log(Arc<EventLog>),
+}
+
+/// A named struct, not a bare `Mutex` in [`Target`], so `ff-lint
+/// --locks` sees the stream lock.
+struct ClientStream {
+    out: Mutex<Box<dyn Write + Send>>,
 }
 
 impl EventSink {
@@ -52,34 +65,64 @@ impl EventSink {
         out: Box<dyn Write + Send>,
         journal: Option<Arc<JournalTap>>,
     ) -> EventSink {
+        let stream = ClientStream {
+            out: Mutex::new(out),
+        };
         EventSink {
-            out: Arc::new(Mutex::new(out)),
+            to: Target::Stream(Arc::new(stream)),
             journal,
         }
     }
 
-    /// Writes one event line and flushes. For connection-backed sinks an
+    /// A sink into a fresh [`EventLog`], with the server's journal tap.
+    pub(crate) fn new_log(journal: Option<Arc<JournalTap>>) -> EventSink {
+        EventSink {
+            to: Target::Log(EventLog::new()),
+            journal,
+        }
+    }
+
+    /// The event log this sink writes into, if it is not a stream.
+    pub(crate) fn event_log(&self) -> Option<&Arc<EventLog>> {
+        match &self.to {
+            Target::Log(log) => Some(log),
+            Target::Stream(_) => None,
+        }
+    }
+
+    /// Writes one event line (and flushes a stream). For stream sinks an
     /// `Err` means the client is gone; callers use that to cancel the
-    /// job it was streaming to. (Log-backed sinks never fail — an HTTP
-    /// job outlives its submitting connection by design.)
+    /// job it was streaming to. (Log sinks never fail — an HTTP job
+    /// outlives its submitting connection by design.)
     pub fn send(&self, event: &Event) -> std::io::Result<()> {
         if let Some(tap) = &self.journal {
             if matches!(event, Event::Improvement(_) | Event::Done(_)) {
                 tap.record(&JournalRecord::Event(event.clone()));
             }
         }
-        let mut out = lock(&self.out);
-        writeln!(out, "{}", event.to_value())?;
-        out.flush()
+        match &self.to {
+            Target::Stream(stream) => {
+                let mut out = lock(&stream.out);
+                writeln!(out, "{}", event.to_value())?;
+                out.flush()
+            }
+            Target::Log(log) => {
+                log.push_line(event.to_value().to_string());
+                Ok(())
+            }
+        }
     }
 
     /// Fault-injection hook: writes raw bytes with *no* trailing newline
     /// and flushes — how the truncate-mid-message fault mode simulates a
-    /// worker dying halfway through a reply line.
+    /// worker dying halfway through a reply line. Worker sessions stream
+    /// to their connection, so a log sink ignores it.
     pub(crate) fn send_raw_partial(&self, bytes: &[u8]) {
-        let mut out = lock(&self.out);
-        let _ = out.write_all(bytes);
-        let _ = out.flush();
+        if let Target::Stream(stream) = &self.to {
+            let mut out = lock(&stream.out);
+            let _ = out.write_all(bytes);
+            let _ = out.flush();
+        }
     }
 }
 

@@ -28,7 +28,7 @@
 //! checksum or JSON decode is real corruption and fails loudly with
 //! [`JournalError::Corrupt`] naming the byte offset.
 
-use crate::cache::{GraphFormat, GraphSource};
+use crate::cache::{Fnv1a, GraphFormat, GraphSource};
 use crate::protocol::{Event, JobRequest};
 use crate::schema::{wire_enum, Wire};
 use crate::sync::lock;
@@ -81,24 +81,14 @@ impl JournalRecord {
     }
 }
 
-/// 64-bit FNV-1a — the same family the instance cache digests with,
-/// applied here to each record payload.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// The frame checksum: 64-bit FNV-1a of the record payload.
+fn checksum(payload: &str) -> u64 {
+    Fnv1a::new().eat(payload.as_bytes()).finish()
 }
 
 fn frame(record: &JournalRecord) -> String {
     let payload = record.to_value().to_string();
-    format!(
-        "{} {:016x} {payload}\n",
-        payload.len(),
-        fnv1a64(payload.as_bytes())
-    )
+    format!("{} {:016x} {payload}\n", payload.len(), checksum(&payload))
 }
 
 /// Why a journal could not be read.
@@ -184,7 +174,7 @@ pub fn parse_journal(bytes: &[u8]) -> Result<ReadOutcome, JournalError> {
         }
         let declared = u64::from_str_radix(sum_text, 16)
             .map_err(|_| corrupt(format!("bad checksum `{sum_text}`")))?;
-        let computed = fnv1a64(payload.as_bytes());
+        let computed = checksum(payload);
         if declared != computed {
             return Err(corrupt(format!(
                 "checksum mismatch: frame says {declared:016x}, payload hashes to {computed:016x}"

@@ -12,7 +12,9 @@
 //! * **HTTP/1.1 gateway** ([`ServerConfig::http`]): the same job layer
 //!   for browsers and `curl` — `PUT /instances/:key`, `POST /jobs`,
 //!   `GET /jobs/:id/events` (chunked NDJSON streaming), `DELETE
-//!   /jobs/:id`, `GET /stats`; overflow is `429` with `Retry-After`.
+//!   /jobs/:id`, `GET /stats`, `GET /metrics`; overflow is `429` with
+//!   `Retry-After`. Loads, submits, cancels and stats go through the
+//!   same dispatcher as their NDJSON requests.
 //! * **Worker pool** ([`gate`]): a FIFO-fair permit gate. Jobs hold a
 //!   cheap parked thread and only compute while holding one of N
 //!   permits, advancing their [`ff_core::FusionFissionRun`] /

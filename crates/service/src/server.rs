@@ -18,7 +18,7 @@
 
 use crate::cache::{GraphFormat, GraphSource, InstanceCache, PinnedGraph};
 use crate::gate::{FairGate, WAIT_BUCKET_MS};
-use crate::http::{handle_http_client, log_sink, EventLog};
+use crate::http::{handle_http_client, EventLog};
 use crate::job::{run_job, EventSink};
 use crate::journal::{read_journal, JournalRecord, JournalTap, JournalWriter, ReplaySummary};
 use crate::obs::{Metrics, DURATION_BUCKET_MS};
@@ -83,6 +83,15 @@ impl ServerConfig {
     }
 }
 
+/// Event logs of the jobs that stream into one (HTTP submits and resumed
+/// jobs), for `GET /jobs/:id/events`, and the completion order that
+/// bounds how many finished ones are retained.
+#[derive(Default)]
+struct EventLogs {
+    by_job: HashMap<u64, Arc<EventLog>>,
+    finished: VecDeque<u64>,
+}
+
 /// Shared server state: cache, worker pool, job registry, metrics.
 pub(crate) struct ServerState {
     pub(crate) cache: InstanceCache,
@@ -91,10 +100,7 @@ pub(crate) struct ServerState {
     max_jobs: usize,
     max_jobs_per_conn: usize,
     jobs: Mutex<HashMap<u64, CancelToken>>,
-    /// Event logs of HTTP-submitted jobs, for `GET /jobs/:id/events`.
-    logs: Mutex<HashMap<u64, Arc<EventLog>>>,
-    /// Completion order of HTTP jobs, for bounded log retention.
-    finished_logs: Mutex<VecDeque<u64>>,
+    logs: Mutex<EventLogs>,
     next_job: AtomicU64,
     shutdown: AtomicBool,
     /// The always-on metrics registry (behind `GET /metrics` and the
@@ -131,8 +137,7 @@ impl ServerState {
             max_jobs: config.max_jobs,
             max_jobs_per_conn: config.max_jobs_per_conn,
             jobs: Mutex::new(HashMap::new()),
-            logs: Mutex::new(HashMap::new()),
-            finished_logs: Mutex::new(VecDeque::new()),
+            logs: Mutex::default(),
             next_job: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             metrics,
@@ -140,34 +145,14 @@ impl ServerState {
         }))
     }
 
-    /// Journals one fresh (non-cache-hit) instance load, with the digest
-    /// the cache actually computed for it.
-    pub(crate) fn journal_instance(
-        &self,
-        instance: &str,
-        source: &GraphSource,
-        format: GraphFormat,
-    ) {
-        if let Some(tap) = &self.journal {
-            if let Some(digest) = self.cache.digest(instance) {
-                tap.record(&JournalRecord::Instance {
-                    instance: instance.to_string(),
-                    source: source.clone(),
-                    format,
-                    digest,
-                });
-            }
-        }
-    }
-
     /// Enters a finished job's event log into the bounded retention
     /// ring, evicting the oldest past [`RETAINED_EVENT_LOGS`].
-    pub(crate) fn retain_finished_log(&self, job_id: u64) {
-        let mut finished = lock(&self.finished_logs);
-        finished.push_back(job_id);
-        while finished.len() > RETAINED_EVENT_LOGS {
-            if let Some(old) = finished.pop_front() {
-                lock(&self.logs).remove(&old);
+    fn retain_finished_log(&self, job_id: u64) {
+        let mut logs = lock(&self.logs);
+        logs.finished.push_back(job_id);
+        while logs.finished.len() > RETAINED_EVENT_LOGS {
+            if let Some(old) = logs.finished.pop_front() {
+                logs.by_job.remove(&old);
             }
         }
     }
@@ -187,7 +172,52 @@ impl ServerState {
     }
 
     pub(crate) fn event_log(&self, job: u64) -> Option<Arc<EventLog>> {
-        lock(&self.logs).get(&job).cloned()
+        lock(&self.logs).by_job.get(&job).cloned()
+    }
+
+    /// Admission control: reserves a slot for a submit from the
+    /// connection that `conn_jobs` counts, or returns why not and how
+    /// many jobs are in flight. The bound checks and the registry insert
+    /// happen under one lock, so a burst of concurrent submits can never
+    /// admit past the bound.
+    fn admit(self: &Arc<Self>, conn_jobs: &Arc<AtomicUsize>) -> Result<Slot, (String, u64)> {
+        let mut jobs = lock(&self.jobs);
+        let reason = if self.max_jobs > 0 && jobs.len() >= self.max_jobs {
+            format!("server at capacity (max {} in-flight jobs)", self.max_jobs)
+        } else if self.max_jobs_per_conn > 0
+            && conn_jobs.load(Ordering::Relaxed) >= self.max_jobs_per_conn
+        {
+            format!(
+                "connection at capacity (max {} in-flight jobs per connection)",
+                self.max_jobs_per_conn
+            )
+        } else {
+            let job = self.next_job.fetch_add(1, Ordering::Relaxed);
+            return Ok(self.claim(&mut jobs, job, Some(conn_jobs)));
+        };
+        Err((reason, jobs.len() as u64))
+    }
+
+    /// Enters `job` into the registry (`jobs`, held locked by the
+    /// caller) under a fresh cancel token and counts it against its
+    /// connection, if it has one.
+    fn claim(
+        self: &Arc<Self>,
+        jobs: &mut HashMap<u64, CancelToken>,
+        job: u64,
+        conn_jobs: Option<&Arc<AtomicUsize>>,
+    ) -> Slot {
+        let token = CancelToken::new();
+        jobs.insert(job, token.clone());
+        if let Some(conn_jobs) = conn_jobs {
+            conn_jobs.fetch_add(1, Ordering::Relaxed);
+        }
+        Slot {
+            state: self.clone(),
+            job,
+            token,
+            conn_jobs: conn_jobs.cloned(),
+        }
     }
 
     /// One statistics snapshot, read from the registry's counters and
@@ -329,7 +359,7 @@ fn replay_journal(state: &Arc<ServerState>, path: &str) -> std::io::Result<Repla
         }
         log.push_line(done_line.clone());
         log.finish();
-        lock(&state.logs).insert(*job, log);
+        lock(&state.logs).by_job.insert(*job, log);
         state.retain_finished_log(*job);
         summary.finished += 1;
     }
@@ -371,41 +401,18 @@ fn replay_journal(state: &Arc<ServerState>, path: &str) -> std::io::Result<Repla
 
 /// Re-executes one journaled in-flight job under its *original* id.
 /// Admission was already granted (and counted) before the crash, so
-/// this bypasses the admission gate and goes straight to the driver;
+/// this bypasses the admission gate and goes straight to the job start;
 /// events stream into a fresh [`EventLog`] (and back into the journal),
 /// so a retrying client picks the result up over HTTP or by
 /// resubmitting the identical spec.
 fn resume_job(state: &Arc<ServerState>, job_id: u64, spec: &JobRequest) -> bool {
-    let Some(graph) = state.cache.pin(&spec.instance) else {
-        return false;
-    };
-    if spec.solver(graph.graph()).try_validate().is_err() {
-        return false;
-    }
-    let token = CancelToken::new();
-    lock(&state.jobs).insert(job_id, token.clone());
-    let log = EventLog::new();
-    lock(&state.logs).insert(job_id, log.clone());
-    let sink = log_sink(&log, state.journal.clone());
-    state.metrics.logger.log(
-        "resume",
-        Some(job_id),
-        &[
-            ("instance", LogValue::Str(&spec.instance)),
-            ("seed", LogValue::U64(spec.seed)),
-        ],
-    );
-    spawn_driver(
-        state.clone(),
-        job_id,
-        spec.clone(),
-        graph,
-        token,
-        sink,
-        Arc::new(AtomicUsize::new(1)),
-        Some(log),
-    );
-    true
+    let slot = state.claim(&mut lock(&state.jobs), job_id, None);
+    let sink = EventSink::new_log(state.journal.clone());
+    let span = [
+        ("instance", LogValue::Str(&spec.instance)),
+        ("seed", LogValue::U64(spec.seed)),
+    ];
+    start_job(state, slot, spec, sink, "resume", &span, || {}).is_ok()
 }
 
 /// A bound, not-yet-running partition server.
@@ -663,47 +670,6 @@ fn handle_client(state: &Arc<ServerState>, mut reader: impl BufRead, sink: &Even
             }
         };
         let reply = match request {
-            Request::Load {
-                instance,
-                source,
-                format,
-            } => {
-                // Clone the source only when a journal will record it.
-                let journal_copy = state.journal.is_some().then(|| source.clone());
-                match state.cache.load(&instance, source, format) {
-                    Ok((graph, outcome)) => {
-                        if !outcome.cached {
-                            if let Some(source) = journal_copy {
-                                state.journal_instance(&instance, &source, format);
-                            }
-                        }
-                        state.metrics.logger.log(
-                            "load",
-                            None,
-                            &[
-                                ("instance", LogValue::Str(&instance)),
-                                ("vertices", LogValue::U64(graph.num_vertices() as u64)),
-                                ("edges", LogValue::U64(graph.num_edges() as u64)),
-                                ("cached", LogValue::Bool(outcome.cached)),
-                            ],
-                        );
-                        Event::Loaded {
-                            instance,
-                            vertices: graph.num_vertices(),
-                            edges: graph.num_edges(),
-                            cached: outcome.cached,
-                            reloaded: outcome.reloaded,
-                        }
-                    }
-                    Err(message) => Event::Error { message, job: None },
-                }
-            }
-            Request::Submit(spec) => submit_job(state, spec, sink.clone(), &conn_jobs, None),
-            Request::Cancel { job } => Event::Cancelling {
-                job,
-                known: state.cancel_job(job),
-            },
-            Request::Stats => Event::Stats(state.stats()),
             Request::Shutdown => {
                 state.request_shutdown();
                 let _ = sink.send(&Event::Bye);
@@ -727,10 +693,89 @@ fn handle_client(state: &Arc<ServerState>, mut reader: impl BufRead, sink: &Even
                     Err(message) => Event::Error { message, job: None },
                 }
             }
+            shared => dispatch(state, shared, Some(sink), &conn_jobs),
         };
         if sink.send(&reply).is_err() {
             break;
         }
+    }
+}
+
+/// Answers a request that both front-ends serve — `load`, `submit`,
+/// `cancel` or `stats` — with its reply event. A submitted job streams
+/// its events into `sink`, the submitting connection's, or with `None`
+/// (the HTTP gateway) into an [`EventLog`] of its own; `conn_jobs`
+/// counts the connection's in-flight jobs.
+pub(crate) fn dispatch(
+    state: &Arc<ServerState>,
+    request: Request,
+    sink: Option<&EventSink>,
+    conn_jobs: &Arc<AtomicUsize>,
+) -> Event {
+    match request {
+        Request::Load {
+            instance,
+            source,
+            format,
+        } => load_instance(state, instance, source, format),
+        Request::Submit(spec) => submit_job(state, spec, sink, conn_jobs),
+        Request::Cancel { job } => Event::Cancelling {
+            job,
+            known: state.cancel_job(job),
+        },
+        Request::Stats => Event::Stats(state.stats()),
+        // `shutdown` and the worker-session ops belong to an NDJSON
+        // connection, which answers them itself.
+        _ => Event::Error {
+            message: "not a shared request".into(),
+            job: None,
+        },
+    }
+}
+
+/// Loads an instance into the cache (or finds it there), journals a
+/// fresh load and logs the `load` span.
+fn load_instance(
+    state: &ServerState,
+    instance: String,
+    source: GraphSource,
+    format: GraphFormat,
+) -> Event {
+    // Clone the source only when a journal will record it.
+    let journal_copy = state.journal.as_ref().map(|tap| (tap, source.clone()));
+    match state.cache.load(&instance, source, format) {
+        Ok((graph, outcome)) => {
+            // A fresh load is journaled with the digest the cache
+            // computed for it.
+            if let Some((tap, source)) = journal_copy.filter(|_| !outcome.cached) {
+                if let Some(digest) = state.cache.digest(&instance) {
+                    tap.record(&JournalRecord::Instance {
+                        instance: instance.clone(),
+                        source,
+                        format,
+                        digest,
+                    });
+                }
+            }
+            state.metrics.logger.log(
+                "load",
+                None,
+                &[
+                    ("instance", LogValue::Str(&instance)),
+                    ("vertices", LogValue::U64(graph.num_vertices() as u64)),
+                    ("edges", LogValue::U64(graph.num_edges() as u64)),
+                    ("cached", LogValue::Bool(outcome.cached)),
+                ],
+            );
+            Event::Loaded {
+                instance,
+                vertices: graph.num_vertices(),
+                edges: graph.num_edges(),
+                cached: outcome.cached,
+                reloaded: outcome.reloaded,
+            }
+        }
+        Err(message) => Event::Error { message, job: None },
     }
 }
 
@@ -741,52 +786,21 @@ fn retry_hint_ms(in_flight: u64, workers: usize) -> u64 {
     (100 * in_flight / workers.max(1) as u64).clamp(50, 10_000)
 }
 
-/// Validates a submit, applies admission control and, if admissible,
-/// spawns its driver thread. Returns the event to send back (`accepted`,
-/// `rejected` or `error`). `log`, when given (the HTTP path), is
-/// registered for replay under the job id and marked finished when the
-/// job ends.
-pub(crate) fn submit_job(
+/// Applies admission control to a submit and, if admitted, starts its
+/// job. Returns the event to send back (`accepted`, `rejected` or
+/// `error`).
+fn submit_job(
     state: &Arc<ServerState>,
     spec: JobRequest,
-    sink: EventSink,
+    sink: Option<&EventSink>,
     conn_jobs: &Arc<AtomicUsize>,
-    log: Option<Arc<EventLog>>,
 ) -> Event {
     // Admission control runs FIRST — a rejected submit must not touch
     // the cache (no hit counted, no LRU recency refreshed for work that
-    // will never run). The in-flight check and the registry insert
-    // happen under one lock, so a burst of concurrent submits can never
-    // admit past the bound: the slot is reserved here and released below
-    // if validation fails. A rejection is only decided under the lock;
-    // it is counted, logged and journaled after the lock is released.
-    let admitted = {
-        let mut jobs = lock(&state.jobs);
-        let in_flight = jobs.len() as u64;
-        if state.max_jobs > 0 && jobs.len() >= state.max_jobs {
-            Err((
-                format!("server at capacity (max {} in-flight jobs)", state.max_jobs),
-                in_flight,
-            ))
-        } else if state.max_jobs_per_conn > 0
-            && conn_jobs.load(Ordering::Relaxed) >= state.max_jobs_per_conn
-        {
-            Err((
-                format!(
-                    "connection at capacity (max {} in-flight jobs per connection)",
-                    state.max_jobs_per_conn
-                ),
-                in_flight,
-            ))
-        } else {
-            let job_id = state.next_job.fetch_add(1, Ordering::Relaxed);
-            let token = CancelToken::new();
-            jobs.insert(job_id, token.clone());
-            conn_jobs.fetch_add(1, Ordering::Relaxed);
-            Ok((job_id, token))
-        }
-    };
-    let (job_id, token) = match admitted {
+    // will never run). A rejection is only decided under the registry's
+    // lock; it is counted, logged and journaled after the lock is
+    // released.
+    let slot = match state.admit(conn_jobs) {
         Ok(slot) => slot,
         Err((reason, in_flight)) => {
             state.metrics.rejected.inc();
@@ -811,133 +825,146 @@ pub(crate) fn submit_job(
             return event;
         }
     };
-    let release_slot = || {
-        lock(&state.jobs).remove(&job_id);
-        conn_jobs.fetch_sub(1, Ordering::Relaxed);
+    let job = slot.job;
+    let sink = match sink {
+        Some(sink) => sink.clone(),
+        None => EventSink::new_log(state.journal.clone()),
     };
+    let span = [
+        ("instance", LogValue::Str(&spec.instance)),
+        ("k", LogValue::U64(spec.k as u64)),
+        ("islands", LogValue::U64(spec.islands as u64)),
+        ("seed", LogValue::U64(spec.seed)),
+    ];
+    let started = start_job(state, slot, &spec, sink, "submit", &span, || {
+        state.metrics.submitted.inc();
+        // Journal the admitted spec *after* validation, so replay only
+        // ever re-executes jobs that were actually going to run.
+        if let Some(tap) = &state.journal {
+            tap.record(&JournalRecord::Submitted {
+                job,
+                spec: spec.clone(),
+            });
+        }
+    });
+    match started {
+        Ok(()) => Event::Accepted {
+            job,
+            instance: spec.instance,
+            k: spec.k,
+        },
+        Err(message) => Event::Error { message, job: None },
+    }
+}
+
+/// Starts an admitted or journal-resumed job — the one way to its
+/// driver: pins the instance, validates the job, registers its event log
+/// (if it streams into one), runs `admitted` (a live submit's own
+/// bookkeeping), logs `span` and spawns the driver. A refusal drops
+/// `slot`, which releases it.
+fn start_job(
+    state: &Arc<ServerState>,
+    slot: Slot,
+    spec: &JobRequest,
+    sink: EventSink,
+    span: &str,
+    fields: &[(&str, LogValue)],
+    admitted: impl FnOnce(),
+) -> Result<(), String> {
     let Some(graph) = state.cache.pin(&spec.instance) else {
-        release_slot();
-        return Event::Error {
-            message: format!("unknown instance `{}` (load it first)", spec.instance),
-            job: None,
-        };
+        return Err(format!(
+            "unknown instance `{}` (load it first)",
+            spec.instance
+        ));
     };
     // Full engine-level validation up front: the driver thread must never
     // panic on a config the wire schema happened to allow — the typed
     // error goes back to the client instead.
     if let Err(e) = spec.solver(graph.graph()).try_validate() {
-        release_slot();
-        return Event::Error {
-            message: format!("invalid job configuration: {e}"),
-            job: None,
-        };
+        return Err(format!("invalid job configuration: {e}"));
     }
-    state.metrics.submitted.inc();
-    state.metrics.logger.log(
-        "submit",
-        Some(job_id),
-        &[
-            ("instance", LogValue::Str(&spec.instance)),
-            ("k", LogValue::U64(spec.k as u64)),
-            ("islands", LogValue::U64(spec.islands as u64)),
-            ("seed", LogValue::U64(spec.seed)),
-        ],
-    );
-    // Journal the admitted spec *after* validation, so replay only ever
-    // re-executes jobs that were actually going to run.
-    if let Some(tap) = &state.journal {
-        tap.record(&JournalRecord::Submitted {
-            job: job_id,
-            spec: spec.clone(),
-        });
+    if let Some(log) = sink.event_log() {
+        lock(&state.logs).by_job.insert(slot.job, log.clone());
     }
-    if let Some(log) = &log {
-        lock(&state.logs).insert(job_id, log.clone());
-    }
-    let accepted = Event::Accepted {
-        job: job_id,
-        instance: spec.instance.clone(),
-        k: spec.k,
-    };
-    spawn_driver(
-        state.clone(),
-        job_id,
-        spec,
-        graph,
-        token,
-        sink,
-        conn_jobs.clone(),
-        log,
-    );
-    accepted
+    admitted();
+    state.metrics.logger.log(span, Some(slot.job), fields);
+    spawn_driver(state.clone(), slot, spec.clone(), graph, sink);
+    Ok(())
 }
 
-/// Frees a driver's admission slot on panic. The [`FairGate`] permit is
-/// already RAII, but a panic between admission and `before_done` used
-/// to leave the registry entry, the per-connection count and (for HTTP
-/// jobs) a never-finished event log behind — each one a permanent bite
-/// out of server capacity. Armed until `before_done` runs; the normal
-/// path makes dropping it a no-op.
-struct DriverGuard {
+/// A job's admission slot: its entry in the job registry and, for a live
+/// submit, one count on its connection's in-flight jobs. Dropping it
+/// releases both, however the job ends: refused after admission, in
+/// `before_done`, or unwound by a panicking driver.
+struct Slot {
     state: Arc<ServerState>,
-    conn_jobs: Arc<AtomicUsize>,
-    job_id: u64,
-    log: Option<Arc<EventLog>>,
-    sink: EventSink,
-    finished: Arc<AtomicBool>,
+    job: u64,
+    token: CancelToken,
+    conn_jobs: Option<Arc<AtomicUsize>>,
 }
 
-impl Drop for DriverGuard {
+impl Drop for Slot {
     fn drop(&mut self) {
-        if self.finished.load(Ordering::Acquire) {
-            return;
-        }
-        lock(&self.state.jobs).remove(&self.job_id);
-        self.conn_jobs.fetch_sub(1, Ordering::Relaxed);
-        self.state.metrics.job_panicked(self.job_id);
-        // Tell whoever is streaming; the error is deliberately *not*
-        // journaled, so a journaled server re-executes the job at the
-        // next restart instead of losing it.
-        let _ = self.sink.send(&Event::Error {
-            message: "job driver panicked; admission slot released".into(),
-            job: Some(self.job_id),
-        });
-        if let Some(log) = &self.log {
-            log.finish();
-            self.state.retain_finished_log(self.job_id);
+        lock(&self.state.jobs).remove(&self.job);
+        if let Some(conn_jobs) = &self.conn_jobs {
+            conn_jobs.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Spawns the driver thread for an admitted (or journal-resumed) job.
-#[allow(clippy::too_many_arguments)]
+/// The end of a driver thread, normal or panicking: finishes the job's
+/// event log, if it has one, and after a panic counts it and tells
+/// whoever is streaming. The slot is free by then: `before_done` owns
+/// it, and a panicking `run_job` drops it while unwinding.
+struct DriverEnd {
+    state: Arc<ServerState>,
+    job: u64,
+    sink: EventSink,
+}
+
+impl Drop for DriverEnd {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.state.metrics.job_panicked(self.job);
+            // The error is not journaled (the tap records only
+            // `improvement` and `done`), so a journaled server
+            // re-executes the job at the next restart instead of losing
+            // it.
+            let _ = self.sink.send(&Event::Error {
+                message: "job driver panicked; admission slot released".into(),
+                job: Some(self.job),
+            });
+        }
+        if let Some(log) = self.sink.event_log() {
+            log.finish();
+            self.state.retain_finished_log(self.job);
+        }
+    }
+}
+
+/// Spawns the driver thread of a started job.
 fn spawn_driver(
     state: Arc<ServerState>,
-    job_id: u64,
+    slot: Slot,
     spec: JobRequest,
     graph: PinnedGraph,
-    token: CancelToken,
     sink: EventSink,
-    conn_jobs: Arc<AtomicUsize>,
-    log: Option<Arc<EventLog>>,
 ) {
     std::thread::spawn(move || {
-        let finished = Arc::new(AtomicBool::new(false));
-        let _guard = DriverGuard {
+        let (job, token) = (slot.job, slot.token.clone());
+        let _end = DriverEnd {
             state: state.clone(),
-            conn_jobs: conn_jobs.clone(),
-            job_id,
-            log: log.clone(),
+            job,
             sink: sink.clone(),
-            finished: finished.clone(),
         };
         // `graph` is a PinnedGraph: the cache cannot evict this instance
-        // for as long as the job runs. Registry and counters are updated
-        // in `before_done` — i.e. before the `done` event reaches the
-        // client — so stats taken right after `wait_done` are coherent
-        // and the freed admission slot is visible to an instant resubmit.
+        // for as long as the job runs. The slot is released and the
+        // counters updated in `before_done` — i.e. before the `done`
+        // event reaches the client — so stats taken right after
+        // `wait_done` are coherent and the freed admission slot is
+        // visible to an instant resubmit.
         run_job(
-            job_id,
+            job,
             &spec,
             graph.graph(),
             &state.gate,
@@ -945,16 +972,10 @@ fn spawn_driver(
             &sink,
             &state.metrics,
             |done| {
-                finished.store(true, Ordering::Release);
-                lock(&state.jobs).remove(&job_id);
-                conn_jobs.fetch_sub(1, Ordering::Relaxed);
+                drop(slot);
                 state.metrics.job_done(done);
             },
         );
-        if let Some(log) = log {
-            log.finish();
-            state.retain_finished_log(job_id);
-        }
     });
 }
 
