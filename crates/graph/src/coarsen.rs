@@ -183,8 +183,62 @@ pub fn coarsen(g: &Graph, matching: &Matching) -> CoarseGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{grid2d, random_geometric};
+    use crate::generators::{grid2d, planted_partition_sparse, random_geometric};
     use crate::matching::heavy_edge_matching;
+
+    /// 64-bit FNV-1a, folded into `h`.
+    fn fnv1a(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// The whole stack of a sparse planted partition whose edge weights
+    /// (4, 1 and 0.5) keep every partial sum exact, so its bytes do not
+    /// depend on the order in which parallel edges are summed.
+    #[test]
+    fn hierarchy_golden() {
+        let g = planted_partition_sparse(10, 1000, 0.008, 2e-5, 1);
+        let h = Hierarchy::build(&g, 300, 7);
+        let shape: Vec<(usize, usize)> = h
+            .levels()
+            .iter()
+            .map(|l| (l.graph.num_vertices(), l.graph.num_edges()))
+            .collect();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for l in h.levels() {
+            let c = &l.graph;
+            for &x in c.xadj() {
+                fnv1a(&mut digest, &(x as u64).to_le_bytes());
+            }
+            for &u in c.adjncy() {
+                fnv1a(&mut digest, &u.to_le_bytes());
+            }
+            for &w in c.adjwgt() {
+                fnv1a(&mut digest, &w.to_bits().to_le_bytes());
+            }
+            for v in c.vertices() {
+                fnv1a(&mut digest, &c.vertex_weight(v).to_bits().to_le_bytes());
+            }
+            for &f in &l.fine_to_coarse {
+                fnv1a(&mut digest, &f.to_le_bytes());
+            }
+        }
+        assert_eq!(h.num_levels(), 6);
+        assert_eq!(
+            shape,
+            [
+                (5280, 45339),
+                (2784, 41083),
+                (1452, 34182),
+                (753, 21123),
+                (391, 8149),
+                (199, 2973)
+            ]
+        );
+        assert_eq!(digest, 0x2afe_2ae2_0294_3302, "{digest:#018x}");
+    }
 
     #[test]
     fn coarse_count_matches_pairs() {
