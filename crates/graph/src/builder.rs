@@ -98,9 +98,10 @@ impl GraphBuilder {
         let mut adjncy = vec![0 as VertexId; nnz];
         let mut adjwgt = vec![0.0; nnz];
         let mut cursor = xadj.clone();
-        // Edges are processed in (u, v)-sorted order, so each row receives
-        // its u-side neighbors ascending; the v-side rows also fill ascending
-        // because u ascends.
+        // Edges are processed in (u, v)-sorted order with u < v, so row x
+        // first receives its lower neighbours, ascending while earlier u
+        // are processed, and then its upper neighbours, ascending: every
+        // row comes out sorted.
         for &(u, v, w) in &merged {
             let cu = cursor[u as usize];
             adjncy[cu] = v;
@@ -111,12 +112,54 @@ impl GraphBuilder {
             adjwgt[cv] = w;
             cursor[v as usize] += 1;
         }
-        // The v-side entries (u values) are inserted in ascending u order but
-        // interleave with v-side entries from later u rows; a per-row sort
-        // guarantees the invariant regardless.
+
+        Graph::from_csr(xadj, adjncy, adjwgt, self.vwgt)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
+
+    /// `build` with the per-row sort it once ran after the scatter: the
+    /// reference the sort-free scatter must reproduce bit for bit.
+    fn build_with_row_sort(mut b: GraphBuilder) -> Graph {
+        b.edges.sort_unstable_by_key(|a| (a.0, a.1));
+        let mut merged: Vec<(VertexId, VertexId, f64)> = Vec::with_capacity(b.edges.len());
+        for (u, v, w) in b.edges {
+            match merged.last_mut() {
+                Some(last) if last.0 == u && last.1 == v => last.2 += w,
+                _ => merged.push((u, v, w)),
+            }
+        }
+        let n = b.n;
+        let mut deg = vec![0usize; n];
+        for &(u, v, _) in &merged {
+            deg[u as usize] += 1;
+            deg[v as usize] += 1;
+        }
+        let mut xadj = vec![0usize; n + 1];
         for v in 0..n {
-            let lo = xadj[v];
-            let hi = xadj[v + 1];
+            xadj[v + 1] = xadj[v] + deg[v];
+        }
+        let nnz = xadj[n];
+        let mut adjncy = vec![0 as VertexId; nnz];
+        let mut adjwgt = vec![0.0; nnz];
+        let mut cursor = xadj.clone();
+        for &(u, v, w) in &merged {
+            let cu = cursor[u as usize];
+            adjncy[cu] = v;
+            adjwgt[cu] = w;
+            cursor[u as usize] += 1;
+            let cv = cursor[v as usize];
+            adjncy[cv] = u;
+            adjwgt[cv] = w;
+            cursor[v as usize] += 1;
+        }
+        for v in 0..n {
+            let (lo, hi) = (xadj[v], xadj[v + 1]);
             let mut pairs: Vec<(VertexId, f64)> = adjncy[lo..hi]
                 .iter()
                 .copied()
@@ -128,14 +171,59 @@ impl GraphBuilder {
                 adjwgt[lo + k] = w;
             }
         }
-
-        Graph::from_csr(xadj, adjncy, adjwgt, self.vwgt)
+        Graph::from_csr(xadj, adjncy, adjwgt, b.vwgt)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn weight_bits(ws: &[f64]) -> Vec<u64> {
+        ws.iter().map(|w| w.to_bits()).collect()
+    }
+
+    #[test]
+    fn rows_come_out_sorted_without_a_row_sort() {
+        for seed in 0..8 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = 80;
+            // A small pool of pairs, so pairs repeat (some three or more
+            // times), plus self-loops and zero weights, in shuffled order.
+            let pool: Vec<(VertexId, VertexId)> = (0..150)
+                .map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)))
+                .collect();
+            let mut edges: Vec<(VertexId, VertexId, f64)> = (0..400)
+                .map(|_| {
+                    let (u, v) = pool[rng.gen_range(0..pool.len())];
+                    let w = if rng.gen_bool(0.2) {
+                        0.0
+                    } else {
+                        rng.gen::<f64>() * 10.0
+                    };
+                    (u, v, w)
+                })
+                .collect();
+            edges.extend((0..10).map(|v| (v * 7, v * 7, 1.0)));
+            edges.shuffle(&mut rng);
+            let mut uses = std::collections::BTreeMap::new();
+            for &(u, v, _) in &edges {
+                *uses.entry((u.min(v), u.max(v))).or_insert(0) += 1;
+            }
+            assert!(uses.iter().any(|(&(u, v), &k)| u != v && k >= 3));
+            assert!(uses.keys().any(|&(u, v)| u == v));
+
+            let mut b = GraphBuilder::new(n);
+            for &(u, v, w) in &edges {
+                b.add_edge(u, v, w);
+            }
+            b.set_vertex_weight(3, 2.5);
+            let want = build_with_row_sort(b.clone());
+            let got = b.build();
+            assert_eq!(got.xadj(), want.xadj());
+            assert_eq!(got.adjncy(), want.adjncy());
+            assert_eq!(weight_bits(got.adjwgt()), weight_bits(want.adjwgt()));
+            let vw = |g: &Graph| {
+                weight_bits(&g.vertices().map(|v| g.vertex_weight(v)).collect::<Vec<_>>())
+            };
+            assert_eq!(vw(&got), vw(&want));
+        }
+    }
 
     #[test]
     fn merges_parallel_edges() {
