@@ -59,6 +59,13 @@ fn bench_matching_coarsen(c: &mut Criterion) {
     c.bench_function("coarsen_762", |b| {
         b.iter(|| black_box(coarsen(&inst.graph, &m)))
     });
+    // The first level `Hierarchy::build` contracts for the multilevel
+    // benchmark instance: the 10⁵-vertex graph under matching seed 7.
+    let (g, _, _) = multilevel_instance();
+    let m = heavy_edge_matching(&g, 7);
+    c.bench_function("coarsen_level_1e5", |b| {
+        b.iter(|| black_box(coarsen(&g, &m)))
+    });
 }
 
 fn bench_fm_pass(c: &mut Criterion) {

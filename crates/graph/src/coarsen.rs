@@ -8,9 +8,39 @@
 //! Total vertex weight is preserved exactly. Total edge weight decreases by
 //! exactly the weight of the matched edges — the quantity heavy-edge
 //! matching maximizes.
+//!
+//! # How a level is built
+//!
+//! [`coarsen`] builds the coarse CSR row by row, in O(n + m) for a fine
+//! graph of n vertices and m edges, with no sort of the edge list:
+//!
+//! 1. *Upper pass.* For each coarse vertex `c`, ascending, walk its
+//!    members (one or two, ascending fine id) and each member's row, and
+//!    add the weight of every edge into a coarse vertex `d > c` to a dense
+//!    slot for `d`. A marker lists `d` on first touch, so a coarse edge
+//!    whose fine edges all weigh zero stays an edge. Then `c`'s upper
+//!    entries are emitted and only the slots `c` touched are reset.
+//! 2. *Mirror.* Row `x` is its lower entries (from every `c < x`,
+//!    ascending) followed by its upper entries (ascending). One scatter
+//!    writes each upper entry `(c, d)` into row `d`'s lower part, in
+//!    ascending `c`; a second walks the rows `d` ascending and appends `d`
+//!    to the upper part of each lower neighbour `c`.
+//!
+//! **Summation rule.** The weight of coarse edge `{c, d}`, `c < d`, is the
+//! sum of its fine edges in member-then-edge order of `c`, the order
+//! `Connections::gather_part` (ff-partition) sums a part in. It is computed
+//! once and written to both rows, so the coarse graph is symmetric bit for
+//! bit. At most four fine edges merge into one coarse edge per level, and
+//! two addends commute exactly, so another order could differ only where
+//! three or four merge and a partial sum rounds; weights whose partial
+//! sums are all exact (integers and halves) coarsen to the same bits in
+//! any order.
 
 use crate::matching::heavy_edge_matching;
-use crate::{Graph, GraphBuilder, Matching, VertexId};
+use crate::{Graph, Matching, VertexId};
+
+#[cfg(test)]
+mod reference;
 
 /// Result of one coarsening step: the coarse graph plus the fine→coarse
 /// projection map.
@@ -130,7 +160,8 @@ impl Hierarchy {
     }
 }
 
-/// Contracts `g` along `matching`.
+/// Contracts `g` along `matching` in O(n + m) (see the module docs for
+/// how the coarse rows are built and how parallel edges are summed).
 ///
 /// # Panics
 ///
@@ -157,25 +188,84 @@ pub fn coarsen(g: &Graph, matching: &Matching) -> CoarseGraph {
     }
     let nc = next as usize;
 
-    let mut b = GraphBuilder::with_capacity(nc, g.num_edges());
     // Coarse vertex weights.
     let mut cw = vec![0.0; nc];
     for v in 0..n as VertexId {
         cw[fine_to_coarse[v as usize] as usize] += g.vertex_weight(v);
     }
-    for (c, &w) in cw.iter().enumerate() {
-        b.set_vertex_weight(c as VertexId, w);
+
+    // Upper pass: coarse vertex `c`'s entries into every `d > c`, in
+    // first-touch order. Each fine edge gives at most one upper entry, so
+    // the fine edge count bounds them.
+    let mut upper_start = Vec::with_capacity(nc + 1);
+    let mut upper_adj: Vec<VertexId> = Vec::with_capacity(g.num_edges());
+    let mut upper_wgt: Vec<f64> = Vec::with_capacity(g.num_edges());
+    let mut slot = vec![0.0; nc];
+    let mut listed = vec![false; nc];
+    // Row degrees, shifted by one so the prefix sum below leaves `xadj`.
+    let mut xadj = vec![0usize; nc + 1];
+    upper_start.push(0);
+    for v in 0..n as VertexId {
+        let m = matching.mate(v);
+        if m < v {
+            continue;
+        }
+        let c = fine_to_coarse[v as usize];
+        let members = [v, m];
+        let members = if m == v { &members[..1] } else { &members[..] };
+        let row_start = upper_adj.len();
+        for &x in members {
+            for (&u, &w) in g.neighbors(x).iter().zip(g.neighbor_weights(x)) {
+                let d = fine_to_coarse[u as usize];
+                if d <= c {
+                    continue; // internal to `c`, or summed in `d`'s row
+                }
+                if !listed[d as usize] {
+                    listed[d as usize] = true;
+                    upper_adj.push(d);
+                }
+                slot[d as usize] += w;
+            }
+        }
+        for &d in &upper_adj[row_start..] {
+            upper_wgt.push(slot[d as usize]);
+            slot[d as usize] = 0.0;
+            listed[d as usize] = false;
+            xadj[d as usize + 1] += 1;
+        }
+        xadj[c as usize + 1] += upper_adj.len() - row_start;
+        upper_start.push(upper_adj.len());
     }
-    // Coarse edges (builder merges parallels by summing; intra-pair edges
-    // become self-loops and are dropped).
-    for (u, v, w) in g.edges() {
-        let cu = fine_to_coarse[u as usize];
-        let cv = fine_to_coarse[v as usize];
-        b.add_edge(cu, cv, w);
+    for c in 0..nc {
+        xadj[c + 1] += xadj[c];
+    }
+    let nnz = xadj[nc];
+    let mut adjncy = vec![0 as VertexId; nnz];
+    let mut adjwgt = vec![0.0; nnz];
+    // `cursor[x]` walks row `x`: through its lower part in the first
+    // scatter, then through its upper part in the second.
+    let mut cursor = xadj[..nc].to_vec();
+    for c in 0..nc {
+        for k in upper_start[c]..upper_start[c + 1] {
+            let d = upper_adj[k] as usize;
+            adjncy[cursor[d]] = c as VertexId;
+            adjwgt[cursor[d]] = upper_wgt[k];
+            cursor[d] += 1;
+        }
+    }
+    // When the second scatter reaches row `d`, `cursor[d]` still ends its
+    // lower part: only rows above `d`, walked later, advance it.
+    for d in 0..nc {
+        for k in xadj[d]..cursor[d] {
+            let c = adjncy[k] as usize;
+            adjncy[cursor[c]] = d as VertexId;
+            adjwgt[cursor[c]] = adjwgt[k];
+            cursor[c] += 1;
+        }
     }
 
     CoarseGraph {
-        graph: b.build(),
+        graph: Graph::from_csr(xadj, adjncy, adjwgt, cw),
         fine_to_coarse,
     }
 }
