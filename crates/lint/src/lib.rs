@@ -7,7 +7,7 @@
 //! | family | lints | scope |
 //! |---|---|---|
 //! | determinism | `DET_WALLCLOCK`, `DET_HASH_ITER`, `DET_UNSEEDED_RNG` | the deterministic crates |
-//! | lock order | `LOCK_CYCLE` | `ff-service` + `ff-obs` |
+//! | lock order | `LOCK_CYCLE`, `LOCK_UNTRACKED` | `ff-service` + `ff-obs` |
 //! | panic paths | `PANIC_PATH` | request-handling / job-driver files |
 //!
 //! Plus `BASELINE_STALE` for exception entries that no longer match

@@ -22,6 +22,12 @@
 //! The analysis is name-based and deliberately over-approximate: a
 //! false edge costs a baseline entry; a missed deadlock costs an
 //! outage.
+//!
+//! A `Mutex`/`RwLock` declared anywhere else — in a tuple struct or in
+//! an enum variant — has no field name to resolve its acquisitions by,
+//! so it cannot be a node, and a cycle through it would go unseen. Each
+//! such declaration is a `LOCK_UNTRACKED` finding at its line instead of
+//! a guessed node.
 
 use crate::lexer::{Tok, TokKind};
 use crate::source::{Diagnostic, SourceFile};
@@ -95,10 +101,10 @@ struct FnInfo {
     calls: BTreeSet<String>,
 }
 
-/// Run the analysis over the scanned files; push `LOCK_CYCLE` findings
-/// and return the graph.
+/// Run the analysis over the scanned files; push `LOCK_CYCLE` and
+/// `LOCK_UNTRACKED` findings and return the graph.
 pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) -> LockGraph {
-    let fields = collect_lock_fields(files);
+    let fields = collect_lock_fields(files, out);
     let fn_bodies = collect_fns(files);
 
     // Pass 1: per-fn direct acquisitions and calls (holds ignored).
@@ -144,16 +150,19 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) -> LockGraph {
     graph
 }
 
-fn collect_lock_fields(files: &[SourceFile]) -> Vec<LockField> {
-    let mut out = Vec::new();
+/// Every named struct field whose type mentions a lock; a lock in a
+/// tuple struct or an enum variant is reported as `LOCK_UNTRACKED`.
+fn collect_lock_fields(files: &[SourceFile], out: &mut Vec<Diagnostic>) -> Vec<LockField> {
+    let mut fields = Vec::new();
     for (fi, file) in files.iter().enumerate() {
         let toks = &file.toks;
         let mut i = 0;
         while i < toks.len() {
-            if toks[i].is_ident("struct") {
+            let is_enum = toks[i].is_ident("enum");
+            if toks[i].is_ident("struct") || is_enum {
                 if let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                    let strukt = name.text.clone();
-                    // Find the body `{` (skip generics) or bail at `;`/`(`.
+                    let name = name.text.clone();
+                    // Find the body `{` or `(` (skip generics) or bail at `;`.
                     let mut j = i + 2;
                     let mut angle = 0i32;
                     while j < toks.len() {
@@ -162,10 +171,16 @@ fn collect_lock_fields(files: &[SourceFile]) -> Vec<LockField> {
                             angle += 1;
                         } else if t.is_punct('>') {
                             angle -= 1;
-                        } else if angle == 0 && (t.is_punct(';') || t.is_punct('(')) {
+                        } else if angle == 0 && t.is_punct(';') {
                             break;
-                        } else if angle == 0 && t.is_punct('{') {
-                            scan_fields(toks, j, &strukt, fi, &mut out);
+                        } else if angle == 0 && (t.is_punct('{') || t.is_punct('(')) {
+                            if is_enum {
+                                report_variant_locks(file, j, &name, out);
+                            } else if t.is_punct('{') {
+                                scan_fields(toks, j, &name, fi, &mut fields);
+                            } else {
+                                report_tuple_locks(file, j, &name, out);
+                            }
                             break;
                         }
                         j += 1;
@@ -175,7 +190,63 @@ fn collect_lock_fields(files: &[SourceFile]) -> Vec<LockField> {
             i += 1;
         }
     }
-    out
+    fields
+}
+
+fn untracked(file: &SourceFile, tok: &Tok, owner: &str, out: &mut Vec<Diagnostic>) {
+    out.push(Diagnostic::new(
+        &file.rel,
+        tok.line,
+        "LOCK_UNTRACKED",
+        format!(
+            "`{}` in {owner} is no lock-order node: only named struct fields are, so its \
+             acquisitions go unchecked; hold it in a named struct field",
+            tok.text
+        ),
+    ));
+}
+
+fn is_lock_type(t: &Tok) -> bool {
+    t.is_ident("Mutex") || t.is_ident("RwLock")
+}
+
+/// Report every lock type in the tuple-struct field list opening at `open`.
+fn report_tuple_locks(file: &SourceFile, open: usize, strukt: &str, out: &mut Vec<Diagnostic>) {
+    let mut depth = 0i32;
+    for t in &file.toks[open..] {
+        depth += i32::from(t.is_punct('(')) - i32::from(t.is_punct(')'));
+        if depth == 0 {
+            return;
+        }
+        if is_lock_type(t) {
+            untracked(file, t, &format!("tuple struct `{strukt}`"), out);
+        }
+    }
+}
+
+/// Report every lock type in the enum body opening at `open`, named by
+/// its variant.
+fn report_variant_locks(file: &SourceFile, open: usize, enm: &str, out: &mut Vec<Diagnostic>) {
+    let toks = &file.toks;
+    let mut depth = 0i32;
+    let mut variant = "";
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
+            depth -= 1;
+            if depth == 0 {
+                return;
+            }
+        } else if depth == 1
+            && t.kind == TokKind::Ident
+            && (toks[i - 1].is_punct('{') || toks[i - 1].is_punct(',') || toks[i - 1].is_punct(']'))
+        {
+            variant = &t.text;
+        } else if is_lock_type(t) {
+            untracked(file, t, &format!("enum variant `{enm}::{variant}`"), out);
+        }
+    }
 }
 
 /// Scan a struct body starting at its `{` for `field: ..Mutex/RwLock..`.
@@ -209,7 +280,7 @@ fn scan_fields(toks: &[Tok], open: usize, strukt: &str, file_idx: usize, out: &m
                     d2 -= 1;
                 } else if d2 <= 0 && (t.is_punct(',') || t.is_punct('}')) {
                     break;
-                } else if t.is_ident("Mutex") || t.is_ident("RwLock") {
+                } else if is_lock_type(t) {
                     is_lock = true;
                 }
                 j += 1;
@@ -846,6 +917,43 @@ impl S {
         let (diags, _) = run(src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].message.contains("S.a"));
+    }
+
+    #[test]
+    fn locks_outside_named_fields_are_reported_not_guessed() {
+        let src = r#"
+struct Named { a: Mutex<u32>, b: Arc<RwLock<u32>> }
+struct Unit;
+pub struct Tuple(pub u32, Mutex<u32>);
+enum E {
+    Plain,
+    #[allow(dead_code)]
+    Wrapped(Arc<RwLock<u32>>),
+    Fields { n: u32, m: Mutex<u32> },
+}
+impl Tuple {
+    fn f(&self, e: &E) { let g = self.1.lock(); if let E::Wrapped(l) = e { l.read(); } }
+}
+"#;
+        let (diags, g) = run(src);
+        let found: Vec<(u32, &str, &str)> = diags
+            .iter()
+            .map(|d| (d.line, d.lint, d.message.split(" is ").next().unwrap()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (4, "LOCK_UNTRACKED", "`Mutex` in tuple struct `Tuple`"),
+                (8, "LOCK_UNTRACKED", "`RwLock` in enum variant `E::Wrapped`"),
+                (9, "LOCK_UNTRACKED", "`Mutex` in enum variant `E::Fields`"),
+            ]
+        );
+        assert_eq!(
+            g.nodes.iter().collect::<Vec<_>>(),
+            ["Named.a", "Named.b"],
+            "no node is guessed for an unnamed lock"
+        );
+        assert!(g.edges.is_empty(), "{:?}", g.edges);
     }
 
     #[test]
