@@ -13,7 +13,8 @@ use ff_multilevel::LevelReport;
 use ff_obs::{Counter, Histogram, Registry};
 use std::time::Duration;
 
-/// Upper bounds (ms) for epoch-advance and per-level refine timings.
+/// Upper bounds (ms) for epoch-advance, coarsening and per-level refine
+/// timings.
 const TIMING_BUCKET_MS: [f64; 5] = [1.0, 10.0, 100.0, 1000.0, 10000.0];
 
 /// Upper bounds for trace-point improvement deltas (objective units).
@@ -99,6 +100,17 @@ impl EngineObs {
             self.cursors[i] += fresh.len();
         }
     }
+}
+
+/// Records one multilevel run's coarsening (`Vcycle::new`) time.
+pub(crate) fn record_coarsen(registry: &Registry, elapsed: Duration) {
+    registry
+        .histogram(
+            "ff_engine_coarsen_ms",
+            "Wall-clock milliseconds coarsening the input, once per multilevel run",
+            &TIMING_BUCKET_MS,
+        )
+        .observe(elapsed.as_secs_f64() * 1e3);
 }
 
 /// Records per-level V-cycle refinement work from [`LevelReport`]s.

@@ -26,7 +26,7 @@ use crate::ensemble::EnsembleResult;
 use crate::epoch::{EpochLoop, LocalIslands};
 use crate::migration::{MigrationPolicy, ReplaceIfBetter};
 use crate::multilevel::{MultilevelInfo, MultilevelOpts};
-use crate::obs::{record_level_reports, EngineObs};
+use crate::obs::{record_coarsen, record_level_reports, EngineObs};
 use crate::reduction::{MinEnergy, ParetoPoint, Reduction};
 use crate::seeds::derive_seeds;
 use ff_core::{ConfigError, FusionFission, FusionFissionConfig, FusionFissionRun};
@@ -206,8 +206,8 @@ impl<'g> Solver<'g> {
     /// `ff_engine_migration_accepts_total{policy}`,
     /// `ff_engine_migration_rejects_total{policy}`,
     /// `ff_engine_improvement_delta`, and — under
-    /// [`Solver::multilevel`] — `ff_engine_level_refine_ms` plus
-    /// `ff_engine_refine_moves_total`.
+    /// [`Solver::multilevel`] — `ff_engine_coarsen_ms` (once per run),
+    /// `ff_engine_level_refine_ms` and `ff_engine_refine_moves_total`.
     pub fn observe(mut self, registry: ff_obs::Registry) -> Self {
         self.obs = Some(registry);
         self
@@ -346,6 +346,7 @@ impl<'g> Solver<'g> {
         };
         let g = self.g;
         let base = self.base;
+        let coarsen_start = self.obs.as_ref().map(|_| std::time::Instant::now());
         let vc = Vcycle::new(
             g,
             VcycleOpts {
@@ -355,6 +356,9 @@ impl<'g> Solver<'g> {
                 min_coarse_vertices: base.k.max(2),
             },
         );
+        if let (Some(registry), Some(start)) = (&self.obs, coarsen_start) {
+            record_coarsen(registry, start.elapsed());
+        }
         let obs_registry = self.obs.clone();
         let (islands, seed) = (self.islands, self.seed);
         let coarse_solver = Solver {

@@ -10,7 +10,8 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ff_engine::{MigrationPolicyId, Solver};
+use ff_engine::{MigrationPolicyId, MultilevelOpts, Solver};
+use ff_graph::generators::planted_partition_sparse;
 use ff_graph::io::read_metis;
 use ff_obs::{parse_exposition, LogFormat, Logger, Registry, Sample, EXPOSITION_CONTENT_TYPE};
 use ff_partition::Objective;
@@ -99,6 +100,36 @@ fn solver_observation_is_inert_across_migration_policies() {
             assert!(offers >= 1.0, "{policy:?}: adoptions without offers");
         }
     }
+}
+
+#[test]
+fn multilevel_observation_times_one_coarsening() {
+    let g = planted_partition_sparse(4, 250, 0.02, 1e-3, 1);
+    let run = |registry: Option<Registry>| {
+        let mut solver = Solver::on(&g)
+            .k(4)
+            .islands(2)
+            .steps(2_000)
+            .seed(3)
+            .multilevel(MultilevelOpts {
+                coarsen_until: 200,
+                ..MultilevelOpts::default()
+            });
+        if let Some(registry) = registry {
+            solver = solver.observe(registry);
+        }
+        solver.run().unwrap()
+    };
+    let registry = Registry::new();
+    let (plain, observed) = (run(None), run(Some(registry.clone())));
+    assert_eq!(observed.best.assignment(), plain.best.assignment());
+    assert_eq!(observed.best_value.to_bits(), plain.best_value.to_bits());
+    assert!(observed.multilevel.as_ref().unwrap().levels >= 2);
+    let samples = parse_exposition(&registry.render()).unwrap();
+    assert_eq!(
+        sample(&samples, "ff_engine_coarsen_ms_count", &[]).value,
+        1.0
+    );
 }
 
 // --------------------------------------------------------- NDJSON server
