@@ -9,9 +9,14 @@ use ff_graph::Graph;
 use std::io::{BufRead, BufReader, Read, Write};
 
 /// Writes `p` in METIS `.part` format (one part id per line).
-pub fn write_partition<W: Write>(p: &Partition, mut out: W) -> std::io::Result<()> {
-    let mut buf = String::with_capacity(p.num_vertices() * 3);
-    for &a in p.assignment() {
+pub fn write_partition<W: Write>(p: &Partition, out: W) -> std::io::Result<()> {
+    write_assignment(p.assignment(), out)
+}
+
+/// Writes a part id per vertex in METIS `.part` format (one per line).
+pub fn write_assignment<W: Write>(assignment: &[u32], mut out: W) -> std::io::Result<()> {
+    let mut buf = String::with_capacity(assignment.len() * 3);
+    for &a in assignment {
         buf.push_str(&a.to_string());
         buf.push('\n');
     }

@@ -50,7 +50,7 @@ pub use analysis::{analyze, repair_connectivity, PartStats, PartitionReport};
 pub use balance::{imbalance, BalanceConstraint};
 pub use connections::Connections;
 pub use dominance::{dominates, pareto_front_indices};
-pub use io::{read_partition, write_partition};
+pub use io::{read_partition, write_assignment, write_partition};
 pub use objective::{CutState, Objective, PartConnectivity};
 pub use partition::Partition;
 pub use refine::{

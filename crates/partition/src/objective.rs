@@ -45,6 +45,20 @@ impl Objective {
     pub fn all() -> [Objective; 3] {
         [Objective::Cut, Objective::NCut, Objective::MCut]
     }
+
+    /// The CLI spelling: `cut`, `ncut` or `mcut`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Objective::Cut => "cut",
+            Objective::NCut => "ncut",
+            Objective::MCut => "mcut",
+        }
+    }
+
+    /// Parses the CLI spelling.
+    pub fn parse(name: &str) -> Option<Objective> {
+        Objective::all().into_iter().find(|o| o.name() == name)
+    }
 }
 
 impl std::fmt::Display for Objective {
@@ -449,6 +463,15 @@ mod tests {
     use ff_graph::generators::{path, random_geometric, two_cliques_bridge};
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn names_round_trip() {
+        for o in Objective::all() {
+            assert_eq!(Objective::parse(o.name()), Some(o));
+        }
+        assert_eq!(Objective::parse("Mcut"), None);
+        assert_eq!(Objective::parse("mincut"), None);
+    }
 
     #[test]
     fn cut_on_path_block() {

@@ -458,7 +458,9 @@ impl InstanceCache {
     }
 }
 
-fn read_graph(source: &GraphSource, format: GraphFormat) -> Result<Graph, String> {
+/// Parses a graph from `source` in `format`. Errors name the file, or
+/// say the graph came inline.
+pub fn read_graph(source: &GraphSource, format: GraphFormat) -> Result<Graph, String> {
     match source {
         GraphSource::Path(path) => {
             let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;

@@ -15,7 +15,7 @@ use crate::obs::Metrics;
 use crate::protocol::{DoneInfo, Event, Improvement, JobRequest, JobStatus, ParetoPointInfo};
 use crate::sync::lock;
 use ff_core::FusionFissionConfig;
-use ff_engine::{derive_seeds, MultilevelOpts, ParetoFront, Solver};
+use ff_engine::{derive_seeds, MultilevelOpts, ParetoFront, ParetoResult, Solver};
 use ff_graph::Graph;
 use ff_metaheur::{CancelToken, StopCondition};
 use ff_obs::LogValue;
@@ -297,24 +297,10 @@ pub(crate) fn run_job(
         // rejection here means admission and the engine disagree, which is a bug.
         .expect("job config validated at submit time");
     let steps = res.steps;
-    let pareto = res.pareto.as_ref().map(|front| {
-        front
-            .points
-            .iter()
-            .map(|p| ParetoPointInfo {
-                island: p.island,
-                objective: p.objective,
-                values: front
-                    .objectives
-                    .iter()
-                    .copied()
-                    .zip(p.values.iter().copied())
-                    .collect(),
-                parts: p.parts,
-                assignment: spec.assignment.then(|| p.partition.assignment().to_vec()),
-            })
-            .collect::<Vec<_>>()
-    });
+    let pareto = res
+        .pareto
+        .as_ref()
+        .map(|front| pareto_points(front, spec.assignment));
     // A deadline-bounded job that stopped before exhausting its step
     // budget stopped because the clock ran out.
     let budget_exhausted = spec
@@ -341,6 +327,28 @@ pub(crate) fn run_job(
     before_done(&done);
     let _ = sink.send(&Event::Done(done.clone()));
     done
+}
+
+/// A Pareto front as the `done` event carries it: each point scored
+/// under every objective of the front, with its part ids when
+/// `assignment` is set.
+pub fn pareto_points(front: &ParetoResult, assignment: bool) -> Vec<ParetoPointInfo> {
+    front
+        .points
+        .iter()
+        .map(|p| ParetoPointInfo {
+            island: p.island,
+            objective: p.objective,
+            values: front
+                .objectives
+                .iter()
+                .copied()
+                .zip(p.values.iter().copied())
+                .collect(),
+            parts: p.parts,
+            assignment: assignment.then(|| p.partition.assignment().to_vec()),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -292,12 +292,13 @@ mod sync;
 mod wsession;
 
 pub use cache::{
-    CacheEntryInfo, CacheStats, GraphFormat, GraphSource, InstanceCache, LoadOutcome, PinnedGraph,
+    read_graph, CacheEntryInfo, CacheStats, GraphFormat, GraphSource, InstanceCache, LoadOutcome,
+    PinnedGraph,
 };
 pub use client::{Client, JobCanceller, SubmitOutcome};
 pub use dist::{solve_distributed, DistOpts, DistSpec, WorkerSet};
 pub use gate::{FairGate, Permit, WAIT_BUCKETS, WAIT_BUCKET_MS};
-pub use job::EventSink;
+pub use job::{pareto_points, EventSink};
 pub use journal::{
     parse_journal, read_journal, JournalError, JournalRecord, JournalWriter, ReadOutcome,
     ReplaySummary,
