@@ -12,11 +12,15 @@
 //! ```
 
 use ff_atc::{FabopConfig, FabopInstance};
+use ff_bench::flags::{exit_usage, Flags};
 use ff_bench::{write_csv, Cell, Table};
 use ff_core::{ChoiceFunction, FissionSplitter, FusionFission, FusionFissionConfig};
 use ff_metaheur::{Cooling, SimulatedAnnealing, SimulatedAnnealingConfig, StopCondition};
 use ff_partition::Objective;
 use std::time::Duration;
+
+const USAGE: &str =
+    "usage: ablation [--budget-secs S] [--k N] [--sectors N] [--seed N] [--trials N]";
 
 struct Args {
     budget_secs: f64,
@@ -26,7 +30,7 @@ struct Args {
     trials: u64,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         budget_secs: 5.0,
         k: 16,
@@ -34,23 +38,22 @@ fn parse_args() -> Args {
         seed: 2006,
         trials: 3,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().expect("flag needs a value");
+    let mut flags = Flags::new(std::env::args().skip(1));
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--budget-secs" => args.budget_secs = val().parse().expect("bad budget"),
-            "--k" => args.k = val().parse().expect("bad k"),
-            "--sectors" => args.sectors = val().parse().expect("bad sectors"),
-            "--seed" => args.seed = val().parse().expect("bad seed"),
-            "--trials" => args.trials = val().parse().expect("bad trials"),
-            other => panic!("unknown flag {other}"),
+            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
+            "--k" => args.k = flags.parse("--k")?,
+            "--sectors" => args.sectors = flags.parse("--sectors")?,
+            "--seed" => args.seed = flags.parse("--seed")?,
+            "--trials" => args.trials = flags.parse("--trials")?,
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| exit_usage("ablation", USAGE, &e));
     let inst = FabopInstance::scaled(
         args.sectors,
         &FabopConfig {

@@ -15,10 +15,14 @@
 //! ```
 
 use ff_atc::{FabopConfig, FabopInstance, PAPER_K};
+use ff_bench::flags::{exit_usage, Flags};
 use ff_bench::{
     run_method_ensemble, write_csv, Cell, MethodBudget, MethodId, MigrationPolicyId, Table,
 };
 use ff_partition::Objective;
+
+const USAGE: &str = "usage: head2head [--budget-secs S] [--seeds N] [--sectors N] [--k N] \
+[--islands N] [--threads N] [--migration replace|combine|adaptive]";
 
 struct Args {
     budget_secs: f64,
@@ -30,7 +34,7 @@ struct Args {
     migration: MigrationPolicyId,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         budget_secs: 10.0,
         k: PAPER_K,
@@ -40,25 +44,24 @@ fn parse_args() -> Args {
         threads: 0,
         migration: MigrationPolicyId::default(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().expect("flag needs a value");
+    let mut flags = Flags::new(std::env::args().skip(1));
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--budget-secs" => args.budget_secs = val().parse().expect("bad budget"),
-            "--k" => args.k = val().parse().expect("bad k"),
-            "--sectors" => args.sectors = val().parse().expect("bad sectors"),
-            "--seeds" => args.seeds = val().parse().expect("bad seeds"),
-            "--islands" => args.islands = val().parse().expect("bad islands"),
-            "--threads" => args.threads = val().parse().expect("bad threads"),
+            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
+            "--k" => args.k = flags.parse("--k")?,
+            "--sectors" => args.sectors = flags.parse("--sectors")?,
+            "--seeds" => args.seeds = flags.parse("--seeds")?,
+            "--islands" => args.islands = flags.parse("--islands")?,
+            "--threads" => args.threads = flags.parse("--threads")?,
             "--migration" => {
-                let name = val();
+                let name = flags.value("--migration")?;
                 args.migration = MigrationPolicyId::parse(&name)
-                    .unwrap_or_else(|| panic!("unknown migration policy {name}"));
+                    .ok_or_else(|| format!("unknown migration policy `{name}`"))?;
             }
-            other => panic!("unknown flag {other}"),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn stats(values: &[f64]) -> (f64, f64, f64) {
@@ -69,7 +72,7 @@ fn stats(values: &[f64]) -> (f64, f64, f64) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| exit_usage("head2head", USAGE, &e));
     let inst = if args.sectors == ff_atc::PAPER_SECTORS {
         FabopInstance::paper_scale(&FabopConfig::default())
     } else {

@@ -27,12 +27,15 @@
 //! the full V-cycle against a flat run stopped early in agglomeration,
 //! far from k parts.
 
+use ff_bench::flags::{exit_usage, Flags};
 use ff_engine::{MultilevelOpts, Solver};
 use ff_graph::generators::planted_partition_sparse;
 use ff_graph::Graph;
 use ff_metaheur::StopCondition;
 use ff_partition::Objective;
 use std::time::Instant;
+
+const USAGE: &str = "usage: mlscale gen <out.graph> [params] | mlscale compare [params]";
 
 struct Params {
     groups: usize,
@@ -66,34 +69,29 @@ impl Default for Params {
     }
 }
 
-fn parse_params(args: &[String]) -> Params {
+fn parse_params(mut flags: Flags) -> Result<Params, String> {
     let mut p = Params::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().expect("flag needs a value");
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--groups" => p.groups = val().parse().expect("bad --groups"),
-            "--group-size" => p.group_size = val().parse().expect("bad --group-size"),
-            "--p-in" => p.p_in = val().parse().expect("bad --p-in"),
-            "--p-out" => p.p_out = val().parse().expect("bad --p-out"),
-            "--seed" => p.seed = val().parse().expect("bad --seed"),
-            "--k" => p.k = val().parse().expect("bad --k"),
-            "--steps" => p.steps = val().parse().expect("bad --steps"),
-            "--islands" => p.islands = val().parse().expect("bad --islands"),
-            "--coarsen-until" => p.coarsen_until = val().parse().expect("bad --coarsen-until"),
+            "--groups" => p.groups = flags.parse("--groups")?,
+            "--group-size" => p.group_size = flags.parse("--group-size")?,
+            "--p-in" => p.p_in = flags.parse("--p-in")?,
+            "--p-out" => p.p_out = flags.parse("--p-out")?,
+            "--seed" => p.seed = flags.parse("--seed")?,
+            "--k" => p.k = flags.parse("--k")?,
+            "--steps" => p.steps = flags.parse("--steps")?,
+            "--islands" => p.islands = flags.parse("--islands")?,
+            "--coarsen-until" => p.coarsen_until = flags.parse("--coarsen-until")?,
             "--objective" => {
-                p.objective = match val().as_str() {
-                    "cut" => Objective::Cut,
-                    "ncut" => Objective::NCut,
-                    "mcut" => Objective::MCut,
-                    other => panic!("unknown objective {other}"),
-                }
+                let name = flags.value("--objective")?;
+                p.objective =
+                    Objective::parse(&name).ok_or_else(|| format!("unknown objective `{name}`"))?;
             }
             "--assert" => p.assert_bar = true,
-            other => panic!("unknown flag {other}"),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    p
+    Ok(p)
 }
 
 fn generate(p: &Params) -> Graph {
@@ -168,27 +166,27 @@ fn compare(p: &Params) -> bool {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let usage = |message: &str| exit_usage("mlscale", USAGE, message);
+    let mut flags = Flags::new(std::env::args().skip(1));
+    match flags.next().as_deref() {
         Some("gen") => {
-            let out = args.get(1).expect("gen needs an output path");
-            let p = parse_params(&args[2..]);
+            let Some(out) = flags.next() else {
+                usage("gen needs an output path")
+            };
+            let p = parse_params(flags).unwrap_or_else(|e| usage(&e));
             let g = generate(&p);
-            let file = std::fs::File::create(out).expect("cannot create output file");
+            let file = std::fs::File::create(&out).expect("cannot create output file");
             let mut w = std::io::BufWriter::new(file);
             ff_graph::io::write_metis(&g, &mut w).expect("write failed");
             eprintln!("mlscale: wrote {out}");
         }
         Some("compare") => {
-            let p = parse_params(&args[1..]);
+            let p = parse_params(flags).unwrap_or_else(|e| usage(&e));
             let ok = compare(&p);
             if p.assert_bar && !ok {
                 std::process::exit(1);
             }
         }
-        _ => {
-            eprintln!("usage: mlscale gen <out.graph> [params] | mlscale compare [params]");
-            std::process::exit(2);
-        }
+        _ => usage("expected `gen <out.graph>` or `compare`"),
     }
 }

@@ -12,11 +12,14 @@
 //! so "good" has a yardstick.
 
 use ff_atc::{FabopConfig, FabopInstance, PAPER_K};
+use ff_bench::flags::{exit_usage, Flags};
 use ff_bench::{write_csv, Cell, Table};
 use ff_core::{FusionFission, FusionFissionConfig};
 use ff_metaheur::{percolation_partition, PercolationConfig, StopCondition};
 use ff_partition::Objective;
 use std::time::Duration;
+
+const USAGE: &str = "usage: sweep_k [--budget-secs S] [--k N] [--sectors N] [--seed N]";
 
 struct Args {
     budget_secs: f64,
@@ -25,29 +28,28 @@ struct Args {
     seed: u64,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         budget_secs: 20.0,
         k: PAPER_K,
         sectors: ff_atc::PAPER_SECTORS,
         seed: 2006,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().expect("flag needs a value");
+    let mut flags = Flags::new(std::env::args().skip(1));
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--budget-secs" => args.budget_secs = val().parse().expect("bad budget"),
-            "--k" => args.k = val().parse().expect("bad k"),
-            "--sectors" => args.sectors = val().parse().expect("bad sectors"),
-            "--seed" => args.seed = val().parse().expect("bad seed"),
-            other => panic!("unknown flag {other}"),
+            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
+            "--k" => args.k = flags.parse("--k")?,
+            "--sectors" => args.sectors = flags.parse("--sectors")?,
+            "--seed" => args.seed = flags.parse("--seed")?,
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| exit_usage("sweep_k", USAGE, &e));
     let cfg = FabopConfig {
         seed: args.seed,
         ..Default::default()

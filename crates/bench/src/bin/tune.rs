@@ -8,11 +8,14 @@
 //! ```
 
 use ff_atc::{FabopConfig, FabopInstance, PAPER_K};
+use ff_bench::flags::{exit_usage, Flags};
 use ff_bench::{write_csv, Cell, Table};
 use ff_core::{FusionFission, FusionFissionConfig};
 use ff_metaheur::StopCondition;
 use ff_partition::Objective;
 use std::time::Duration;
+
+const USAGE: &str = "usage: tune [--budget-secs S] [--k N] [--sectors N] [--seed N] [--trials N]";
 
 struct Args {
     budget_secs: f64,
@@ -22,7 +25,7 @@ struct Args {
     trials: u64,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         budget_secs: 5.0,
         k: PAPER_K,
@@ -30,23 +33,22 @@ fn parse_args() -> Args {
         seed: 2006,
         trials: 2,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().expect("flag needs a value");
+    let mut flags = Flags::new(std::env::args().skip(1));
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--budget-secs" => args.budget_secs = val().parse().expect("bad budget"),
-            "--k" => args.k = val().parse().expect("bad k"),
-            "--sectors" => args.sectors = val().parse().expect("bad sectors"),
-            "--seed" => args.seed = val().parse().expect("bad seed"),
-            "--trials" => args.trials = val().parse().expect("bad trials"),
-            other => panic!("unknown flag {other}"),
+            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
+            "--k" => args.k = flags.parse("--k")?,
+            "--sectors" => args.sectors = flags.parse("--sectors")?,
+            "--seed" => args.seed = flags.parse("--seed")?,
+            "--trials" => args.trials = flags.parse("--trials")?,
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| exit_usage("tune", USAGE, &e));
     let cfg0 = FabopConfig {
         seed: args.seed,
         ..Default::default()

@@ -10,8 +10,10 @@
 //! | design ablations | `ablation` | energy scaling, law learning, fission splitter, SA cooling |
 //!
 //! Criterion micro/meso benches live in `benches/`. All binaries print
-//! human-readable tables and write CSV into `results/`.
+//! human-readable tables and write CSV into `results/`, and read their
+//! flags, like `ffpart`, through [`flags::Flags`].
 
+pub mod flags;
 pub mod methods;
 pub mod report;
 
