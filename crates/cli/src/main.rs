@@ -1,148 +1,27 @@
-//! `ffpart` — partition a graph file from the command line, or serve
-//! partition jobs to many clients.
-//!
-//! ```text
-//! ffpart <graph> -k <parts> [options]      one-shot partitioning
-//! ffpart serve [serve-options]             run the NDJSON partition server
-//! ffpart submit [submit-options]           submit a job to a running server
-//! ffpart stats --connect ADDR              print a server statistics snapshot
-//! ffpart worker [slots]                    distributed-islands worker on
-//!                                          stdin/stdout (spawned by
-//!                                          --workers; rarely run by hand)
-//!
-//! serve options:
-//!   --listen ADDR            bind address          (default 127.0.0.1:7411;
-//!                            use port 0 for an ephemeral port)
-//!   --workers N              compute slots shared by all in-flight jobs
-//!                            (default: one per core)
-//!   --max-jobs N             admission bound on in-flight (queued+running)
-//!                            jobs; overflow gets a typed `rejected` event
-//!                            with a retry hint            (default: unlimited)
-//!   --max-jobs-per-conn N    same bound per client connection
-//!                            (default: unlimited)
-//!   --cache-bytes N          instance-cache byte budget (CSR bytes); LRU
-//!                            entries past it are evicted, pinned in-use
-//!                            instances never               (default: unlimited)
-//!   --http [ADDR]            also serve the HTTP/1.1 gateway on ADDR
-//!                            (default 127.0.0.1:7412 when ADDR omitted):
-//!                            POST /jobs, GET /jobs/:id/events (chunked
-//!                            NDJSON), DELETE /jobs/:id, GET /stats,
-//!                            GET /metrics (Prometheus text),
-//!                            PUT /instances/:key
-//!   --log-format FORMAT      structured job logs on stderr: json (one
-//!                            object per line) or text (human-readable);
-//!                            spans: load, submit, reject, epoch, done,
-//!                            fault                  (default: no logging)
-//!   --journal PATH           durable append-only job journal: every
-//!                            instance load, submit, improvement and done
-//!                            is logged; on restart the journal is
-//!                            replayed — finished jobs are served from
-//!                            history, jobs in flight at crash time are
-//!                            re-executed (byte-identical when
-//!                            step-budgeted)     (default: no durability)
-//!   --stdio                  serve one client on stdin/stdout instead of TCP
-//!
-//! submit options:
-//!   --connect ADDR           server address (required)
-//!   <graph> -k N             instance file (server-side path) and part count
-//!   -o, --objective LIST     cut | ncut | mcut, or a comma list like
-//!                            cut,ncut,mcut — more than one distinct
-//!                            objective runs a Pareto job: islands cycle
-//!                            the list and the non-dominated front is
-//!                            reported                          (default mcut)
-//!   --steps N                step budget per island (deterministic output
-//!                            when used without --deadline-ms)
-//!   --deadline-ms N          wall-clock budget from job start
-//!   -s, --seed N             root RNG seed                     (default 1)
-//!   -j, --islands N          island-ensemble width (default 1; raised to
-//!                            the objective count for Pareto jobs)
-//!   --migration NAME         replace | combine | adaptive      (default replace)
-//!   --chunk N                cooperative scheduling quantum    (default 512)
-//!   --multilevel             coarsen→solve→uncoarsen+refine server-side
-//!                            (engine default coarse target)
-//!   --coarsen-until N        multilevel coarse target (implies --multilevel)
-//!   --instance NAME          cache key                 (default: graph path)
-//!   -f, --format NAME        metis | edgelist                  (default metis)
-//!   -w, --write PATH         write the final partition (.part format)
-//!   --cancel-after-ms N      send a cancel N ms after acceptance (the job
-//!                            then returns its best-so-far partition)
-//!   --retry-ms N             keep retrying for N ms on connection failure
-//!                            or admission rejection: reconnect, reload,
-//!                            resubmit — the client half of a journaled
-//!                            server's crash-recovery story
-//!   -q, --quiet              suppress streamed improvement lines
-//!   --workers A,B,…          federate the job across several running
-//!                            servers instead of submitting to one: this
-//!                            process coordinates, each listed server
-//!                            hosts a shard of the islands. Same bytes
-//!                            out as a single-server submit with the
-//!                            same seed/steps/chunk. Needs --steps (no
-//!                            --deadline-ms/--multilevel); replaces
-//!                            --connect
-//!
-//! stats options:
-//!   --connect ADDR           server address (required); prints the
-//!                            server's counters, gauges, and latency
-//!                            histograms with human-readable bucket
-//!                            bounds (same snapshot the NDJSON `stats`
-//!                            event and `GET /stats` serve)
-//!
-//! one-shot options:
-//!   -k, --parts N            number of parts (required)
-//!   -m, --method NAME        ff | sa | aco | percolation | multilevel |
-//!                            multilevel-kway | spectral | spectral-rqi |
-//!                            spectral-oct | linear | linear-kl  (default ff)
-//!   -o, --objective LIST     cut | ncut | mcut, or a comma list like
-//!                            cut,ncut — more than one distinct objective
-//!                            runs a mixed-objective Pareto ensemble
-//!                            (method ff only): islands cycle the list and
-//!                            the non-dominated front is printed
-//!                            (default mcut)
-//!   -b, --budget-secs S      metaheuristic time budget         (default 10)
-//!   --steps N                metaheuristic step budget per island; when
-//!                            given without -b, the run is purely
-//!                            step-bounded (deterministic output)
-//!   -s, --seed N             root RNG seed                     (default 1)
-//!   -j, --islands N          parallel ensemble width: N independently
-//!                            seeded searches with periodic best-molecule
-//!                            exchange (ff) or best-of-N (other methods)
-//!                            (default 1; raised to the objective count
-//!                            for Pareto runs)
-//!   --migration NAME         island-exchange policy for ff ensembles:
-//!                            replace | combine | adaptive      (default replace)
-//!   --threads N              concurrent OS threads for the ensemble
-//!                            (default: one per island)
-//!   --multilevel             accelerate ff on big graphs: coarsen by
-//!                            heavy-edge matching, run the ensemble on the
-//!                            coarse graph, uncoarsen with refinement
-//!                            (method ff only; deterministic with --steps)
-//!   --coarsen-until N        multilevel coarse-graph target size
-//!                            (implies --multilevel; default 3000)
-//!   --workers N|auto         distribute the islands across N spawned
-//!                            worker processes (`auto` = one per core,
-//!                            capped at the island count). Byte-identical
-//!                            to the same run without --workers; needs
-//!                            -m ff and a pure --steps budget
-//!   -f, --format NAME        metis | edgelist                  (default metis)
-//!   -w, --write PATH         write the partition (.part format)
-//!   -r, --repair             repair disconnected parts before reporting
-//!   -q, --quiet              suppress the per-part table
-//!   --mincut                 also report the global minimum cut
-//!                            (Stoer–Wagner) as an instance diagnostic
-//!   -h, --help               this text
-//! ```
-//!
-//! Exit codes: 0 success, 2 usage error, 3 input/connection error,
-//! 4 submit rejected by admission control (retry later).
+#![doc = concat!(
+    "`ffpart` — partition a graph file from the command line, or serve\n",
+    "partition jobs to many clients. `ffpart --help` prints this reference.\n\n",
+    "```text\n",
+    include_str!("help.txt"),
+    "```"
+)]
 
+use ff_bench::flags::{exit_usage, Flags};
 use ff_bench::{run_method_ensemble, MethodBudget, MethodId};
-use ff_engine::{EnsembleResult, MigrationPolicyId, ParetoResult};
+use ff_engine::{EnsembleResult, MigrationPolicyId};
 use ff_graph::Graph;
-use ff_partition::{analyze, imbalance, repair_connectivity, write_partition, Objective};
-use ff_service::{DistSpec, GraphFormat, GraphSource, JobRequest};
+use ff_partition::{analyze, imbalance, repair_connectivity, write_assignment, Objective};
+use ff_service::protocol::WNews;
+use ff_service::{
+    pareto_points, read_graph, DistSpec, GraphFormat, GraphSource, JobRequest, ParetoPointInfo,
+    WorkerSet,
+};
 use std::fs::File;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+/// The option reference that `--help` prints.
+const HELP: &str = include_str!("help.txt");
 
 const USAGE: &str = "usage: ffpart <graph> -k <parts> [-m method] [-o objective[,objective…]] \
 [-b budget-secs] [--steps n] [-s seed] [-j islands] [--migration replace|combine|adaptive] \
@@ -158,25 +37,35 @@ ffpart stats --connect addr\n       \
 ffpart worker [slots]\n\
 see `ffpart --help`";
 
-struct Args {
-    graph_path: String,
-    k: usize,
-    method: MethodId,
-    objectives: Vec<Objective>,
-    migration: MigrationPolicyId,
-    budget_secs: Option<f64>,
-    steps: Option<u64>,
-    seed: u64,
-    islands: usize,
-    threads: usize,
-    multilevel: bool,
-    coarsen_until: Option<usize>,
-    format: String,
-    write: Option<String>,
-    repair: bool,
-    quiet: bool,
-    mincut: bool,
-    workers: Option<String>,
+/// What [`read_flags`] returns for a command line that asks for `--help`.
+const HELP_FLAG: &str = "--help";
+
+/// Ends a sub-command whose command line did not parse: `--help` prints
+/// the option reference, anything else is a usage error (exit 2).
+fn usage_exit(prefix: &str, err: &str) -> ExitCode {
+    if err == HELP_FLAG {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
+    exit_usage(prefix, USAGE, err)
+}
+
+/// Reads `args` flag by flag through `read`, which returns `Ok(false)`
+/// for a flag it does not know. `-h`/`--help` stops with [`HELP_FLAG`].
+fn read_flags(
+    args: &[String],
+    mut read: impl FnMut(&str, &mut Flags) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut flags = Flags::new(args.iter().cloned());
+    while let Some(flag) = flags.next() {
+        if flag == "-h" || flag == "--help" {
+            return Err(HELP_FLAG.into());
+        }
+        if !read(&flag, &mut flags)? {
+            return Err(format!("unknown flag `{flag}`"));
+        }
+    }
+    Ok(())
 }
 
 fn parse_method(name: &str) -> Option<MethodId> {
@@ -196,195 +85,148 @@ fn parse_method(name: &str) -> Option<MethodId> {
     })
 }
 
-fn parse_objective(name: &str) -> Option<Objective> {
-    Some(match name {
-        "cut" => Objective::Cut,
-        "ncut" => Objective::NCut,
-        "mcut" => Objective::MCut,
-        _ => return None,
-    })
-}
-
 /// Parses `-o`'s comma list (`cut`, `cut,ncut,mcut`, …). Order is kept —
 /// the first objective is the primary one a Pareto run reports its
 /// representative under.
 fn parse_objective_list(list: &str) -> Option<Vec<Objective>> {
     let objectives: Option<Vec<Objective>> = list
         .split(',')
-        .map(|name| parse_objective(name.trim()))
+        .map(|name| Objective::parse(name.trim()))
         .collect();
     objectives.filter(|l| !l.is_empty())
 }
 
-fn objective_label(o: Objective) -> &'static str {
-    match o {
-        Objective::Cut => "cut",
-        Objective::NCut => "ncut",
-        Objective::MCut => "mcut",
-    }
-}
-
-/// One row of a rendered Pareto front:
-/// `(island, its own objective, (objective, value) vector, parts)`.
-type FrontRow = (usize, Objective, Vec<(Objective, f64)>, usize);
-
 /// Renders a Pareto front, one deterministic line per point (pinned by
 /// the CI smoke, so the format is part of the CLI contract).
-fn print_front(front: &[FrontRow]) {
+fn print_front(front: &[ParetoPointInfo]) {
     println!("pareto front: {} point(s)", front.len());
-    for (island, objective, values, parts) in front {
-        let values: Vec<String> = values
+    for p in front {
+        let values: Vec<String> = p
+            .values
             .iter()
-            .map(|&(o, v)| format!("{} {:.6}", objective_label(o), v))
+            .map(|(o, v)| format!("{} {v:.6}", o.name()))
             .collect();
         println!(
             "  island {} [{}]  {}  parts {}",
-            island,
-            objective_label(*objective),
+            p.island,
+            p.objective.name(),
             values.join("  "),
-            parts
+            p.parts
         );
     }
 }
 
-/// [`print_front`] for a library front: each point's values paired with
-/// the front's objective axes.
-fn print_pareto(front: &ParetoResult) {
-    let rows: Vec<FrontRow> = front
-        .points
-        .iter()
-        .map(|p| {
-            let values = front
-                .objectives
-                .iter()
-                .copied()
-                .zip(p.values.iter().copied());
-            (p.island, p.objective, values.collect(), p.parts)
-        })
-        .collect();
-    print_front(&rows);
+/// The job flags the one-shot run and `ffpart submit` share.
+struct JobFlags {
+    graph_path: String,
+    k: usize,
+    objectives: Vec<Objective>,
+    migration: MigrationPolicyId,
+    steps: Option<u64>,
+    seed: u64,
+    islands: usize,
+    multilevel: bool,
+    coarsen_until: Option<u64>,
+    format: GraphFormat,
+    write: Option<String>,
+    quiet: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut graph_path: Option<String> = None;
-    let mut k: Option<usize> = None;
-    let mut method = MethodId::FusionFission;
-    let mut objectives = vec![Objective::MCut];
-    let mut migration = MigrationPolicyId::default();
-    let mut budget_secs = None;
-    let mut steps = None;
-    let mut seed = 1u64;
-    let mut islands = 1usize;
-    let mut threads = 0usize;
-    let mut multilevel = false;
-    let mut coarsen_until = None;
-    let mut format = "metis".to_string();
-    let mut write = None;
-    let mut repair = false;
-    let mut quiet = false;
-    let mut mincut = false;
-    let mut workers = None;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut val = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
+impl JobFlags {
+    /// Parses a one-shot or `submit` command line: the shared job flags
+    /// and the graph path here, the sub-command's own flags through
+    /// `own`, which returns `Ok(false)` for a flag it does not know.
+    fn parse(
+        args: &[String],
+        mut own: impl FnMut(&str, &mut Flags) -> Result<bool, String>,
+    ) -> Result<JobFlags, String> {
+        let mut job = JobFlags {
+            graph_path: String::new(),
+            k: 0,
+            objectives: vec![Objective::MCut],
+            migration: MigrationPolicyId::default(),
+            steps: None,
+            seed: 1,
+            islands: 1,
+            multilevel: false,
+            coarsen_until: None,
+            format: GraphFormat::Metis,
+            write: None,
+            quiet: false,
         };
-        match arg.as_str() {
-            "-h" | "--help" => {
-                return Err("help".into());
+        let (mut graph_path, mut k) = (None, None);
+        read_flags(args, |flag, flags| {
+            if own(flag, flags)? {
+                return Ok(true);
             }
-            "-k" | "--parts" => {
-                k = Some(val("-k")?.parse().map_err(|_| "bad -k value".to_string())?)
-            }
-            "-m" | "--method" => {
-                let name = val("-m")?;
-                method = parse_method(&name).ok_or_else(|| format!("unknown method `{name}`"))?;
-            }
-            "-o" | "--objective" => {
-                let name = val("-o")?;
-                objectives = parse_objective_list(&name)
-                    .ok_or_else(|| format!("unknown objective `{name}`"))?;
-            }
-            "--migration" => {
-                let name = val("--migration")?;
-                migration = MigrationPolicyId::parse(&name)
-                    .ok_or_else(|| format!("unknown migration policy `{name}`"))?;
-            }
-            "-b" | "--budget-secs" => {
-                let secs = val("-b")?.parse().map_err(|_| "bad budget".to_string())?;
-                // Negative, NaN or out-of-range budgets have no Duration.
-                Duration::try_from_secs_f64(secs).map_err(|_| "bad budget".to_string())?;
-                budget_secs = Some(secs);
-            }
-            "--steps" => {
-                steps = Some(
-                    val("--steps")?
-                        .parse()
-                        .map_err(|_| "bad steps".to_string())?,
-                )
-            }
-            "-s" | "--seed" => seed = val("-s")?.parse().map_err(|_| "bad seed".to_string())?,
-            "-j" | "--islands" => {
-                islands = val("-j")?.parse().map_err(|_| "bad islands".to_string())?
-            }
-            "--threads" => {
-                threads = val("--threads")?
-                    .parse()
-                    .map_err(|_| "bad threads".to_string())?
-            }
-            "--multilevel" => multilevel = true,
-            "--coarsen-until" => {
-                multilevel = true;
-                coarsen_until = Some(
-                    val("--coarsen-until")?
-                        .parse()
-                        .map_err(|_| "bad --coarsen-until value".to_string())?,
-                );
-            }
-            "-f" | "--format" => format = val("-f")?,
-            "-w" | "--write" => write = Some(val("-w")?),
-            "-r" | "--repair" => repair = true,
-            "-q" | "--quiet" => quiet = true,
-            "--mincut" => mincut = true,
-            "--workers" => workers = Some(val("--workers")?),
-            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
-            other => {
-                if graph_path.is_some() {
-                    return Err("multiple graph paths given".into());
+            match flag {
+                "-k" | "--parts" => k = Some(flags.parse("-k value")?),
+                "-o" | "--objective" => {
+                    let list = flags.value("-o")?;
+                    job.objectives = parse_objective_list(&list)
+                        .ok_or_else(|| format!("unknown objective `{list}`"))?;
                 }
-                graph_path = Some(other.to_string());
+                "--migration" => {
+                    let name = flags.value("--migration")?;
+                    job.migration = MigrationPolicyId::parse(&name)
+                        .ok_or_else(|| format!("unknown migration policy `{name}`"))?;
+                }
+                "--steps" => job.steps = Some(flags.parse("steps")?),
+                "-s" | "--seed" => job.seed = flags.parse("seed")?,
+                "-j" | "--islands" => job.islands = flags.parse("islands")?,
+                "--multilevel" => job.multilevel = true,
+                "--coarsen-until" => {
+                    job.multilevel = true;
+                    job.coarsen_until = Some(flags.parse("--coarsen-until value")?);
+                }
+                "-f" | "--format" => {
+                    let name = flags.value("-f")?;
+                    job.format = GraphFormat::parse(&name)
+                        .ok_or_else(|| format!("unknown format `{name}` (metis|edgelist)"))?;
+                }
+                "-w" | "--write" => job.write = Some(flags.value("-w")?),
+                "-q" | "--quiet" => job.quiet = true,
+                other if other.starts_with('-') => return Ok(false),
+                _ if graph_path.is_some() => return Err("multiple graph paths given".into()),
+                path => graph_path = Some(path.to_string()),
             }
-        }
+            Ok(true)
+        })?;
+        job.graph_path = graph_path.ok_or("missing graph path")?;
+        job.k = k.ok_or("missing -k")?;
+        Ok(job)
     }
-    Ok(Args {
-        graph_path: graph_path.ok_or("missing graph path")?,
-        k: k.ok_or("missing -k")?,
-        method,
-        objectives,
-        migration,
-        budget_secs,
-        steps,
-        seed,
-        islands,
-        threads,
-        multilevel,
-        coarsen_until,
-        format,
-        write,
-        repair,
-        quiet,
-        mincut,
-        workers,
-    })
-}
 
-fn load_graph(path: &str, format: &str) -> Result<Graph, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    match format {
-        "metis" => ff_graph::io::read_metis(file).map_err(|e| format!("{path}: {e}")),
-        "edgelist" => ff_graph::io::read_edge_list(file).map_err(|e| format!("{path}: {e}")),
-        other => Err(format!("unknown format `{other}` (metis|edgelist)")),
+    /// The [`JobRequest`] these flags describe, with the sub-command's
+    /// deadline and chunk. `--coarsen-until 0` is refused, since the
+    /// job's `multilevel: Some(0)` asks for the engine default.
+    fn request(&self, deadline_ms: Option<u64>, chunk: u64) -> Result<JobRequest, String> {
+        if self.coarsen_until == Some(0) {
+            let e = ff_core::ConfigError::ZeroCoarsenTarget;
+            return Err(format!("invalid configuration: {e}"));
+        }
+        // Cycling the objective list needs enough islands that every
+        // distinct objective gets one (duplicates in the list weight the
+        // cycle, so this can exceed the distinct count).
+        let needed = ff_engine::islands_to_cover(&self.objectives);
+        let mut islands = self.islands;
+        if ff_engine::distinct_objectives(&self.objectives).len() > 1 && islands < needed {
+            eprintln!("ffpart: raising --islands {islands} → {needed} (covering every objective)");
+            islands = needed;
+        }
+        Ok(JobRequest {
+            objective: self.objectives[0],
+            objectives: (self.objectives.len() > 1).then(|| self.objectives.clone()),
+            migration: self.migration,
+            seed: self.seed,
+            steps: self.steps,
+            deadline_ms,
+            islands,
+            chunk,
+            // `0` asks for the engine's default coarse target.
+            multilevel: self.multilevel.then(|| self.coarsen_until.unwrap_or(0)),
+            ..JobRequest::new(self.graph_path.clone(), self.k)
+        })
     }
 }
 
@@ -393,72 +235,35 @@ fn serve_main(args: &[String]) -> ExitCode {
     let mut listen = "127.0.0.1:7411".to_string();
     let mut config = ff_service::ServerConfig::default();
     let mut stdio = false;
-    let usage_err = |msg: &str| {
-        eprintln!("ffpart serve: {msg}\n{USAGE}");
-        ExitCode::from(2)
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        // Flags with a required value read args[i + 1].
-        let mut val = |name: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+    let parsed = read_flags(args, |flag, flags| {
+        match flag {
+            "--listen" => listen = flags.value("--listen")?,
+            "--workers" => config.workers = flags.parse("--workers value")?,
+            "--max-jobs" => config.max_jobs = flags.parse("--max-jobs value")?,
+            "--max-jobs-per-conn" => {
+                config.max_jobs_per_conn = flags.parse("--max-jobs-per-conn value")?
             }
-            "--listen" => match val("--listen") {
-                Ok(v) => listen = v,
-                Err(e) => return usage_err(&e),
-            },
-            "--workers" => match val("--workers").map(|v| v.parse()) {
-                Ok(Ok(v)) => config.workers = v,
-                _ => return usage_err("bad --workers value"),
-            },
-            "--max-jobs" => match val("--max-jobs").map(|v| v.parse()) {
-                Ok(Ok(v)) => config.max_jobs = v,
-                _ => return usage_err("bad --max-jobs value"),
-            },
-            "--max-jobs-per-conn" => match val("--max-jobs-per-conn").map(|v| v.parse()) {
-                Ok(Ok(v)) => config.max_jobs_per_conn = v,
-                _ => return usage_err("bad --max-jobs-per-conn value"),
-            },
-            "--cache-bytes" => match val("--cache-bytes").map(|v| v.parse()) {
-                Ok(Ok(v)) => config.cache_bytes = v,
-                _ => return usage_err("bad --cache-bytes value"),
-            },
+            "--cache-bytes" => config.cache_bytes = flags.parse("--cache-bytes value")?,
             // `--http` takes an optional address: `--http 0.0.0.0:8080`
             // or bare `--http` for the default gateway port.
             "--http" => {
-                let addr = match args.get(i + 1) {
-                    Some(next) if !next.starts_with('-') => {
-                        i += 1;
-                        next.clone()
-                    }
-                    _ => "127.0.0.1:7412".to_string(),
-                };
-                config.http = Some(addr);
+                let addr = flags.optional_value();
+                config.http = Some(addr.unwrap_or_else(|| "127.0.0.1:7412".into()));
             }
-            "--log-format" => match val("--log-format") {
-                Ok(name) => match ff_service::LogFormat::parse(&name) {
-                    Some(format) => config.log_format = Some(format),
-                    None => return usage_err(&format!("unknown log format `{name}` (json|text)")),
-                },
-                Err(e) => return usage_err(&e),
-            },
-            "--journal" => match val("--journal") {
-                Ok(v) => config.journal = Some(v),
-                Err(e) => return usage_err(&e),
-            },
+            "--log-format" => {
+                let name = flags.value("--log-format")?;
+                let format = ff_service::LogFormat::parse(&name)
+                    .ok_or_else(|| format!("unknown log format `{name}` (json|text)"))?;
+                config.log_format = Some(format);
+            }
+            "--journal" => config.journal = Some(flags.value("--journal")?),
             "--stdio" => stdio = true,
-            other => return usage_err(&format!("unknown flag `{other}`")),
+            _ => return Ok(false),
         }
-        i += 1;
+        Ok(true)
+    });
+    if let Err(e) = parsed {
+        return usage_exit("ffpart serve", &e);
     }
     if stdio {
         config.http = None;
@@ -519,27 +324,19 @@ fn print_histogram(counts: &[u64], bounds_ms: &[u64]) {
 /// `GET /stats` serve, with histogram buckets labelled from the wire's
 /// own bound arrays rather than anything hard-coded here.
 fn stats_main(args: &[String]) -> ExitCode {
-    let mut connect: Option<String> = None;
-    let usage_err = |msg: &str| {
-        eprintln!("ffpart stats: {msg}\n{USAGE}");
-        ExitCode::from(2)
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--connect" => match it.next() {
-                Some(v) => connect = Some(v.clone()),
-                None => return usage_err("--connect needs a value"),
-            },
-            other => return usage_err(&format!("unknown flag `{other}`")),
+    let mut connect = None;
+    let parsed = read_flags(args, |flag, flags| {
+        if flag != "--connect" {
+            return Ok(false);
         }
+        connect = Some(flags.value("--connect")?);
+        Ok(true)
+    });
+    if let Err(e) = parsed {
+        return usage_exit("ffpart stats", &e);
     }
     let Some(connect) = connect else {
-        return usage_err("missing --connect");
+        return usage_exit("ffpart stats", "missing --connect");
     };
     let mut client = match ff_service::Client::connect(&*connect) {
         Ok(c) => c,
@@ -602,129 +399,41 @@ fn stats_main(args: &[String]) -> ExitCode {
 
 /// `ffpart submit`: run one job against a server, streaming improvements.
 fn submit_main(args: &[String]) -> ExitCode {
+    let usage_err = |msg: &str| usage_exit("ffpart submit", msg);
     let mut connect: Option<String> = None;
-    let mut graph_path: Option<String> = None;
-    let mut k: Option<usize> = None;
-    let mut objectives = vec![Objective::MCut];
-    let mut migration = MigrationPolicyId::default();
-    let mut steps: Option<u64> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut seed = 1u64;
-    let mut islands = 1usize;
     let mut chunk = ff_service::DEFAULT_CHUNK;
-    let mut multilevel = false;
-    let mut coarsen_until: Option<u64> = None;
     let mut instance: Option<String> = None;
-    let mut format = "metis".to_string();
-    let mut write: Option<String> = None;
     let mut cancel_after_ms: Option<u64> = None;
-    let mut quiet = false;
-    let mut workers: Option<String> = None;
     let mut retry_ms: Option<u64> = None;
-
-    let mut it = args.iter();
-    let usage_err = |msg: &str| {
-        eprintln!("ffpart submit: {msg}\n{USAGE}");
-        ExitCode::from(2)
-    };
-    while let Some(arg) = it.next() {
-        macro_rules! value_of {
-            ($flag:literal) => {
-                match it.next() {
-                    Some(v) => v.clone(),
-                    None => return usage_err(concat!($flag, " needs a value")),
-                }
-            };
+    let mut workers: Option<String> = None;
+    let parsed = JobFlags::parse(args, |flag, flags| {
+        match flag {
+            "--connect" => connect = Some(flags.value("--connect")?),
+            "--deadline-ms" => deadline_ms = Some(flags.parse("--deadline-ms value")?),
+            "--chunk" => chunk = flags.parse("--chunk value")?,
+            "--instance" => instance = Some(flags.value("--instance")?),
+            "--cancel-after-ms" => cancel_after_ms = Some(flags.parse("--cancel-after-ms value")?),
+            "--retry-ms" => retry_ms = Some(flags.parse("--retry-ms value")?),
+            "--workers" => workers = Some(flags.value("--workers")?),
+            _ => return Ok(false),
         }
-        macro_rules! parse_of {
-            ($flag:literal) => {
-                match value_of!($flag).parse() {
-                    Ok(v) => v,
-                    Err(_) => return usage_err(concat!("bad ", $flag, " value")),
-                }
-            };
-        }
-        match arg.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            "--connect" => connect = Some(value_of!("--connect")),
-            "-k" | "--parts" => k = Some(parse_of!("-k")),
-            "-o" | "--objective" => {
-                let name = value_of!("-o");
-                objectives = match parse_objective_list(&name) {
-                    Some(list) => list,
-                    None => return usage_err(&format!("unknown objective `{name}`")),
-                };
-            }
-            "--migration" => {
-                let name = value_of!("--migration");
-                migration = match MigrationPolicyId::parse(&name) {
-                    Some(policy) => policy,
-                    None => return usage_err(&format!("unknown migration policy `{name}`")),
-                };
-            }
-            "--steps" => steps = Some(parse_of!("--steps")),
-            "--deadline-ms" => deadline_ms = Some(parse_of!("--deadline-ms")),
-            "-s" | "--seed" => seed = parse_of!("-s"),
-            "-j" | "--islands" => islands = parse_of!("-j"),
-            "--chunk" => chunk = parse_of!("--chunk"),
-            "--multilevel" => multilevel = true,
-            "--coarsen-until" => {
-                multilevel = true;
-                coarsen_until = Some(parse_of!("--coarsen-until"));
-            }
-            "--instance" => instance = Some(value_of!("--instance")),
-            "-f" | "--format" => format = value_of!("-f"),
-            "-w" | "--write" => write = Some(value_of!("-w")),
-            "--cancel-after-ms" => cancel_after_ms = Some(parse_of!("--cancel-after-ms")),
-            "--retry-ms" => retry_ms = Some(parse_of!("--retry-ms")),
-            "-q" | "--quiet" => quiet = true,
-            "--workers" => workers = Some(value_of!("--workers")),
-            other if other.starts_with('-') => {
-                return usage_err(&format!("unknown flag `{other}`"))
-            }
-            other => {
-                if graph_path.is_some() {
-                    return usage_err("multiple graph paths given");
-                }
-                graph_path = Some(other.to_string());
-            }
-        }
-    }
-    let Some(graph_path) = graph_path else {
-        return usage_err("missing graph path");
+        Ok(true)
+    });
+    let job = match parsed {
+        Ok(job) => job,
+        Err(e) => return usage_err(&e),
     };
-    let Some(k) = k else {
-        return usage_err("missing -k");
-    };
-    if steps.is_none() && deadline_ms.is_none() {
+    if job.steps.is_none() && deadline_ms.is_none() {
         return usage_err("need --steps and/or --deadline-ms");
     }
-    let Some(format) = GraphFormat::parse(&format) else {
-        return usage_err("unknown format (metis|edgelist)");
+    let mut request = match job.request(deadline_ms, chunk) {
+        Ok(request) => request,
+        Err(e) => return usage_err(&e),
     };
-    let needed = ff_engine::islands_to_cover(&objectives);
-    if ff_engine::distinct_objectives(&objectives).len() > 1 && islands < needed {
-        eprintln!("ffpart: raising --islands {islands} → {needed} (covering every objective)");
-        islands = needed;
+    if let Some(name) = instance {
+        request.instance = name;
     }
-    let job = JobRequest {
-        instance: instance.unwrap_or_else(|| graph_path.clone()),
-        k,
-        objective: objectives[0],
-        objectives: (objectives.len() > 1).then(|| objectives.clone()),
-        migration,
-        seed,
-        steps,
-        deadline_ms,
-        islands,
-        chunk,
-        assignment: true,
-        // `0` asks the server for the engine's default coarse target.
-        multilevel: multilevel.then(|| coarsen_until.unwrap_or(0)),
-    };
     if let Some(list) = workers {
         // Federated mode: this process is the coordinator, the listed
         // servers are the workers.
@@ -745,7 +454,7 @@ fn submit_main(args: &[String]) -> ExitCode {
         if addrs.is_empty() {
             return usage_err("--workers needs a comma list of host:port addresses");
         }
-        return submit_federated(addrs, &graph_path, format, &job, write, quiet);
+        return submit_federated(addrs, &job, &request);
     }
     let Some(connect) = connect else {
         return usage_err("missing --connect");
@@ -755,28 +464,20 @@ fn submit_main(args: &[String]) -> ExitCode {
     // the budget elapses — the client half of the durability story: a
     // journaled server that was killed mid-job comes back, re-executes
     // the job, and a step-budgeted retry lands byte-identically.
-    let deadline = retry_ms.map(|ms| std::time::Instant::now() + Duration::from_millis(ms));
+    let deadline = retry_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     loop {
         let connect_budget = match deadline {
             Some(d) => d
-                .saturating_duration_since(std::time::Instant::now())
+                .saturating_duration_since(Instant::now())
                 .min(Duration::from_secs(5)),
             None => Duration::ZERO,
         };
-        let retry = match submit_attempt(
-            &connect,
-            connect_budget,
-            &graph_path,
-            format,
-            &job,
-            cancel_after_ms,
-            write.as_deref(),
-            quiet,
-        ) {
+        let attempt = submit_attempt(&connect, connect_budget, &job, &request, cancel_after_ms);
+        let retry = match attempt {
             Ok(code) => return code,
             Err(retry) => retry,
         };
-        let now = std::time::Instant::now();
+        let now = Instant::now();
         match (&retry, deadline) {
             (SubmitRetry::Transport(e), Some(d)) if now < d => {
                 eprintln!("ffpart submit: {e}; retrying");
@@ -822,16 +523,12 @@ enum SubmitRetry {
 /// to `done`, write the partition. `Ok` is a final exit code (success
 /// *or* a non-retryable failure like a usage error); `Err` is a failure
 /// worth retrying against a restarted server.
-#[allow(clippy::too_many_arguments)]
 fn submit_attempt(
     connect: &str,
     connect_budget: Duration,
-    graph_path: &str,
-    format: ff_service::GraphFormat,
-    job: &ff_service::JobRequest,
+    job: &JobFlags,
+    request: &JobRequest,
     cancel_after_ms: Option<u64>,
-    write: Option<&str>,
-    quiet: bool,
 ) -> Result<ExitCode, SubmitRetry> {
     let mut client =
         ff_service::Client::connect_with_retry(connect, connect_budget).map_err(|e| {
@@ -840,12 +537,8 @@ fn submit_attempt(
                 format!("cannot connect to {connect}: {e}"),
             ))
         })?;
-    let loaded = client.load(
-        &job.instance,
-        ff_service::GraphSource::Path(graph_path.to_string()),
-        format,
-    );
-    let (vertices, edges, cached) = match loaded {
+    let source = GraphSource::Path(job.graph_path.clone());
+    let (vertices, edges, cached) = match client.load(&request.instance, source, job.format) {
         Ok(v) => v,
         // The server rejecting the graph (parse error, bad path) is
         // final; a dead connection is worth retrying.
@@ -857,10 +550,10 @@ fn submit_attempt(
     };
     eprintln!(
         "ffpart: instance `{}` {vertices} vertices, {edges} edges{}",
-        job.instance,
+        request.instance,
         if cached { " (cached)" } else { "" }
     );
-    let id = match client.try_submit(job) {
+    let id = match client.try_submit(request) {
         Ok(ff_service::SubmitOutcome::Accepted(id)) => id,
         // Admission-control rejection: transient capacity. The caller
         // maps it to exit 4 or a retry, per `--retry-ms`.
@@ -899,10 +592,10 @@ fn submit_attempt(
     let done = loop {
         match client.next_event() {
             Ok(ff_service::Event::Improvement(imp)) if imp.job == id => {
-                if !quiet {
+                if !job.quiet {
                     let tag = imp
                         .objective
-                        .map(|o| format!(" objective={}", objective_label(o)))
+                        .map(|o| format!(" objective={}", o.name()))
                         .unwrap_or_default();
                     println!(
                         "improvement job={} value={:.6} step={} t={}ms island={}{tag}",
@@ -920,11 +613,7 @@ fn submit_attempt(
         }
     };
     if let Some(front) = &done.pareto {
-        let rows: Vec<FrontRow> = front
-            .iter()
-            .map(|p| (p.island, p.objective, p.values.clone(), p.parts))
-            .collect();
-        print_front(&rows);
+        print_front(front);
     }
     println!(
         "done job={} status={} value={:.6} parts={} steps={} migrations={} time={}ms",
@@ -940,84 +629,49 @@ fn submit_attempt(
         done.migrations,
         done.elapsed_ms
     );
-    if let Some(path) = write {
+    if let Some(path) = &job.write {
         let Some(assignment) = &done.assignment else {
             eprintln!("ffpart submit: server sent no assignment to write");
             return Ok(ExitCode::from(3));
         };
-        let mut text = String::new();
-        for part in assignment {
-            text.push_str(&part.to_string());
-            text.push('\n');
+        if let Err(code) = write_part("ffpart submit", path, assignment) {
+            return Ok(code);
         }
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("ffpart submit: cannot write {path}: {e}");
-            return Ok(ExitCode::from(3));
-        }
-        eprintln!("ffpart: partition written to {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
 
-/// `ffpart submit --workers`: run `job` federated across several
+/// `ffpart submit --workers`: run `request` federated across several
 /// already-running servers, this process acting as the coordinator.
-/// Byte-identical to submitting the same job to a single server: both
-/// run the islands `job` defines ([`DistSpec::for_job`]).
-fn submit_federated(
-    addrs: Vec<String>,
-    graph_path: &str,
-    format: GraphFormat,
-    job: &JobRequest,
-    write: Option<String>,
-    quiet: bool,
-) -> ExitCode {
+/// Byte-identical to submitting the same job to a single server.
+fn submit_federated(addrs: Vec<String>, job: &JobFlags, request: &JobRequest) -> ExitCode {
+    let path = &job.graph_path;
+    let fail = |msg: String| {
+        eprintln!("ffpart submit: {msg}");
+        ExitCode::from(3)
+    };
     // The coordinator needs the graph locally (reduction, molecule
     // reconstruction) and the servers don't share our filesystem, so
     // read the file once and ship it inline.
-    let data = match std::fs::read_to_string(graph_path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("ffpart submit: cannot read {graph_path}: {e}");
-            return ExitCode::from(3);
-        }
+    let source = match std::fs::read_to_string(path) {
+        Ok(data) => GraphSource::Data(data),
+        Err(e) => return fail(format!("cannot read {path}: {e}")),
     };
-    let parsed = match format {
-        GraphFormat::Metis => ff_graph::io::read_metis(data.as_bytes()),
-        GraphFormat::EdgeList => ff_graph::io::read_edge_list(data.as_bytes()),
-    };
-    let g = match parsed {
+    let g = match read_graph(&source, job.format) {
         Ok(g) => g,
-        Err(e) => {
-            eprintln!("ffpart submit: {graph_path}: {e}");
-            return ExitCode::from(3);
-        }
+        Err(e) => return fail(format!("{path}: {e}")),
     };
-    if let Err(e) = job.solver(&g).try_validate() {
-        eprintln!("ffpart submit: invalid job configuration: {e}");
-        return ExitCode::from(2);
-    }
-    // The deterministic contract needs a pure step budget and the flat
-    // solver path.
-    let spec = match DistSpec::for_job(job, GraphSource::Data(data), format) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("ffpart submit: --workers: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    eprintln!(
-        "ffpart: federating {} island(s) across {} server(s)",
-        job.islands,
-        addrs.len()
-    );
     let started = Instant::now();
-    let result = ff_service::solve_distributed(
+    let workers = WorkerSet::Connect { addrs };
+    let result = distribute(
+        "ffpart submit",
         &g,
-        &spec,
-        &ff_service::WorkerSet::Connect { addrs },
-        &ff_service::DistOpts::default(),
+        request,
+        source,
+        job.format,
+        workers,
         &mut |island, news| {
-            if !quiet {
+            if !job.quiet {
                 println!(
                     "improvement value={:.6} step={} t={}ms island={island}",
                     news.value, news.step, news.elapsed_ms
@@ -1027,13 +681,10 @@ fn submit_federated(
     );
     let result = match result {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("ffpart submit: {e}");
-            return ExitCode::from(3);
-        }
+        Err(code) => return code,
     };
     if let Some(front) = &result.pareto {
-        print_pareto(front);
+        print_front(&pareto_points(front, false));
     }
     println!(
         "done status=completed value={:.6} parts={} steps={} migrations={} time={}ms",
@@ -1043,118 +694,119 @@ fn submit_federated(
         result.migrations_adopted,
         started.elapsed().as_millis()
     );
-    if let Some(path) = write {
-        match File::create(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|f| write_partition(&result.best, f).map_err(|e| e.to_string()))
-        {
-            Ok(()) => eprintln!("ffpart: partition written to {path}"),
-            Err(e) => {
-                eprintln!("ffpart submit: cannot write {path}: {e}");
-                return ExitCode::from(3);
-            }
+    if let Some(path) = &job.write {
+        if let Err(code) = write_part("ffpart submit", path, result.best.assignment()) {
+            return code;
         }
     }
     ExitCode::SUCCESS
 }
 
+/// Runs `request`'s islands on `workers` (spawned `ffpart worker`
+/// processes or running servers, which read the graph from `source`),
+/// this process coordinating. Byte-identical to running the job in one
+/// process, which is why [`DistSpec::for_job`] insists on a pure step
+/// budget.
+fn distribute(
+    prefix: &str,
+    g: &Graph,
+    request: &JobRequest,
+    source: GraphSource,
+    format: GraphFormat,
+    workers: WorkerSet,
+    on_news: &mut dyn FnMut(usize, &WNews),
+) -> Result<EnsembleResult, ExitCode> {
+    let fail = |code: u8, msg: String| {
+        eprintln!("{prefix}: {msg}");
+        ExitCode::from(code)
+    };
+    if let Err(e) = request.solver(g).try_validate() {
+        return Err(fail(2, format!("invalid job configuration: {e}")));
+    }
+    let spec = DistSpec::for_job(request, source, format)
+        .map_err(|e| fail(2, format!("--workers: {e}")))?;
+    let islands = request.islands;
+    match &workers {
+        WorkerSet::Spawn { count, .. } => {
+            eprintln!("ffpart: distributing {islands} island(s) across {count} worker process(es)")
+        }
+        WorkerSet::Connect { addrs } => {
+            eprintln!(
+                "ffpart: federating {islands} island(s) across {} server(s)",
+                addrs.len()
+            )
+        }
+    }
+    let opts = ff_service::DistOpts::default();
+    ff_service::solve_distributed(g, &spec, &workers, &opts, on_news).map_err(|e| fail(3, e))
+}
+
+/// Writes `assignment` to `path` as a `.part` file.
+fn write_part(prefix: &str, path: &str, assignment: &[u32]) -> Result<(), ExitCode> {
+    match File::create(path).and_then(|f| write_assignment(assignment, f)) {
+        Ok(()) => {
+            eprintln!("ffpart: partition written to {path}");
+            Ok(())
+        }
+        Err(e) => {
+            eprintln!("{prefix}: cannot write {path}: {e}");
+            Err(ExitCode::from(3))
+        }
+    }
+}
+
 /// One-shot fusion–fission: the job `ffpart submit` would send for the
 /// same flags, with `chunk` at the solver's default migration interval
 /// (1024). It runs in process through [`JobRequest::solver`], with
-/// `--threads` lifting the served one-thread cap, or across `--workers`.
-fn run_ff(g: &Graph, args: &Args, islands: usize) -> Result<(EnsembleResult, Duration), ExitCode> {
-    if args.coarsen_until == Some(0) {
-        // The job's `multilevel: Some(0)` means the engine default.
-        eprintln!(
-            "ffpart: invalid configuration: {}",
-            ff_core::ConfigError::ZeroCoarsenTarget
-        );
-        return Err(ExitCode::from(2));
-    }
-    let job = JobRequest {
-        objective: args.objectives[0],
-        objectives: (args.objectives.len() > 1).then(|| args.objectives.clone()),
-        migration: args.migration,
-        seed: args.seed,
-        steps: args.steps,
-        // `--steps` without `-b` is purely step-bounded; with neither,
-        // the budget is 10 s.
-        deadline_ms: match (args.budget_secs, args.steps) {
-            (Some(secs), _) => Some((secs * 1000.0).round() as u64),
-            (None, Some(_)) => None,
-            (None, None) => Some(10_000),
-        },
-        islands,
-        chunk: 1024,
-        multilevel: args
-            .multilevel
-            .then(|| args.coarsen_until.unwrap_or(0) as u64),
-        ..JobRequest::new(args.graph_path.clone(), args.k)
-    };
-    let started = Instant::now();
-    let result = match &args.workers {
-        Some(workers) => run_distributed(g, args, &job, workers)?,
-        None => job.solver(g).threads(args.threads).run().map_err(|e| {
+/// `--threads` lifting the served one-thread cap, or across `--workers`
+/// spawned worker processes.
+fn run_ff(
+    g: &Graph,
+    job: &JobFlags,
+    request: &JobRequest,
+    threads: usize,
+    workers: Option<&str>,
+) -> Result<EnsembleResult, ExitCode> {
+    let Some(workers) = workers else {
+        return request.solver(g).threads(threads).run().map_err(|e| {
             eprintln!("ffpart: invalid configuration: {e}");
             ExitCode::from(2)
-        })?,
+        });
     };
-    Ok((result, started.elapsed()))
-}
-
-/// One-shot `--workers`: shard `job`'s islands across spawned `ffpart
-/// worker` child processes. Byte-identical to the same run without
-/// `--workers`, which is why [`DistSpec::for_job`] insists on the
-/// deterministic budget shape (`--steps`, no `-b`).
-fn run_distributed(
-    g: &Graph,
-    args: &Args,
-    job: &JobRequest,
-    workers_spec: &str,
-) -> Result<EnsembleResult, ExitCode> {
-    let fail = |code: u8, msg: &str| {
-        eprintln!("ffpart: {msg}");
-        ExitCode::from(code)
-    };
-    let Some(format) = GraphFormat::parse(&args.format) else {
-        return Err(fail(2, "unknown format (metis|edgelist)"));
-    };
-    let source = GraphSource::Path(args.graph_path.clone());
-    let spec =
-        DistSpec::for_job(job, source, format).map_err(|e| fail(2, &format!("--workers: {e}")))?;
-    let workers = if workers_spec == "auto" {
+    let count = if workers == "auto" {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     } else {
-        match workers_spec.parse::<usize>() {
+        match workers.parse::<usize>() {
             Ok(n) if n > 0 => n,
             _ => {
-                let msg = format!("bad --workers value `{workers_spec}` (count or `auto`)");
-                return Err(fail(2, &msg));
+                eprintln!("ffpart: bad --workers value `{workers}` (count or `auto`)");
+                return Err(ExitCode::from(2));
             }
         }
-    }
-    .min(job.islands);
+    };
     let exe = match std::env::current_exe() {
         Ok(p) => p.to_string_lossy().into_owned(),
-        Err(e) => return Err(fail(3, &format!("cannot locate own executable: {e}"))),
+        Err(e) => {
+            eprintln!("ffpart: cannot locate own executable: {e}");
+            return Err(ExitCode::from(3));
+        }
     };
-    eprintln!(
-        "ffpart: distributing {} island(s) across {workers} worker process(es)",
-        job.islands
-    );
-    ff_service::solve_distributed(
+    let workers = WorkerSet::Spawn {
+        cmd: vec![exe, "worker".into()],
+        count: count.min(request.islands),
+    };
+    let source = GraphSource::Path(job.graph_path.clone());
+    distribute(
+        "ffpart",
         g,
-        &spec,
-        &ff_service::WorkerSet::Spawn {
-            cmd: vec![exe, "worker".into()],
-            count: workers,
-        },
-        &ff_service::DistOpts::default(),
+        request,
+        source,
+        job.format,
+        workers,
         &mut |_, _| {},
     )
-    .map_err(|e| fail(3, &e))
 }
 
 fn main() -> ExitCode {
@@ -1167,83 +819,103 @@ fn main() -> ExitCode {
             // Spawned by the `--workers` coordinator: the full NDJSON
             // server on stdin/stdout, one compute slot (island layout,
             // not host load, decides a worker's parallelism).
-            let slots = match argv.get(1).map(|a| a.parse::<usize>()) {
-                None => 1,
-                Some(Ok(n)) => n,
-                Some(Err(_)) => {
-                    eprintln!("ffpart worker: expected a slot count\n{USAGE}");
-                    return ExitCode::from(2);
-                }
+            let slots = match argv.len() {
+                1 => Ok(1),
+                _ => Flags::new(argv[1..].to_vec()).parse("slot count"),
             };
-            ff_service::serve_stdio(slots);
+            match slots {
+                Ok(slots) => ff_service::serve_stdio(slots),
+                Err(e) => return usage_exit("ffpart worker", &e),
+            }
             return ExitCode::SUCCESS;
         }
         _ => {}
     }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) if e == "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
+    let mut method = MethodId::FusionFission;
+    let mut budget_secs = None;
+    let mut threads = 0usize;
+    let mut repair = false;
+    let mut mincut = false;
+    let mut workers: Option<String> = None;
+    let parsed = JobFlags::parse(&argv, |flag, flags| {
+        match flag {
+            "-m" | "--method" => {
+                let name = flags.value("-m")?;
+                method = parse_method(&name).ok_or_else(|| format!("unknown method `{name}`"))?;
+            }
+            "-b" | "--budget-secs" => {
+                let secs = flags.parse("budget")?;
+                // Negative, NaN or out-of-range budgets have no Duration.
+                Duration::try_from_secs_f64(secs).map_err(|_| "bad budget")?;
+                budget_secs = Some(secs);
+            }
+            "--threads" => threads = flags.parse("threads")?,
+            "-r" | "--repair" => repair = true,
+            "--mincut" => mincut = true,
+            "--workers" => workers = Some(flags.value("--workers")?),
+            _ => return Ok(false),
         }
-        Err(e) => {
-            eprintln!("ffpart: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Ok(true)
+    });
+    let job = match parsed {
+        Ok(job) => job,
+        Err(e) => return usage_exit("ffpart", &e),
     };
-    let g = match load_graph(&args.graph_path, &args.format) {
+    let g = match read_graph(&GraphSource::Path(job.graph_path.clone()), job.format) {
         Ok(g) => g,
         Err(e) => {
             eprintln!("ffpart: {e}");
             return ExitCode::from(3);
         }
     };
-    if args.k == 0 || args.k > g.num_vertices() {
+    if job.k == 0 || job.k > g.num_vertices() {
         eprintln!(
             "ffpart: -k must be in 1..={} for this graph",
             g.num_vertices()
         );
         return ExitCode::from(2);
     }
-    if args.islands == 0 {
+    if job.islands == 0 {
         eprintln!("ffpart: --islands must be at least 1");
         return ExitCode::from(2);
     }
-    let pareto_run = ff_engine::distinct_objectives(&args.objectives).len() > 1;
-    if pareto_run && args.method != MethodId::FusionFission {
+    let pareto_run = ff_engine::distinct_objectives(&job.objectives).len() > 1;
+    if pareto_run && method != MethodId::FusionFission {
         eprintln!("ffpart: multi-objective runs need -m ff");
         return ExitCode::from(2);
     }
-    if args.multilevel && args.method != MethodId::FusionFission {
+    if job.multilevel && method != MethodId::FusionFission {
         eprintln!("ffpart: --multilevel needs -m ff (it accelerates the fusion–fission engine)");
         return ExitCode::from(2);
     }
-    // Cycling the objective list needs enough islands that every
-    // distinct objective gets one (duplicates in the list weight the
-    // cycle, so this can exceed the distinct count).
-    let needed = ff_engine::islands_to_cover(&args.objectives);
-    let islands = if pareto_run && args.islands < needed {
-        eprintln!(
-            "ffpart: raising --islands {} → {needed} (covering every objective)",
-            args.islands
-        );
-        needed
-    } else {
-        args.islands
+    // `--steps` without `-b` is purely step-bounded: the run's output is
+    // then a pure function of (graph, config, seed). With neither, the
+    // budget is 10 s.
+    let deadline_ms = match (budget_secs, job.steps) {
+        (Some(secs), _) => Some((secs * 1000.0).round() as u64),
+        (None, Some(_)) => None,
+        (None, None) => Some(10_000),
+    };
+    let request = match job.request(deadline_ms, 1024) {
+        Ok(request) => request,
+        Err(e) => {
+            eprintln!("ffpart: {e}");
+            return ExitCode::from(2);
+        }
     };
     eprintln!(
         "ffpart: {} vertices, {} edges → k = {} via {}{}",
         g.num_vertices(),
         g.num_edges(),
-        args.k,
-        args.method.label(),
-        if islands > 1 {
-            format!(" × {islands} islands")
+        job.k,
+        method.label(),
+        if request.islands > 1 {
+            format!(" × {} islands", request.islands)
         } else {
             String::new()
         }
     );
-    if args.mincut && g.num_vertices() >= 2 {
+    if mincut && g.num_vertices() >= 2 {
         let cut = ff_graph::stoer_wagner(&g);
         println!(
             "global min cut: {:.4} (isolates {} of {} vertices)",
@@ -1253,11 +925,13 @@ fn main() -> ExitCode {
         );
     }
 
-    let (mut partition, elapsed) = if args.method == MethodId::FusionFission {
-        let (result, elapsed) = match run_ff(&g, &args, islands) {
-            Ok(out) => out,
+    let (mut partition, elapsed) = if method == MethodId::FusionFission {
+        let started = Instant::now();
+        let result = match run_ff(&g, &job, &request, threads, workers.as_deref()) {
+            Ok(result) => result,
             Err(code) => return code,
         };
+        let elapsed = started.elapsed();
         if let Some(info) = &result.multilevel {
             eprintln!(
                 "ffpart: multilevel: {} levels, coarse {} vertices",
@@ -1267,16 +941,14 @@ fn main() -> ExitCode {
         // A Pareto run continues with its representative (best under
         // the primary, first, objective) for the report and -w.
         if let Some(front) = &result.pareto {
-            print_pareto(front);
+            print_front(&pareto_points(front, false));
         }
         (result.best, elapsed)
-    } else if args.workers.is_some() {
+    } else if workers.is_some() {
         eprintln!("ffpart: --workers needs -m ff (it distributes the fusion–fission ensemble)");
         return ExitCode::from(2);
     } else {
-        // `--steps` without `-b` means purely step-bounded: the run's
-        // output is then a pure function of (graph, config, seed).
-        let budget = match (args.budget_secs, args.steps) {
+        let budget = match (budget_secs, job.steps) {
             (Some(secs), steps) => MethodBudget {
                 time: Duration::from_secs_f64(secs),
                 steps: steps.unwrap_or(u64::MAX),
@@ -1288,19 +960,19 @@ fn main() -> ExitCode {
             (None, None) => MethodBudget::seconds(10.0),
         };
         let out = run_method_ensemble(
-            args.method,
+            method,
             &g,
-            args.k,
-            args.objectives[0],
+            job.k,
+            request.objective,
             budget,
-            args.seed,
-            islands,
-            args.threads,
-            args.migration,
+            job.seed,
+            request.islands,
+            threads,
+            job.migration,
         );
         (out.partition, out.elapsed)
     };
-    if args.repair {
+    if repair {
         let moved = repair_connectivity(&g, &mut partition, 16);
         if moved > 0 {
             eprintln!("ffpart: connectivity repair moved {moved} vertices");
@@ -1315,7 +987,7 @@ fn main() -> ExitCode {
         100.0 * imbalance(&partition),
         elapsed.as_secs_f64()
     );
-    if !args.quiet {
+    if !job.quiet {
         let report = analyze(&g, &partition);
         println!(
             "{} parts ({} fragmented)",
@@ -1333,16 +1005,9 @@ fn main() -> ExitCode {
             );
         }
     }
-    if let Some(path) = args.write {
-        match File::create(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|f| write_partition(&partition, f).map_err(|e| e.to_string()))
-        {
-            Ok(()) => eprintln!("ffpart: partition written to {path}"),
-            Err(e) => {
-                eprintln!("ffpart: cannot write {path}: {e}");
-                return ExitCode::from(3);
-            }
+    if let Some(path) = &job.write {
+        if let Err(code) = write_part("ffpart", path, partition.assignment()) {
+            return code;
         }
     }
     ExitCode::SUCCESS

@@ -412,7 +412,13 @@ fn missing_file_exits_3() {
 fn help_exits_zero() {
     let output = ffpart().args(["--help"]).output().unwrap();
     assert!(output.status.success());
-    assert!(String::from_utf8_lossy(&output.stdout).contains("usage"));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("usage"));
+    // The option reference itself, for every sub-command.
+    for flag in ["--mincut", "--chunk", "--instance", "--cancel-after-ms"] {
+        assert!(stdout.contains(flag), "--help lacks {flag}: {stdout}");
+    }
+    assert!(!stdout.contains("see `ffpart --help`"), "{stdout}");
 }
 
 #[test]
@@ -461,10 +467,7 @@ fn invalid_k_and_objective_combinations_exit_2() {
     for (args, fragment) in cases {
         let output = ffpart().args(*args).output().unwrap();
         let code = output.status.code();
-        assert!(
-            code == Some(2) || code == Some(3),
-            "{args:?}: expected nonzero exit, got {code:?}"
-        );
+        assert_eq!(code, Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
             stderr.contains(fragment),
@@ -729,6 +732,31 @@ fn submit_usage_errors_exit_2() {
     assert_eq!(output.status.code(), Some(2)); // no budget
     let output = ffpart().args(["serve", "--bogus"]).output().unwrap();
     assert_eq!(output.status.code(), Some(2));
+
+    // Each refusal names the flag at fault, before any connection.
+    let submit = ["submit", "--connect", "127.0.0.1:1", "g", "-k", "2"];
+    let cases: &[(&[&str], &[&str], &str)] = &[
+        (&["serve", "--workers", "x"], &[], "--workers"),
+        (&["serve", "--listen"], &[], "--listen"),
+        (&["stats", "--connect"], &[], "--connect"),
+        (&submit, &["--steps", "10", "--chunk", "x"], "--chunk"),
+        (&submit, &["--steps", "10", "-f", "dot"], "unknown format"),
+        (
+            &submit,
+            &["--steps", "10", "--coarsen-until", "0"],
+            "coarsening target must be positive",
+        ),
+    ];
+    for (args, extra, fragment) in cases {
+        let output = ffpart().args(*args).args(*extra).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?} {extra:?}: {stderr}"
+        );
+        assert!(stderr.contains(fragment), "{args:?} {extra:?}: {stderr}");
+    }
 }
 
 #[test]
