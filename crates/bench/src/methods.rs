@@ -411,18 +411,37 @@ mod tests {
 
     #[test]
     fn all_seventeen_methods_produce_k_parts() {
-        // Small instance so the whole matrix stays fast.
+        // Small instance so the whole matrix stays fast. A step-only
+        // budget makes the metaheuristic rows deterministic too, so every
+        // row's exact partition is pinned: FNV-1a over the little-endian
+        // assignment, in Table 1's order.
         let inst = FabopInstance::scaled(120, &FabopConfig::default());
         let k = 8;
-        for method in MethodId::all() {
-            let out = run_method(
-                method,
-                &inst.graph,
-                k,
-                Objective::MCut,
-                MethodBudget::quick(),
-                1,
-            );
+        let budget = MethodBudget {
+            time: Duration::MAX,
+            steps: 20_000,
+        };
+        let pinned: [u64; 17] = [
+            0xe147_6397_ee22_2325,
+            0x4eee_b62a_5e3d_7325,
+            0x7475_d625_17b0_1625,
+            0x0eaf_6eb1_6bc8_5ef5,
+            0xfbf6_f779_34ac_4695,
+            0x4c96_04dc_a0ea_c875,
+            0x6534_bf9c_4587_5065,
+            0x32ff_f8ae_0898_fa75,
+            0x5d9c_2f32_d3d4_f7d5,
+            0x339c_ce36_3399_6af5,
+            0x471a_9e33_918a_44a5,
+            0x9682_d661_c224_bf82,
+            0xf375_a858_879b_a571,
+            0x458c_c753_b31b_1515,
+            0x1032_3cff_a1e6_4593,
+            0xd404_c74d_de56_2d61,
+            0xc325_f3f2_3739_33a5,
+        ];
+        for (method, want) in MethodId::all().into_iter().zip(pinned) {
+            let out = run_method(method, &inst.graph, k, Objective::MCut, budget, 1);
             assert_eq!(
                 out.partition.num_nonempty_parts(),
                 k,
@@ -430,6 +449,15 @@ mod tests {
                 method.label()
             );
             assert!(out.partition.validate(&inst.graph));
+            let digest = out
+                .partition
+                .assignment()
+                .iter()
+                .flat_map(|a| a.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+                });
+            assert_eq!(digest, want, "{}: {digest:#018x}", method.label());
         }
     }
 
