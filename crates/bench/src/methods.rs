@@ -100,15 +100,6 @@ impl MethodId {
             FusionFission => "Fusion Fission",
         }
     }
-
-    /// Whether this row is one of the three metaheuristics (which consume
-    /// the time budget rather than running to a fixed point).
-    pub fn is_metaheuristic(&self) -> bool {
-        matches!(
-            self,
-            MethodId::SimulatedAnnealing | MethodId::AntColony | MethodId::FusionFission
-        )
-    }
 }
 
 /// Budget for the budget-driven (metaheuristic) methods.
@@ -162,7 +153,6 @@ fn spectral_cfg(
         mode,
         refine,
         seed,
-        ..Default::default()
     }
 }
 
@@ -272,7 +262,6 @@ pub fn run_method(
             &MultilevelConfig {
                 mode: MultilevelMode::RecursiveBisection,
                 seed,
-                ..Default::default()
             },
         ),
         MultilevelOct => multilevel_partition(
@@ -281,7 +270,6 @@ pub fn run_method(
             &MultilevelConfig {
                 mode: MultilevelMode::KWay,
                 seed,
-                ..Default::default()
             },
         ),
         Percolation => ff_metaheur::percolation_partition(
@@ -558,11 +546,5 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), 17);
-    }
-
-    #[test]
-    fn metaheuristic_flag() {
-        assert!(MethodId::FusionFission.is_metaheuristic());
-        assert!(!MethodId::MultilevelBi.is_metaheuristic());
     }
 }

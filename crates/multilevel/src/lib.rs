@@ -5,8 +5,8 @@
 //!
 //! 1. **Coarsen** — contract randomized heavy-edge matchings until the
 //!    graph is small ([`ff_graph::matching`], [`ff_graph::coarsen`](fn@ff_graph::coarsen)),
-//! 2. **Partition** the coarsest graph — spectral or greedy graph growing
-//!    ([`initial`]),
+//! 2. **Partition** the coarsest graph spectrally with KL refinement
+//!    (bisection for `Multilevel (Bi)`, octasection for `Multilevel (Oct)`),
 //! 3. **Uncoarsen** — project the partition level by level, locally
 //!    refining at each level ([`vcycle`]): FM for bisections, greedy
 //!    k-way + pairwise FM for direct k-way.
@@ -38,14 +38,12 @@
 //! ```
 
 pub mod driver;
-pub mod initial;
 pub mod vcycle;
 
 use ff_graph::Graph;
 use ff_partition::Partition;
 
 pub use driver::{LevelReport, Vcycle, VcycleOpts};
-pub use initial::{greedy_graph_growing, region_growing_kway, InitialMethod};
 pub use vcycle::{multilevel_bisection, multilevel_kway};
 
 /// How the k-way partition is assembled.
@@ -60,15 +58,8 @@ pub enum MultilevelMode {
 /// Configuration for the multilevel drivers.
 #[derive(Clone, Copy, Debug)]
 pub struct MultilevelConfig {
-    /// Stop coarsening when the graph has at most this many vertices
-    /// (also stops when a level shrinks < 10 %). Default: 48.
-    pub coarsen_until: usize,
-    /// Coarsest-graph partitioner.
-    pub initial: InitialMethod,
     /// Assembly mode.
     pub mode: MultilevelMode,
-    /// Balance tolerance for refinement (relative). Default 0.05.
-    pub balance_eps: f64,
     /// Seed driving matching order, initial partition, refinement sweeps.
     pub seed: u64,
 }
@@ -76,10 +67,7 @@ pub struct MultilevelConfig {
 impl Default for MultilevelConfig {
     fn default() -> Self {
         MultilevelConfig {
-            coarsen_until: 48,
-            initial: InitialMethod::Spectral,
             mode: MultilevelMode::RecursiveBisection,
-            balance_eps: 0.05,
             seed: 1,
         }
     }

@@ -1,7 +1,6 @@
 //! The multilevel V-cycle: coarsen → initial partition → refined
 //! uncoarsening.
 
-use crate::initial::{initial_partition, InitialMethod};
 use crate::{MultilevelConfig, Vcycle, VcycleOpts};
 use ff_graph::{Graph, VertexId};
 use ff_partition::refine::fm::FmOptions;
@@ -10,19 +9,33 @@ use ff_partition::refine::pairwise::{pairwise_refine_kway, PairwiseMethod, Pairw
 use ff_partition::{
     fm_refine_bisection, greedy_refine_kway, BalanceConstraint, CutState, Objective, Partition,
 };
+use ff_spectral::{spectral_partition, RefineMethod, SectionMode, SpectralConfig};
+
+/// Coarsening stops at this many vertices (or when a level shrinks
+/// < 10 %); the k-way driver raises it to `3k`.
+const COARSEN_UNTIL: usize = 48;
+
+/// Relative balance tolerance of the refiners: ±5 % for bisections,
+/// three times that for direct k-way.
+const BALANCE_EPS: f64 = 0.05;
 
 /// Multilevel bisection of `g` (the Table 1 `Multilevel (Bi)` building
-/// block): coarsen, bisect the coarsest graph, uncoarsen with FM
-/// refinement at every level.
+/// block): coarsen, bisect the coarsest graph spectrally (Lanczos + KL),
+/// uncoarsen with FM refinement at every level.
 pub fn multilevel_bisection(g: &Graph, cfg: &MultilevelConfig) -> Partition {
     assert!(g.num_vertices() >= 2, "bisection needs ≥ 2 vertices");
-    let vc = vcycle(g, cfg.coarsen_until.max(4), cfg.seed);
-    let part = initial_partition(vc.coarsest(), 2, cfg.initial, cfg.seed);
+    let vc = vcycle(g, COARSEN_UNTIL, cfg.seed);
+    let scfg = SpectralConfig {
+        refine: RefineMethod::Kl,
+        seed: cfg.seed,
+        ..Default::default()
+    };
+    let part = spectral_partition(vc.coarsest(), 2, &scfg);
     let (part, _) = vc.uncoarsen(part, 2, Objective::Cut, |_, st| {
         let ideal = st.graph().total_vertex_weight() / 2.0;
         let balance = BalanceConstraint {
-            lo: ideal * (1.0 - cfg.balance_eps),
-            hi: ideal * (1.0 + cfg.balance_eps),
+            lo: ideal * (1.0 - BALANCE_EPS),
+            hi: ideal * (1.0 + BALANCE_EPS),
         };
         let opts = FmOptions {
             balance,
@@ -107,53 +120,44 @@ fn recurse_bisect(
 }
 
 /// Direct k-way multilevel V-cycle (`Multilevel (Oct)`): one hierarchy,
-/// coarsest graph partitioned into all `k` parts at once (spectral
-/// octasection by default), greedy k-way + pairwise FM refinement during
+/// coarsest graph partitioned into all `k` parts at once by spectral
+/// octasection with KL, greedy k-way + pairwise FM refinement during
 /// uncoarsening.
 pub fn multilevel_kway(g: &Graph, k: usize, cfg: &MultilevelConfig) -> Partition {
-    let vc = vcycle(g, cfg.coarsen_until.max(3 * k), cfg.seed);
+    let vc = vcycle(g, COARSEN_UNTIL.max(3 * k), cfg.seed);
     let coarsest = vc.coarsest();
     let k_eff = k.min(coarsest.num_vertices());
-    let part = match cfg.initial {
-        InitialMethod::Spectral => {
-            let scfg = ff_spectral::SpectralConfig {
-                mode: ff_spectral::SectionMode::Octasection,
-                refine: ff_spectral::RefineMethod::Kl,
-                seed: cfg.seed,
-                ..Default::default()
-            };
-            ff_spectral::spectral_partition(coarsest, k_eff, &scfg)
-        }
-        InitialMethod::GreedyGrowing => {
-            crate::initial::region_growing_kway(coarsest, k_eff, cfg.seed)
+    let scfg = SpectralConfig {
+        mode: SectionMode::Octasection,
+        refine: RefineMethod::Kl,
+        seed: cfg.seed,
+        ..Default::default()
+    };
+    let part = spectral_partition(coarsest, k_eff, &scfg);
+    let balance = |total: f64| {
+        let ideal = total / k_eff as f64;
+        BalanceConstraint {
+            lo: ideal * (1.0 - 3.0 * BALANCE_EPS).max(0.0),
+            hi: ideal * (1.0 + 3.0 * BALANCE_EPS),
         }
     };
     let (part, _) = vc.uncoarsen(part, k_eff, Objective::Cut, |_, st| {
-        let ideal = st.graph().total_vertex_weight() / k_eff as f64;
-        let balance = BalanceConstraint {
-            lo: ideal * (1.0 - 3.0 * cfg.balance_eps).max(0.0),
-            hi: ideal * (1.0 + 3.0 * cfg.balance_eps),
-        };
         let opts = GreedyOptions {
             max_passes: 6,
-            balance,
+            balance: balance(st.graph().total_vertex_weight()),
             seed: cfg.seed,
             keep_parts_nonempty: true,
         };
         greedy_refine_kway(st, Objective::Cut, &opts)
     });
     // Final pairwise polish on the full graph.
-    let ideal = g.total_vertex_weight() / k_eff as f64;
     let mut st = CutState::new(g, part);
     pairwise_refine_kway(
         &mut st,
         &PairwiseOptions {
             method: PairwiseMethod::Fm,
             max_rounds: 2,
-            balance: BalanceConstraint {
-                lo: ideal * (1.0 - 3.0 * cfg.balance_eps).max(0.0),
-                hi: ideal * (1.0 + 3.0 * cfg.balance_eps),
-            },
+            balance: balance(g.total_vertex_weight()),
         },
     );
     st.into_partition()
@@ -220,20 +224,6 @@ mod tests {
             "cut {cut} vs total {}",
             g.total_edge_weight()
         );
-    }
-
-    #[test]
-    fn greedy_initial_variant() {
-        let g = random_geometric(150, 0.15, 3);
-        let p = multilevel_partition(
-            &g,
-            4,
-            &MultilevelConfig {
-                initial: InitialMethod::GreedyGrowing,
-                ..Default::default()
-            },
-        );
-        assert_eq!(p.num_nonempty_parts(), 4);
     }
 
     #[test]

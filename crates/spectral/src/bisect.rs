@@ -3,19 +3,17 @@
 //! A *bisection step* sorts vertices along a one-dimensional coordinate
 //! (the Fiedler vector for the spectral method, the vertex index for the
 //! Linear baseline), splits at the weighted quantile matching the target
-//! part ratio, optionally refines the two sides with KL or FM, and
-//! recurses. Unlike textbook recursive bisection this driver supports any
-//! `k`, not just powers of two, by splitting `k` into `⌊k/2⌋ + ⌈k/2⌉` and
-//! cutting at the proportional weight fraction.
+//! part ratio, optionally refines the two sides with KL, and recurses.
+//! Unlike textbook recursive bisection this driver supports any `k`, not
+//! just powers of two, by splitting `k` into `⌊k/2⌋ + ⌈k/2⌉` and cutting
+//! at the proportional weight fraction.
 
 use crate::fiedler::{fiedler_vector, SpectralSolver};
 use crate::octa::spectral_section;
 use crate::SectionMode;
 use ff_graph::{induced_subgraph, Graph, VertexId};
-use ff_partition::refine::{fm::FmOptions, kl::KlOptions};
-use ff_partition::{
-    fm_refine_bisection, kl_refine_bisection, BalanceConstraint, CutState, Partition,
-};
+use ff_partition::refine::kl::KlOptions;
+use ff_partition::{kl_refine_bisection, CutState, Partition};
 
 /// Optional local refinement applied after each division step — the
 /// presence/absence of `KL` in Table 1's method names.
@@ -25,8 +23,6 @@ pub enum RefineMethod {
     None,
     /// Kernighan–Lin pair swaps.
     Kl,
-    /// Fiduccia–Mattheyses moves within a balance band.
-    Fm,
 }
 
 /// Configuration for [`spectral_partition`].
@@ -38,8 +34,6 @@ pub struct SpectralConfig {
     pub mode: SectionMode,
     /// Per-step local refinement.
     pub refine: RefineMethod,
-    /// Balance tolerance for FM refinement (relative, default 0.05).
-    pub balance_eps: f64,
     /// Seed for the eigensolver start vectors.
     pub seed: u64,
 }
@@ -50,7 +44,6 @@ impl Default for SpectralConfig {
             solver: SpectralSolver::Lanczos,
             mode: SectionMode::Bisection,
             refine: RefineMethod::None,
-            balance_eps: 0.05,
             seed: 1,
         }
     }
@@ -72,13 +65,9 @@ pub fn spectral_partition(g: &Graph, k: usize, cfg: &SpectralConfig) -> Partitio
         SectionMode::Bisection => {
             let solver = cfg.solver;
             let seed = cfg.seed;
-            recursive_bisection(
-                g,
-                k,
-                cfg.refine,
-                cfg.balance_eps,
-                &mut move |sub: &Graph, _to_parent: &[VertexId]| fiedler_vector(sub, solver, seed),
-            )
+            recursive_bisection(g, k, cfg.refine, &mut move |sub: &Graph, _: &[VertexId]| {
+                fiedler_vector(sub, solver, seed)
+            })
         }
         SectionMode::Octasection => spectral_section(g, k, cfg),
     }
@@ -92,38 +81,24 @@ pub fn recursive_bisection<F>(
     g: &Graph,
     k: usize,
     refine: RefineMethod,
-    balance_eps: f64,
     value_fn: &mut F,
 ) -> Partition
 where
     F: FnMut(&Graph, &[VertexId]) -> Vec<f64>,
 {
-    let n = g.num_vertices();
-    let mut assignment = vec![0u32; n];
+    let mut assignment = vec![0u32; g.num_vertices()];
     let all: Vec<VertexId> = g.vertices().collect();
-    let ids: Vec<VertexId> = all.clone();
-    split_recursive(
-        g,
-        &ids,
-        k,
-        0,
-        refine,
-        balance_eps,
-        value_fn,
-        &mut assignment,
-    );
+    split_recursive(g, &all, k, 0, refine, value_fn, &mut assignment);
     Partition::from_assignment(g, assignment, k)
 }
 
 /// Recursively assigns parts `base..base+k` to `members` (parent ids).
-#[allow(clippy::too_many_arguments)]
 fn split_recursive<F>(
     g: &Graph,
     members: &[VertexId],
     k: usize,
     base: u32,
     refine: RefineMethod,
-    balance_eps: f64,
     value_fn: &mut F,
     assignment: &mut [u32],
 ) where
@@ -179,39 +154,13 @@ fn split_recursive<F>(
     }
     debug_assert!(left_count >= k_left && right_count >= k_right);
 
-    // Optional local refinement of the 2-way split on the subgraph.
-    if refine != RefineMethod::None {
-        let p = Partition::from_assignment(&sub.graph, local_side.clone(), 2);
+    // Optional KL refinement of the 2-way split on the subgraph. KL swaps
+    // vertex pairs, so both sides keep their sizes and their capacity.
+    if refine == RefineMethod::Kl {
+        let p = Partition::from_assignment(&sub.graph, local_side, 2);
         let mut st = CutState::new(&sub.graph, p);
-        match refine {
-            RefineMethod::Kl => {
-                kl_refine_bisection(&mut st, 0, 1, &KlOptions::default());
-            }
-            RefineMethod::Fm => {
-                let (wa, wb) = (st.partition().part_weight(0), st.partition().part_weight(1));
-                let balance = BalanceConstraint {
-                    lo: wa.min(wb) * (1.0 - balance_eps),
-                    hi: wa.max(wb) * (1.0 + balance_eps),
-                };
-                fm_refine_bisection(
-                    &mut st,
-                    0,
-                    1,
-                    &FmOptions {
-                        balance,
-                        ..Default::default()
-                    },
-                );
-            }
-            RefineMethod::None => unreachable!(),
-        }
-        // Keep the refined split only if both sides can still host k parts.
-        let refined = st.into_partition();
-        if refined.part_size(0) >= k_left && refined.part_size(1) >= k_right {
-            for (i, s) in local_side.iter_mut().enumerate() {
-                *s = refined.part_of(i as VertexId);
-            }
-        }
+        kl_refine_bisection(&mut st, 0, 1, &KlOptions::default());
+        local_side = st.into_partition().assignment().to_vec();
     }
 
     let left: Vec<VertexId> = members
@@ -227,23 +176,13 @@ fn split_recursive<F>(
         .map(|(_, &v)| v)
         .collect();
 
-    split_recursive(
-        g,
-        &left,
-        k_left,
-        base,
-        refine,
-        balance_eps,
-        value_fn,
-        assignment,
-    );
+    split_recursive(g, &left, k_left, base, refine, value_fn, assignment);
     split_recursive(
         g,
         &right,
         k_right,
         base + k_left as u32,
         refine,
-        balance_eps,
         value_fn,
         assignment,
     );
@@ -296,23 +235,6 @@ mod tests {
         let c0 = Objective::Cut.evaluate(&g, &base);
         let c1 = Objective::Cut.evaluate(&g, &refined);
         assert!(c1 <= c0 + 1e-9, "KL made it worse: {c0} → {c1}");
-    }
-
-    #[test]
-    fn fm_refinement_does_not_hurt() {
-        let g = planted_partition(4, 12, 0.8, 0.03, 23);
-        let base = spectral_partition(&g, 4, &SpectralConfig::default());
-        let refined = spectral_partition(
-            &g,
-            4,
-            &SpectralConfig {
-                refine: RefineMethod::Fm,
-                ..Default::default()
-            },
-        );
-        let c0 = Objective::Cut.evaluate(&g, &base);
-        let c1 = Objective::Cut.evaluate(&g, &refined);
-        assert!(c1 <= c0 + 1e-9, "FM made it worse: {c0} → {c1}");
     }
 
     #[test]

@@ -20,45 +20,10 @@ pub fn laplacian(g: &Graph) -> CsrMatrix {
     CsrMatrix::from_triplets(n, &triplets)
 }
 
-/// The symmetric normalized Laplacian `L_sym = D^{-1/2} (D − W) D^{-1/2}`.
-///
-/// Solving `L_sym y = λ y` and substituting `x = D^{-1/2} y` solves the
-/// Shi–Malik generalized system `(D − W) x = λ D x` (the Ncut relaxation).
-/// The Mcut relaxation `(D − W) x = μ W x` has the *same eigenvectors*:
-/// with `W = D − L`, it rewrites to `(D − W) x = (μ/(1+μ)) D x`, a monotone
-/// reparameterization — so one solver serves both criteria.
-///
-/// Returns `(L_sym, d_inv_sqrt)`; isolated vertices (zero degree) get
-/// `d_inv_sqrt = 0` and a unit diagonal entry, keeping the matrix PSD.
-pub fn normalized_laplacian(g: &Graph) -> (CsrMatrix, Vec<f64>) {
-    let n = g.num_vertices();
-    let d_inv_sqrt: Vec<f64> = g
-        .vertices()
-        .map(|v| {
-            let d = g.degree_weight(v);
-            if d > 0.0 {
-                1.0 / d.sqrt()
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let mut triplets = Vec::with_capacity(2 * g.num_edges() + n);
-    for v in g.vertices() {
-        let vi = v as usize;
-        triplets.push((vi, vi, 1.0));
-        for (u, w) in g.edges_of(v) {
-            let ui = u as usize;
-            triplets.push((vi, ui, -w * d_inv_sqrt[vi] * d_inv_sqrt[ui]));
-        }
-    }
-    (CsrMatrix::from_triplets(n, &triplets), d_inv_sqrt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_graph::generators::{cycle, path, random_geometric};
+    use ff_graph::generators::{path, random_geometric};
     use ff_linalg::LinearOperator;
 
     #[test]
@@ -75,7 +40,6 @@ mod tests {
     fn laplacian_is_symmetric() {
         let g = random_geometric(30, 0.35, 5);
         assert!(laplacian(&g).is_symmetric());
-        assert!(normalized_laplacian(&g).0.is_symmetric());
     }
 
     #[test]
@@ -86,36 +50,5 @@ mod tests {
         assert_eq!(l.get(1, 1), 2.0);
         assert_eq!(l.get(0, 1), -1.0);
         assert_eq!(l.get(0, 2), 0.0);
-    }
-
-    #[test]
-    fn normalized_laplacian_kernel_is_sqrt_degree() {
-        // L_sym (D^{1/2} 1) = 0 for connected graphs.
-        let g = cycle(12);
-        let (lsym, _) = normalized_laplacian(&g);
-        let d_sqrt: Vec<f64> = g.vertices().map(|v| g.degree_weight(v).sqrt()).collect();
-        let mut y = vec![0.0; 12];
-        lsym.apply(&d_sqrt, &mut y);
-        assert!(y.iter().all(|&v| v.abs() < 1e-12));
-    }
-
-    #[test]
-    fn normalized_diagonal_is_one() {
-        let g = random_geometric(20, 0.4, 7);
-        let (lsym, dinv) = normalized_laplacian(&g);
-        for (v, dv) in dinv.iter().enumerate() {
-            assert!((lsym.get(v, v) - 1.0).abs() < 1e-12);
-            assert!(*dv > 0.0);
-        }
-    }
-
-    #[test]
-    fn isolated_vertex_handled() {
-        let mut b = ff_graph::GraphBuilder::new(3);
-        b.add_edge(0, 1, 2.0);
-        let g = b.build();
-        let (lsym, dinv) = normalized_laplacian(&g);
-        assert_eq!(dinv[2], 0.0);
-        assert_eq!(lsym.get(2, 2), 1.0);
     }
 }

@@ -2,18 +2,16 @@
 //!
 //! Implements §2.1 of the paper:
 //!
-//! * [`laplacian`](mod@laplacian) — assembly of the combinatorial Laplacian `L = D − W`
-//!   and the normalized Laplacian `L_sym = D^{-1/2} L D^{-1/2}` (the
-//!   congruence transform that turns the Ncut/Mcut generalized
-//!   eigenproblems `(D−W)x = λDx` / `(D−W)x = λWx` into standard ones),
+//! * [`laplacian`](mod@laplacian) — assembly of the combinatorial Laplacian
+//!   `L = D − W`, whose low eigenvectors the spectral rows split along,
 //! * [`fiedler`] — the Fiedler vector via either **Lanczos** or
 //!   **RQI/SYMMLQ** (the paper's `Lanc` and `RQI` rows),
 //! * [`bisect`] — median-split spectral bisection and recursive bisection
-//!   to arbitrary k, with optional KL/FM refinement at every level,
+//!   to arbitrary k, with optional KL refinement at every level,
 //! * [`octa`] — spectral quadrisection/octasection from 2–3 eigenvectors
 //!   (Hendrickson–Leland multidimensional partitioning, the `Oct` rows),
 //! * [`linear`] — the **Linear** baseline: vertex-index-order splits
-//!   (Chaco's trivial scheme), with the same optional refinement.
+//!   (Chaco's trivial scheme), with the same optional KL refinement.
 
 pub mod bisect;
 pub mod fiedler;
@@ -23,7 +21,7 @@ pub mod octa;
 
 pub use bisect::{recursive_bisection, spectral_partition, RefineMethod, SpectralConfig};
 pub use fiedler::{fiedler_vector, smallest_nontrivial_eigenvectors, SpectralSolver};
-pub use laplacian::{laplacian, normalized_laplacian};
+pub use laplacian::laplacian;
 pub use linear::{linear_partition, LinearMode};
 pub use octa::spectral_section;
 

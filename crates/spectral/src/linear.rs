@@ -31,33 +31,22 @@ pub fn linear_partition(g: &Graph, k: usize, mode: LinearMode, refine: RefineMet
     assert!(k >= 1, "k must be positive");
     assert!(k <= g.num_vertices().max(1), "more parts than vertices");
     match mode {
-        LinearMode::Bisection => recursive_bisection(
-            g,
-            k,
-            refine,
-            0.05,
-            &mut |_sub: &Graph, to_parent: &[VertexId]| {
+        LinearMode::Bisection => {
+            recursive_bisection(g, k, refine, &mut |_: &Graph, to_parent: &[VertexId]| {
                 to_parent.iter().map(|&v| v as f64).collect()
-            },
-        ),
+            })
+        }
         LinearMode::Octasection => {
             let p = Partition::block(g, k);
             if refine == RefineMethod::None {
                 return p;
             }
-            let method = match refine {
-                RefineMethod::Kl => PairwiseMethod::Kl,
-                RefineMethod::Fm => PairwiseMethod::Fm,
-                RefineMethod::None => unreachable!(),
-            };
             let mut st = CutState::new(g, p);
-            pairwise_refine_kway(
-                &mut st,
-                &PairwiseOptions {
-                    method,
-                    ..Default::default()
-                },
-            );
+            let opts = PairwiseOptions {
+                method: PairwiseMethod::Kl,
+                ..Default::default()
+            };
+            pairwise_refine_kway(&mut st, &opts);
             st.into_partition()
         }
     }

@@ -16,7 +16,7 @@ use crate::bisect::{RefineMethod, SpectralConfig};
 use crate::fiedler::smallest_nontrivial_eigenvectors;
 use ff_graph::{induced_subgraph, Graph, VertexId};
 use ff_partition::refine::pairwise::{pairwise_refine_kway, PairwiseMethod, PairwiseOptions};
-use ff_partition::{BalanceConstraint, CutState, Partition};
+use ff_partition::{CutState, Partition};
 
 /// Spectral section with up-to-8-way steps (the paper's `Oct` rows).
 ///
@@ -124,38 +124,20 @@ fn section_recursive(
         }
     }
 
-    // Optional pairwise refinement of the cells on the subgraph.
+    // Optional pairwise KL refinement of the cells on the subgraph. KL
+    // swaps vertex pairs, so every cell keeps its size, and with it the
+    // capacity for its parts, without a balance band.
     let live_cells = 1usize << depth;
-    if cfg.refine != RefineMethod::None && live_cells > 1 {
-        let p = Partition::from_assignment(&sub.graph, cell.clone(), live_cells);
-        let counts: Vec<usize> = (0..live_cells as u32).map(|c| p.part_size(c)).collect();
+    if cfg.refine == RefineMethod::Kl && live_cells > 1 {
+        let p = Partition::from_assignment(&sub.graph, cell, live_cells);
         let mut st = CutState::new(&sub.graph, p);
-        let method = match cfg.refine {
-            RefineMethod::Kl => PairwiseMethod::Kl,
-            RefineMethod::Fm => PairwiseMethod::Fm,
-            RefineMethod::None => unreachable!(),
+        let opts = PairwiseOptions {
+            method: PairwiseMethod::Kl,
+            max_rounds: 2,
+            ..Default::default()
         };
-        let ideal = sub.graph.total_vertex_weight() / live_cells as f64;
-        pairwise_refine_kway(
-            &mut st,
-            &PairwiseOptions {
-                method,
-                max_rounds: 2,
-                balance: BalanceConstraint {
-                    lo: ideal * (1.0 - cfg.balance_eps),
-                    hi: ideal * (1.0 + cfg.balance_eps),
-                },
-            },
-        );
-        let refined = st.into_partition();
-        // Keep refinement only if no cell lost the capacity for its parts.
-        let ok = (0..live_cells as u32)
-            .all(|c| refined.part_size(c) >= child_k[c as usize].min(counts[c as usize]));
-        if ok {
-            for (i, c) in cell.iter_mut().enumerate() {
-                *c = refined.part_of(i as VertexId);
-            }
-        }
+        pairwise_refine_kway(&mut st, &opts);
+        cell = st.into_partition().assignment().to_vec();
     }
 
     // Recurse into cells.
