@@ -4,7 +4,8 @@
 //! and uses ChaCha8 so the same seed yields the same graph on every
 //! platform. These families cover the topologies the partitioning
 //! literature benchmarks on: meshes (grids), geometric graphs (the shape of
-//! airspace sector graphs), G(n,p), and planted community structure.
+//! airspace sector graphs), scale-free graphs, and planted community
+//! structure.
 
 use crate::{Graph, GraphBuilder, VertexId};
 use rand::prelude::*;
@@ -23,21 +24,6 @@ pub fn grid2d(rows: usize, cols: usize) -> Graph {
             if r + 1 < rows {
                 b.add_edge(id(r, c), id(r + 1, c), 1.0);
             }
-        }
-    }
-    b.build()
-}
-
-/// `rows × cols` grid with wrap-around (torus) connectivity.
-pub fn torus2d(rows: usize, cols: usize) -> Graph {
-    assert!(rows >= 3 && cols >= 3, "torus needs at least 3×3");
-    let n = rows * cols;
-    let mut b = GraphBuilder::with_capacity(n, 2 * n);
-    let id = |r: usize, c: usize| (r * cols + c) as VertexId;
-    for r in 0..rows {
-        for c in 0..cols {
-            b.add_edge(id(r, c), id(r, (c + 1) % cols), 1.0);
-            b.add_edge(id(r, c), id((r + 1) % rows, c), 1.0);
         }
     }
     b.build()
@@ -79,21 +65,6 @@ pub fn star(n: usize) -> Graph {
     let mut b = GraphBuilder::with_capacity(n, n - 1);
     for v in 1..n {
         b.add_edge(0, v as VertexId, 1.0);
-    }
-    b.build()
-}
-
-/// Erdős–Rényi G(n, p) with unit edge weights.
-pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen::<f64>() < p {
-                b.add_edge(u as VertexId, v as VertexId, 1.0);
-            }
-        }
     }
     b.build()
 }
@@ -297,24 +268,6 @@ pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> Graph {
     b.build()
 }
 
-/// Random `d`-regular-ish graph via repeated perfect matchings of vertex
-/// permutations (`d` rounds; collisions/self-loops dropped, so degrees are
-/// ≤ `d` but concentrate there). `n·d` must be even-ish for exact
-/// regularity; this generator favors simplicity over exactness.
-pub fn random_regular_ish(n: usize, d: usize, seed: u64) -> Graph {
-    assert!(n >= 2 && d >= 1);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for _ in 0..d {
-        let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
-        perm.shuffle(&mut rng);
-        for pair in perm.chunks_exact(2) {
-            b.add_edge(pair[0], pair[1], 1.0);
-        }
-    }
-    b.build()
-}
-
 /// A weighted "two communities + bridge" graph of 2·`half` vertices —
 /// the smallest instance with an unambiguous best bisection, used in unit
 /// tests across the suite.
@@ -347,16 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_is_regular() {
-        let g = torus2d(4, 5);
-        assert_eq!(g.num_vertices(), 20);
-        assert_eq!(g.num_edges(), 40);
-        for v in g.vertices() {
-            assert_eq!(g.degree(v), 4);
-        }
-    }
-
-    #[test]
     fn path_and_cycle() {
         assert_eq!(path(5).num_edges(), 4);
         assert_eq!(cycle(5).num_edges(), 5);
@@ -375,31 +318,6 @@ mod tests {
         let g = star(7);
         assert_eq!(g.degree(0), 6);
         assert_eq!(g.degree(3), 1);
-    }
-
-    #[test]
-    fn gnp_deterministic_under_seed() {
-        let a = gnp(40, 0.2, 7);
-        let b = gnp(40, 0.2, 7);
-        assert_eq!(a.num_edges(), b.num_edges());
-        let ea: Vec<_> = a.edges().collect();
-        let eb: Vec<_> = b.edges().collect();
-        assert_eq!(ea, eb);
-    }
-
-    #[test]
-    fn gnp_seed_changes_graph() {
-        let a = gnp(40, 0.2, 7);
-        let b = gnp(40, 0.2, 8);
-        let ea: Vec<_> = a.edges().collect();
-        let eb: Vec<_> = b.edges().collect();
-        assert_ne!(ea, eb);
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        assert_eq!(gnp(10, 0.0, 1).num_edges(), 0);
-        assert_eq!(gnp(10, 1.0, 1).num_edges(), 45);
     }
 
     #[test]
@@ -446,13 +364,6 @@ mod tests {
         let a = barabasi_albert(80, 2, 9);
         let b = barabasi_albert(80, 2, 9);
         assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn random_regular_ish_degrees_bounded() {
-        let g = random_regular_ish(100, 4, 3);
-        assert!(g.max_degree() <= 4);
-        assert!(g.mean_degree() > 3.0, "mean {}", g.mean_degree());
     }
 
     #[test]

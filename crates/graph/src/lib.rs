@@ -48,7 +48,7 @@ pub use csr::{EdgeIndex, Graph};
 pub use matching::{heavy_edge_matching, random_matching, Matching};
 pub use mincut::{stoer_wagner, MinCut};
 pub use subgraph::{induced_subgraph, Subgraph};
-pub use traversal::{bfs_order, connected_components, is_connected, subset_components};
+pub use traversal::{connected_components, is_connected, subset_components};
 
 /// Vertex identifier. Graphs in this suite are laptop-scale (≤ a few million
 /// vertices); `u32` halves adjacency-array memory traffic versus `usize`.

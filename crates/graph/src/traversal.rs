@@ -3,27 +3,6 @@
 use crate::{Graph, VertexId};
 use std::collections::VecDeque;
 
-/// Vertices in BFS order from `start`. Unreachable vertices are absent.
-pub fn bfs_order(g: &Graph, start: VertexId) -> Vec<VertexId> {
-    let n = g.num_vertices();
-    assert!((start as usize) < n, "start vertex out of range");
-    let mut seen = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut queue = VecDeque::new();
-    seen[start as usize] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &u in g.neighbors(v) {
-            if !seen[u as usize] {
-                seen[u as usize] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    order
-}
-
 /// Component label (0-based, in discovery order) for every vertex, plus the
 /// number of components.
 pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
@@ -93,40 +72,11 @@ pub fn subset_components(g: &Graph, members: &[bool]) -> usize {
     count
 }
 
-/// Unweighted hop distance from `start` to every vertex (`usize::MAX` when
-/// unreachable).
-pub fn bfs_distances(g: &Graph, start: VertexId) -> Vec<usize> {
-    let n = g.num_vertices();
-    assert!((start as usize) < n);
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[start as usize] = 0;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v as usize];
-        for &u in g.neighbors(v) {
-            if dist[u as usize] == usize::MAX {
-                dist[u as usize] = dv + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{grid2d, path};
+    use crate::generators::path;
     use crate::GraphBuilder;
-
-    #[test]
-    fn bfs_covers_connected_graph() {
-        let g = grid2d(3, 3);
-        let order = bfs_order(&g, 0);
-        assert_eq!(order.len(), 9);
-        assert_eq!(order[0], 0);
-    }
 
     #[test]
     fn components_of_disconnected() {
@@ -161,21 +111,5 @@ mod tests {
         assert_eq!(subset_components(&g, &all), 1);
         let none = vec![false; 5];
         assert_eq!(subset_components(&g, &none), 0);
-    }
-
-    #[test]
-    fn distances_on_path() {
-        let g = path(5);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn distances_unreachable() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 1.0);
-        let g = b.build();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[2], usize::MAX);
     }
 }

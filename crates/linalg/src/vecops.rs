@@ -63,11 +63,6 @@ pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     x.iter().zip(y).map(|(a, b)| a - b).collect()
 }
 
-/// Maximum absolute entry, 0.0 for the empty vector.
-pub fn max_abs(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,11 +112,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn dot_length_mismatch_panics() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn max_abs_works() {
-        assert_eq!(max_abs(&[-3.0, 2.0]), 3.0);
-        assert_eq!(max_abs(&[]), 0.0);
     }
 }

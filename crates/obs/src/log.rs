@@ -88,11 +88,6 @@ impl Logger {
         })))
     }
 
-    /// Whether events are actually written.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Emits one span event: a Unix-epoch-millisecond timestamp, the
     /// event name, the owning job id (if any), and typed fields, as one
     /// line written under a lock (concurrent events interleave between
@@ -220,7 +215,6 @@ mod tests {
     #[test]
     fn disabled_logger_writes_nothing() {
         let logger = Logger::off();
-        assert!(!logger.is_enabled());
         logger.log("noop", None, &[]);
     }
 }

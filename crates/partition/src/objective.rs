@@ -406,7 +406,6 @@ impl<'g> CutState<'g> {
 #[derive(Clone, Debug)]
 pub struct PartConnectivity {
     weights: HashMap<(u32, u32), f64>,
-    num_parts: usize,
 }
 
 impl PartConnectivity {
@@ -420,10 +419,7 @@ impl PartConnectivity {
                 *weights.entry(key).or_insert(0.0) += w;
             }
         }
-        PartConnectivity {
-            weights,
-            num_parts: p.num_parts(),
-        }
+        PartConnectivity { weights }
     }
 
     /// Total edge weight between parts `a` and `b` (0.0 when unconnected).
@@ -433,27 +429,6 @@ impl PartConnectivity {
         }
         let key = if a < b { (a, b) } else { (b, a) };
         self.weights.get(&key).copied().unwrap_or(0.0)
-    }
-
-    /// Fusion–fission distance: `1 / weight(a, b)`, ∞ when unconnected.
-    pub fn distance(&self, a: u32, b: u32) -> f64 {
-        let w = self.weight(a, b);
-        if w > 0.0 {
-            1.0 / w
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Parts connected to `a`, with connection weights.
-    pub fn neighbors_of(&self, a: u32) -> Vec<(u32, f64)> {
-        (0..self.num_parts as u32)
-            .filter(|&b| b != a)
-            .filter_map(|b| {
-                let w = self.weight(a, b);
-                (w > 0.0).then_some((b, w))
-            })
-            .collect()
     }
 }
 
@@ -578,10 +553,6 @@ mod tests {
         assert_eq!(pc.weight(0, 1), 1.0); // edge 1-2
         assert_eq!(pc.weight(1, 2), 1.0); // edge 2-3
         assert_eq!(pc.weight(0, 2), 0.0);
-        assert_eq!(pc.distance(0, 1), 1.0);
-        assert!(pc.distance(0, 2).is_infinite());
-        let nb: Vec<u32> = pc.neighbors_of(1).into_iter().map(|(b, _)| b).collect();
-        assert_eq!(nb, vec![0, 2]);
     }
 
     #[test]
