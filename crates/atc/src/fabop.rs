@@ -188,6 +188,40 @@ mod tests {
     }
 
     #[test]
+    fn scaled_to_paper_size_is_paper_scale() {
+        // 762 sectors scale to exactly 3,165 flows, and the builder skips
+        // the per-country rescaling at 762, so both constructors agree
+        // bit for bit.
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in [2006, 7] {
+            let cfg = FabopConfig {
+                seed,
+                ..Default::default()
+            };
+            let a = FabopInstance::paper_scale(&cfg);
+            let b = FabopInstance::scaled(PAPER_SECTORS, &cfg);
+            assert_eq!(a.graph.xadj(), b.graph.xadj());
+            assert_eq!(a.graph.adjncy(), b.graph.adjncy());
+            assert_eq!(bits(a.graph.adjwgt()), bits(b.graph.adjwgt()));
+            let vwgt = |i: &FabopInstance| {
+                let g = &i.graph;
+                bits(&g.vertices().map(|v| g.vertex_weight(v)).collect::<Vec<_>>())
+            };
+            assert_eq!(vwgt(&a), vwgt(&b));
+            let coords = |i: &FabopInstance| {
+                bits(
+                    &i.positions
+                        .iter()
+                        .flat_map(|&(x, y)| [x, y])
+                        .collect::<Vec<_>>(),
+                )
+            };
+            assert_eq!(coords(&a), coords(&b));
+            assert_eq!(a.country_of, b.country_of);
+        }
+    }
+
+    #[test]
     fn metadata_lengths_match() {
         let inst = FabopInstance::scaled(150, &FabopConfig::default());
         assert_eq!(inst.positions.len(), 150);

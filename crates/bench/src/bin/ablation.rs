@@ -11,65 +11,39 @@
 //!     [--sectors 381] [--k 16] [--seed 2006] [--trials 3]
 //! ```
 
-use ff_atc::{FabopConfig, FabopInstance};
-use ff_bench::flags::{exit_usage, Flags};
-use ff_bench::{write_csv, Cell, Table};
+use ff_bench::experiment::ExperimentArgs;
+use ff_bench::{write_results, Cell, Table};
 use ff_core::{ChoiceFunction, FissionSplitter, FusionFission, FusionFissionConfig};
 use ff_metaheur::{Cooling, SimulatedAnnealing, SimulatedAnnealingConfig, StopCondition};
 use ff_partition::Objective;
-use std::time::Duration;
 
 const USAGE: &str =
     "usage: ablation [--budget-secs S] [--k N] [--sectors N] [--seed N] [--trials N]";
 
-struct Args {
-    budget_secs: f64,
-    k: usize,
-    sectors: usize,
-    seed: u64,
-    trials: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        budget_secs: 5.0,
+fn main() {
+    let mut trials = 3u64;
+    let defaults = ExperimentArgs {
         k: 16,
         sectors: 381,
-        seed: 2006,
-        trials: 3,
+        ..ExperimentArgs::paper(5)
     };
-    let mut flags = Flags::new(std::env::args().skip(1));
-    while let Some(flag) = flags.next() {
-        match flag.as_str() {
-            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
-            "--k" => args.k = flags.parse("--k")?,
-            "--sectors" => args.sectors = flags.parse("--sectors")?,
-            "--seed" => args.seed = flags.parse("--seed")?,
-            "--trials" => args.trials = flags.parse("--trials")?,
-            other => return Err(format!("unknown flag `{other}`")),
+    let args = defaults.from_env("ablation", USAGE, |flag, flags| match flag {
+        "--trials" => {
+            trials = flags.parse("--trials")?;
+            Ok(true)
         }
-    }
-    Ok(args)
-}
-
-fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_usage("ablation", USAGE, &e));
-    let inst = FabopInstance::scaled(
-        args.sectors,
-        &FabopConfig {
-            seed: args.seed,
-            ..Default::default()
-        },
-    );
+        _ => Ok(false),
+    });
+    let inst = args.instance();
     let g = &inst.graph;
-    let stop = StopCondition::time(Duration::from_secs_f64(args.budget_secs));
+    let stop = StopCondition::time(args.budget);
     eprintln!(
         "instance: {} sectors, {} flows, k = {}, {:.1}s × {} trials per variant\n",
         g.num_vertices(),
         g.num_edges(),
         args.k,
-        args.budget_secs,
-        args.trials
+        args.budget.as_secs_f64(),
+        trials
     );
 
     let base = FusionFissionConfig {
@@ -119,7 +93,7 @@ fn main() {
     let mut table = Table::new(&["Variant", "mean Mcut", "best Mcut", "worst Mcut"]);
     for (label, cfg) in &ff_variants {
         let mut values = Vec::new();
-        for trial in 0..args.trials {
+        for trial in 0..trials {
             let r = FusionFission::new(g, *cfg, args.seed + trial).run();
             values.push(r.best_value);
         }
@@ -140,7 +114,7 @@ fn main() {
         ),
     ] {
         let mut values = Vec::new();
-        for trial in 0..args.trials {
+        for trial in 0..trials {
             let cfg = SimulatedAnnealingConfig {
                 objective: Objective::MCut,
                 stop,
@@ -157,14 +131,7 @@ fn main() {
 
     println!("\nAblation study (Mcut, lower is better)\n");
     println!("{}", table.render());
-    match write_csv(&table, "ablation.csv") {
-        Ok(path) => eprintln!("CSV written to {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
-    match ff_bench::write_json(&table, "ablation.json") {
-        Ok(path) => eprintln!("JSON written to {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
+    write_results(&table, "ablation");
 }
 
 fn summarize(table: &mut Table, label: &str, values: &[f64]) {

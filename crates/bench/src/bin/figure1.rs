@@ -13,9 +13,8 @@
 //! budget, so the *shape* of the curves (ACO fastest start, FF worst start
 //! / best finish) is directly comparable.
 
-use ff_atc::{FabopConfig, FabopInstance, PAPER_K};
-use ff_bench::flags::{exit_usage, Flags};
-use ff_bench::{run_method, write_csv, Cell, MethodBudget, MethodId, Table};
+use ff_bench::experiment::ExperimentArgs;
+use ff_bench::{run_method, write_csv, write_results, Cell, MethodBudget, MethodId, Table};
 use ff_core::{FusionFission, FusionFissionConfig};
 use ff_metaheur::{
     AntColony, AntColonyConfig, AnytimeTrace, SimulatedAnnealing, SimulatedAnnealingConfig,
@@ -25,33 +24,6 @@ use ff_partition::Objective;
 use std::time::Duration;
 
 const USAGE: &str = "usage: figure1 [--budget-secs S] [--k N] [--sectors N] [--seed N]";
-
-struct Args {
-    budget_secs: f64,
-    k: usize,
-    sectors: usize,
-    seed: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        budget_secs: 20.0,
-        k: PAPER_K,
-        sectors: ff_atc::PAPER_SECTORS,
-        seed: 2006,
-    };
-    let mut flags = Flags::new(std::env::args().skip(1));
-    while let Some(flag) = flags.next() {
-        match flag.as_str() {
-            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
-            "--k" => args.k = flags.parse("--k")?,
-            "--sectors" => args.sectors = flags.parse("--sectors")?,
-            "--seed" => args.seed = flags.parse("--seed")?,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(args)
-}
 
 /// The paper's log-scale checkpoints (1s 10s 30s 1m 2m 6m 20m 60m), as
 /// fractions of the 60-minute budget.
@@ -67,25 +39,17 @@ const CHECKPOINT_FRACTIONS: &[(&str, f64)] = &[
 ];
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_usage("figure1", USAGE, &e));
-    let cfg = FabopConfig {
-        seed: args.seed,
-        ..Default::default()
-    };
-    let inst = if args.sectors == ff_atc::PAPER_SECTORS {
-        FabopInstance::paper_scale(&cfg)
-    } else {
-        FabopInstance::scaled(args.sectors, &cfg)
-    };
+    let args = ExperimentArgs::paper(20).from_env("figure1", USAGE, |_, _| Ok(false));
+    let inst = args.instance();
     let g = &inst.graph;
-    let budget = Duration::from_secs_f64(args.budget_secs);
+    let budget = args.budget;
     let stop = StopCondition::time(budget);
     eprintln!(
         "FABOP instance: {} sectors, {} flows, k = {}; budget {:.1}s per metaheuristic\n",
         g.num_vertices(),
         g.num_edges(),
         args.k,
-        args.budget_secs
+        budget.as_secs_f64()
     );
 
     // --- Reference lines: best spectral & multilevel Mcut ---------------
@@ -184,14 +148,7 @@ fn main() {
         aco_trace.final_value(),
         ff_trace.final_value()
     );
-    match write_csv(&table, "figure1.csv") {
-        Ok(path) => eprintln!("CSV written to {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
-    match ff_bench::write_json(&table, "figure1.json") {
-        Ok(path) => eprintln!("JSON written to {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
+    write_results(&table, "figure1");
 
     // Full improvement traces (every best-so-far event), plot-ready.
     let mut traces = Table::new(&["method", "seconds", "mcut", "step"]);

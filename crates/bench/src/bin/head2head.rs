@@ -15,17 +15,19 @@
 //! ```
 
 use ff_atc::{FabopConfig, FabopInstance, PAPER_K};
+use ff_bench::experiment::{check_instance, parse_budget};
 use ff_bench::flags::{exit_usage, Flags};
 use ff_bench::{
     run_method_ensemble, write_csv, Cell, MethodBudget, MethodId, MigrationPolicyId, Table,
 };
 use ff_partition::Objective;
+use std::time::Duration;
 
 const USAGE: &str = "usage: head2head [--budget-secs S] [--seeds N] [--sectors N] [--k N] \
 [--islands N] [--threads N] [--migration replace|combine|adaptive]";
 
 struct Args {
-    budget_secs: f64,
+    budget: Duration,
     k: usize,
     sectors: usize,
     seeds: u64,
@@ -36,7 +38,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        budget_secs: 10.0,
+        budget: Duration::from_secs(10),
         k: PAPER_K,
         sectors: ff_atc::PAPER_SECTORS,
         seeds: 5,
@@ -47,7 +49,7 @@ fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::new(std::env::args().skip(1));
     while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
+            "--budget-secs" => args.budget = parse_budget(&mut flags)?,
             "--k" => args.k = flags.parse("--k")?,
             "--sectors" => args.sectors = flags.parse("--sectors")?,
             "--seeds" => args.seeds = flags.parse("--seeds")?,
@@ -61,6 +63,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    check_instance(args.sectors, args.k)?;
     Ok(args)
 }
 
@@ -73,19 +76,15 @@ fn stats(values: &[f64]) -> (f64, f64, f64) {
 
 fn main() {
     let args = parse_args().unwrap_or_else(|e| exit_usage("head2head", USAGE, &e));
-    let inst = if args.sectors == ff_atc::PAPER_SECTORS {
-        FabopInstance::paper_scale(&FabopConfig::default())
-    } else {
-        FabopInstance::scaled(args.sectors, &FabopConfig::default())
-    };
+    let inst = FabopInstance::scaled(args.sectors, &FabopConfig::default());
     let g = &inst.graph;
-    let budget = MethodBudget::seconds(args.budget_secs);
+    let budget = MethodBudget::seconds(args.budget);
     eprintln!(
         "{}v/{}e, k = {}, {:.1}s × {} seeds per method, {} island(s)\n",
         g.num_vertices(),
         g.num_edges(),
         args.k,
-        args.budget_secs,
+        args.budget.as_secs_f64(),
         args.seeds,
         args.islands
     );

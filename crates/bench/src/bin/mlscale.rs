@@ -28,6 +28,7 @@
 //! far from k parts.
 
 use ff_bench::flags::{exit_usage, Flags};
+use ff_core::ConfigError;
 use ff_engine::{MultilevelOpts, Solver};
 use ff_graph::generators::planted_partition_sparse;
 use ff_graph::Graph;
@@ -115,7 +116,9 @@ fn base_solver<'g>(g: &'g Graph, p: &Params) -> Solver<'g> {
         .seed(p.seed)
 }
 
-fn compare(p: &Params) -> bool {
+/// Whether multilevel matched or beat flat; a solver that rejects its
+/// configuration is the error.
+fn compare(p: &Params) -> Result<bool, ConfigError> {
     let g = generate(p);
 
     let started = Instant::now();
@@ -124,8 +127,7 @@ fn compare(p: &Params) -> bool {
             coarsen_until: p.coarsen_until,
             ..Default::default()
         })
-        .run()
-        .expect("multilevel config");
+        .run()?;
     let t_ml = started.elapsed();
     let info = ml.multilevel.as_ref().expect("multilevel pipeline ran");
     println!(
@@ -140,8 +142,7 @@ fn compare(p: &Params) -> bool {
     let started = Instant::now();
     let flat = base_solver(&g, p)
         .stop(StopCondition::time(t_ml * 4))
-        .run()
-        .expect("flat config");
+        .run()?;
     let t_flat = started.elapsed();
     println!(
         "flat:       value {:.6}  time {:.2}s  steps {}",
@@ -162,7 +163,7 @@ fn compare(p: &Params) -> bool {
             ml.best_value, flat.best_value
         );
     }
-    quality_ok
+    Ok(quality_ok)
 }
 
 fn main() {
@@ -182,7 +183,7 @@ fn main() {
         }
         Some("compare") => {
             let p = parse_params(flags).unwrap_or_else(|e| usage(&e));
-            let ok = compare(&p);
+            let ok = compare(&p).unwrap_or_else(|e| usage(&e.to_string()));
             if p.assert_bar && !ok {
                 std::process::exit(1);
             }

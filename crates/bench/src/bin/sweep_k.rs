@@ -11,66 +11,29 @@
 //! at every realized k, alongside a fresh percolation baseline at that k
 //! so "good" has a yardstick.
 
-use ff_atc::{FabopConfig, FabopInstance, PAPER_K};
-use ff_bench::flags::{exit_usage, Flags};
-use ff_bench::{write_csv, Cell, Table};
+use ff_bench::experiment::ExperimentArgs;
+use ff_bench::{write_results, Cell, Table};
 use ff_core::{FusionFission, FusionFissionConfig};
 use ff_metaheur::{percolation_partition, PercolationConfig, StopCondition};
 use ff_partition::Objective;
-use std::time::Duration;
 
 const USAGE: &str = "usage: sweep_k [--budget-secs S] [--k N] [--sectors N] [--seed N]";
 
-struct Args {
-    budget_secs: f64,
-    k: usize,
-    sectors: usize,
-    seed: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        budget_secs: 20.0,
-        k: PAPER_K,
-        sectors: ff_atc::PAPER_SECTORS,
-        seed: 2006,
-    };
-    let mut flags = Flags::new(std::env::args().skip(1));
-    while let Some(flag) = flags.next() {
-        match flag.as_str() {
-            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
-            "--k" => args.k = flags.parse("--k")?,
-            "--sectors" => args.sectors = flags.parse("--sectors")?,
-            "--seed" => args.seed = flags.parse("--seed")?,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_usage("sweep_k", USAGE, &e));
-    let cfg = FabopConfig {
-        seed: args.seed,
-        ..Default::default()
-    };
-    let inst = if args.sectors == ff_atc::PAPER_SECTORS {
-        FabopInstance::paper_scale(&cfg)
-    } else {
-        FabopInstance::scaled(args.sectors, &cfg)
-    };
+    let args = ExperimentArgs::paper(20).from_env("sweep_k", USAGE, |_, _| Ok(false));
+    let inst = args.instance();
     let g = &inst.graph;
     eprintln!(
         "FABOP instance: {} sectors, {} flows; FF targeted at k = {} for {:.1}s\n",
         g.num_vertices(),
         g.num_edges(),
         args.k,
-        args.budget_secs
+        args.budget.as_secs_f64()
     );
 
     let ff_cfg = FusionFissionConfig {
         objective: Objective::MCut,
-        stop: StopCondition::time(Duration::from_secs_f64(args.budget_secs)),
+        stop: StopCondition::time(args.budget),
         ..FusionFissionConfig::standard(args.k)
     };
     let result = FusionFission::new(g, ff_cfg, args.seed).run();
@@ -118,12 +81,5 @@ fn main() {
     println!(
         "part counts visited: {visited} distinct (initialization descends from n); near target: {near:?}"
     );
-    match write_csv(&table, "sweep_k.csv") {
-        Ok(path) => eprintln!("CSV written to {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
-    match ff_bench::write_json(&table, "sweep_k.json") {
-        Ok(path) => eprintln!("JSON written to {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
+    write_results(&table, "sweep_k");
 }

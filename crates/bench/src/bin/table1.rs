@@ -12,51 +12,15 @@
 //! neighborhood count, and the budget is a flag). Cut is reported ÷1000
 //! exactly as in the paper.
 
-use ff_atc::{FabopConfig, FabopInstance, PAPER_K};
-use ff_bench::flags::{exit_usage, Flags};
-use ff_bench::{run_method, write_csv, Cell, MethodBudget, MethodId, Table};
+use ff_bench::experiment::ExperimentArgs;
+use ff_bench::{run_method, write_results, Cell, MethodBudget, MethodId, Table};
 use ff_partition::Objective;
 
 const USAGE: &str = "usage: table1 [--budget-secs S] [--k N] [--sectors N] [--seed N]";
 
-struct Args {
-    budget_secs: f64,
-    k: usize,
-    sectors: usize,
-    seed: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        budget_secs: 10.0,
-        k: PAPER_K,
-        sectors: ff_atc::PAPER_SECTORS,
-        seed: 2006,
-    };
-    let mut flags = Flags::new(std::env::args().skip(1));
-    while let Some(flag) = flags.next() {
-        match flag.as_str() {
-            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
-            "--k" => args.k = flags.parse("--k")?,
-            "--sectors" => args.sectors = flags.parse("--sectors")?,
-            "--seed" => args.seed = flags.parse("--seed")?,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_usage("table1", USAGE, &e));
-    let cfg = FabopConfig {
-        seed: args.seed,
-        ..Default::default()
-    };
-    let inst = if args.sectors == ff_atc::PAPER_SECTORS {
-        FabopInstance::paper_scale(&cfg)
-    } else {
-        FabopInstance::scaled(args.sectors, &cfg)
-    };
+    let args = ExperimentArgs::paper(10).from_env("table1", USAGE, |_, _| Ok(false));
+    let inst = args.instance();
     let g = &inst.graph;
     eprintln!(
         "FABOP instance: {} sectors, {} flows, k = {} (seed {})",
@@ -67,10 +31,10 @@ fn main() {
     );
     eprintln!(
         "metaheuristic budget: {:.1}s each; deterministic methods run to completion\n",
-        args.budget_secs
+        args.budget.as_secs_f64()
     );
 
-    let budget = MethodBudget::seconds(args.budget_secs);
+    let budget = MethodBudget::seconds(args.budget);
     let mut table = Table::new(&["Method", "Cut (/1000)", "Ncut", "Mcut", "time (s)"]);
     for method in MethodId::all() {
         // The paper's metaheuristics are tuned on the ATC objective (Mcut).
@@ -100,12 +64,5 @@ fn main() {
         "\nTable 1 — comparisons between algorithms (32-partition of the synthetic core area)\n"
     );
     println!("{}", table.render());
-    match write_csv(&table, "table1.csv") {
-        Ok(path) => eprintln!("CSV written to {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
-    match ff_bench::write_json(&table, "table1.json") {
-        Ok(path) => eprintln!("JSON written to {}", path.display()),
-        Err(e) => eprintln!("could not write JSON: {e}"),
-    }
+    write_results(&table, "table1");
 }

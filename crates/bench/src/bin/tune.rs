@@ -7,59 +7,26 @@
 //!     [--sectors 762] [--k 32] [--seed 2006] [--trials 2]
 //! ```
 
-use ff_atc::{FabopConfig, FabopInstance, PAPER_K};
-use ff_bench::flags::{exit_usage, Flags};
+use ff_bench::experiment::ExperimentArgs;
 use ff_bench::{write_csv, Cell, Table};
 use ff_core::{FusionFission, FusionFissionConfig};
 use ff_metaheur::StopCondition;
 use ff_partition::Objective;
-use std::time::Duration;
 
 const USAGE: &str = "usage: tune [--budget-secs S] [--k N] [--sectors N] [--seed N] [--trials N]";
 
-struct Args {
-    budget_secs: f64,
-    k: usize,
-    sectors: usize,
-    seed: u64,
-    trials: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        budget_secs: 5.0,
-        k: PAPER_K,
-        sectors: ff_atc::PAPER_SECTORS,
-        seed: 2006,
-        trials: 2,
-    };
-    let mut flags = Flags::new(std::env::args().skip(1));
-    while let Some(flag) = flags.next() {
-        match flag.as_str() {
-            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
-            "--k" => args.k = flags.parse("--k")?,
-            "--sectors" => args.sectors = flags.parse("--sectors")?,
-            "--seed" => args.seed = flags.parse("--seed")?,
-            "--trials" => args.trials = flags.parse("--trials")?,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_usage("tune", USAGE, &e));
-    let cfg0 = FabopConfig {
-        seed: args.seed,
-        ..Default::default()
-    };
-    let inst = if args.sectors == ff_atc::PAPER_SECTORS {
-        FabopInstance::paper_scale(&cfg0)
-    } else {
-        FabopInstance::scaled(args.sectors, &cfg0)
-    };
+    let mut trials = 2u64;
+    let args = ExperimentArgs::paper(5).from_env("tune", USAGE, |flag, flags| match flag {
+        "--trials" => {
+            trials = flags.parse("--trials")?;
+            Ok(true)
+        }
+        _ => Ok(false),
+    });
+    let inst = args.instance();
     let g = &inst.graph;
-    let stop = StopCondition::time(Duration::from_secs_f64(args.budget_secs));
+    let stop = StopCondition::time(args.budget);
     let base = FusionFissionConfig {
         objective: Objective::MCut,
         stop,
@@ -70,8 +37,8 @@ fn main() {
         g.num_vertices(),
         g.num_edges(),
         args.k,
-        args.budget_secs,
-        args.trials
+        args.budget.as_secs_f64(),
+        trials
     );
 
     let mut variants: Vec<(String, FusionFissionConfig)> = vec![("base".into(), base)];
@@ -117,7 +84,7 @@ fn main() {
 
     let mut table = Table::new(&["setting", "mean Mcut", "best Mcut"]);
     for (name, cfg) in &variants {
-        let vals: Vec<f64> = (0..args.trials)
+        let vals: Vec<f64> = (0..trials)
             .map(|t| FusionFission::new(g, *cfg, args.seed + t).run().best_value)
             .collect();
         let mean = vals.iter().sum::<f64>() / vals.len() as f64;

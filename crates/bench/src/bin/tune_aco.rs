@@ -7,55 +7,18 @@
 //!     [--sectors 762] [--k 32] [--seed 2006]
 //! ```
 
-use ff_atc::{FabopConfig, FabopInstance, PAPER_K};
-use ff_bench::flags::{exit_usage, Flags};
+use ff_bench::experiment::ExperimentArgs;
 use ff_bench::{write_csv, Cell, Table};
 use ff_metaheur::{AntColony, AntColonyConfig, StopCondition};
 use ff_partition::Objective;
-use std::time::Duration;
 
 const USAGE: &str = "usage: tune_aco [--budget-secs S] [--k N] [--sectors N] [--seed N]";
 
-struct Args {
-    budget_secs: f64,
-    k: usize,
-    sectors: usize,
-    seed: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        budget_secs: 5.0,
-        k: PAPER_K,
-        sectors: ff_atc::PAPER_SECTORS,
-        seed: 2006,
-    };
-    let mut flags = Flags::new(std::env::args().skip(1));
-    while let Some(flag) = flags.next() {
-        match flag.as_str() {
-            "--budget-secs" => args.budget_secs = flags.parse("--budget-secs")?,
-            "--k" => args.k = flags.parse("--k")?,
-            "--sectors" => args.sectors = flags.parse("--sectors")?,
-            "--seed" => args.seed = flags.parse("--seed")?,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| exit_usage("tune_aco", USAGE, &e));
-    let cfg0 = FabopConfig {
-        seed: args.seed,
-        ..Default::default()
-    };
-    let inst = if args.sectors == ff_atc::PAPER_SECTORS {
-        FabopInstance::paper_scale(&cfg0)
-    } else {
-        FabopInstance::scaled(args.sectors, &cfg0)
-    };
+    let args = ExperimentArgs::paper(5).from_env("tune_aco", USAGE, |_, _| Ok(false));
+    let inst = args.instance();
     let g = &inst.graph;
-    let stop = StopCondition::time(Duration::from_secs_f64(args.budget_secs));
+    let stop = StopCondition::time(args.budget);
     let base = AntColonyConfig {
         objective: Objective::MCut,
         stop,

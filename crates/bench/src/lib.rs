@@ -11,12 +11,15 @@
 //!
 //! Criterion micro/meso benches live in `benches/`. All binaries print
 //! human-readable tables and write CSV into `results/`, and read their
-//! flags, like `ffpart`, through [`flags::Flags`].
+//! flags, like `ffpart`, through [`flags::Flags`]; the FABOP binaries
+//! share their budget, k, sector and seed flags through
+//! [`experiment::ExperimentArgs`].
 
+pub mod experiment;
 pub mod flags;
 pub mod methods;
 pub mod report;
 
 pub use ff_engine::MigrationPolicyId;
 pub use methods::{run_method, run_method_ensemble, MethodBudget, MethodId, MethodOutcome};
-pub use report::{to_json, write_csv, write_json, Cell, Table};
+pub use report::{to_json, write_csv, write_json, write_results, Cell, Table};

@@ -121,9 +121,9 @@ impl MethodBudget {
     }
 
     /// Time-bounded budget.
-    pub fn seconds(s: f64) -> Self {
+    pub fn seconds(time: Duration) -> Self {
         MethodBudget {
-            time: Duration::from_secs_f64(s),
+            time,
             steps: u64::MAX,
         }
     }

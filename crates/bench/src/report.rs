@@ -163,6 +163,19 @@ pub fn write_json(table: &Table, name: &str) -> std::io::Result<std::path::PathB
     Ok(path)
 }
 
+/// Writes a table as `results/<stem>.csv` and `results/<stem>.json`,
+/// reporting each path written, or why not, on stderr.
+pub fn write_results(table: &Table, stem: &str) {
+    match write_csv(table, &format!("{stem}.csv")) {
+        Ok(path) => eprintln!("CSV written to {}", path.display()),
+        Err(e) => eprintln!("could not write CSV: {e}"),
+    }
+    match write_json(table, &format!("{stem}.json")) {
+        Ok(path) => eprintln!("JSON written to {}", path.display()),
+        Err(e) => eprintln!("could not write JSON: {e}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

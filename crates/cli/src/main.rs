@@ -957,7 +957,7 @@ fn main() -> ExitCode {
                 time: Duration::MAX,
                 steps,
             },
-            (None, None) => MethodBudget::seconds(10.0),
+            (None, None) => MethodBudget::seconds(Duration::from_secs(10)),
         };
         let out = run_method_ensemble(
             method,
