@@ -137,7 +137,7 @@ pub fn multilevel_kway(g: &Graph, k: usize, cfg: &MultilevelConfig) -> Partition
     let balance = |total: f64| {
         let ideal = total / k_eff as f64;
         BalanceConstraint {
-            lo: ideal * (1.0 - 3.0 * BALANCE_EPS).max(0.0),
+            lo: ideal * (1.0 - 3.0 * BALANCE_EPS),
             hi: ideal * (1.0 + 3.0 * BALANCE_EPS),
         }
     };
