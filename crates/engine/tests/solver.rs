@@ -13,7 +13,8 @@
 
 use ff_core::{FusionFission, FusionFissionConfig, FusionFissionRun};
 use ff_engine::{
-    derive_seeds, Adaptive, Combine, MigrationPolicyId, ParetoFront, ReplaceIfBetter, Solver,
+    derive_seeds, Adaptive, Combine, EnsembleResult, MigrationPolicyId, ParetoFront,
+    ReplaceIfBetter, Solver,
 };
 use ff_graph::generators::{planted_partition, random_geometric};
 use ff_graph::Graph;
@@ -28,6 +29,37 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// FNV-1a over a Pareto run's front and representative: the front's
+/// objectives; each point's island, objective, value bits, parts and
+/// assignment; `best_island`; the `best_value` bits; and, for a
+/// multilevel run, each level report's value bits and moves.
+fn front_digest(res: &EnsembleResult) -> u64 {
+    let front = res.pareto.as_ref().expect("front present");
+    let mut bytes = Vec::new();
+    for o in &front.objectives {
+        bytes.extend_from_slice(o.name().as_bytes());
+    }
+    for p in &front.points {
+        bytes.extend_from_slice(&(p.island as u64).to_le_bytes());
+        bytes.extend_from_slice(p.objective.name().as_bytes());
+        for v in &p.values {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        bytes.extend_from_slice(&(p.parts as u64).to_le_bytes());
+        for part in p.partition.assignment() {
+            bytes.extend_from_slice(&part.to_le_bytes());
+        }
+    }
+    bytes.extend_from_slice(&(res.best_island as u64).to_le_bytes());
+    bytes.extend_from_slice(&res.best_value.to_bits().to_le_bytes());
+    for r in res.multilevel.iter().flat_map(|info| &info.reports) {
+        bytes.extend_from_slice(&r.value_before.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&r.value_after.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&(r.moves as u64).to_le_bytes());
+    }
+    fnv1a(bytes.into_iter())
 }
 
 fn golden_base() -> FusionFissionConfig {
@@ -398,6 +430,7 @@ fn mixed_objective_front_is_deterministic_end_to_end() {
     let rep = fa.best_under(Objective::Cut).unwrap();
     assert_eq!(a.best_island, rep.island);
     assert_eq!(a.best.assignment(), rep.partition.assignment());
+    assert_eq!(front_digest(&a), 0x74d3_ba0b_c6e6_20ea, "pinned front");
 }
 
 /// Builder validation returns typed errors instead of panicking.
@@ -718,4 +751,5 @@ fn multilevel_pareto_points_are_fine_and_non_dominated() {
         rerun.pareto.as_ref().unwrap().points.len(),
         front.points.len()
     );
+    assert_eq!(front_digest(&res), 0xd015_7f17_6d87_5832, "pinned front");
 }
