@@ -10,13 +10,13 @@ use std::collections::BTreeMap;
 /// Result of an ensemble / solver run.
 #[derive(Clone, Debug)]
 pub struct EnsembleResult {
-    /// Best partition across all islands per the configured reduction
-    /// (min-energy: lowest value, ties to the lowest island index;
-    /// Pareto: the front's representative under the first objective). It
-    /// has exactly the target k non-empty parts whenever the winning
-    /// island visited k at all; under a budget too tiny for that, it
-    /// falls back to that island's best molecule at whatever part count
-    /// it holds (same contract as [`FusionFissionResult::best`]).
+    /// Best partition across all islands: with one objective the lowest
+    /// value, ties to the lowest island index; with several, the front's
+    /// representative under the first objective. It has exactly the
+    /// target k non-empty parts whenever the winning island visited k at
+    /// all; under a budget too tiny for that, it falls back to that
+    /// island's best molecule at whatever part count it holds (same
+    /// contract as [`FusionFissionResult::best`]).
     pub best: Partition,
     /// Objective value of [`EnsembleResult::best`] under the winning
     /// island's own objective.
@@ -37,11 +37,11 @@ pub struct EnsembleResult {
     /// Best value seen at every visited part count, min-merged across the
     /// primary objective's islands.
     pub best_value_per_k: BTreeMap<usize, f64>,
-    /// The deterministic non-dominated front, when the run used the
-    /// [`ParetoFront`](crate::ParetoFront) reduction. Under
+    /// The deterministic non-dominated front, when the islands minimize
+    /// more than one distinct objective. Under
     /// [`Solver::multilevel`](crate::Solver::multilevel) the points are
-    /// fine-graph partitions (each refined under its own objective and
-    /// re-scored on the input graph).
+    /// fine-graph partitions, each refined under its own objective and
+    /// re-scored on the input graph, and the front is built again there.
     pub pareto: Option<ParetoResult>,
     /// What the multilevel pipeline did, when the run used
     /// [`Solver::multilevel`](crate::Solver::multilevel). `best`,
@@ -61,7 +61,7 @@ mod tests {
     use ff_metaheur::StopCondition;
 
     /// `islands` fast-preset islands seeded from `seed`, migrating every
-    /// 300 steps (replace-if-better, min-energy reduction: the defaults).
+    /// 300 steps (replace-if-better, the default policy).
     fn fast(g: &Graph, k: usize, islands: usize, seed: u64) -> Solver<'_> {
         Solver::on(g)
             .config(FusionFissionConfig::fast(k))

@@ -5,7 +5,7 @@
 
 use crate::ensemble::EnsembleResult;
 use crate::migration::{IslandStatus, MigrationPolicy};
-use crate::reduction::Reduction;
+use crate::reduction::reduce;
 use crate::solver::distinct_objectives;
 use ff_core::{FusionFissionResult, FusionFissionRun};
 use ff_graph::Graph;
@@ -68,20 +68,17 @@ pub struct EpochLoop<I> {
     pub(crate) islands: I,
     base_interval: u64,
     migration: Box<dyn MigrationPolicy>,
-    reduction: Box<dyn Reduction>,
     pub(crate) objectives: Vec<Objective>,
     pub(crate) migrations_adopted: u64,
 }
 
 impl<I: IslandSet> EpochLoop<I> {
     /// The loop over `islands`, exchanging under `migration` every
-    /// `base_interval` steps (`0` disables migration) and harvesting
-    /// through `reduction`.
+    /// `base_interval` steps (`0` disables migration).
     pub fn new(
         islands: I,
         base_interval: u64,
         migration: Box<dyn MigrationPolicy>,
-        reduction: Box<dyn Reduction>,
     ) -> EpochLoop<I> {
         // The axis order of any Pareto front: the islands' objectives in
         // first-appearance order.
@@ -90,7 +87,6 @@ impl<I: IslandSet> EpochLoop<I> {
             islands,
             base_interval,
             migration,
-            reduction,
             objectives: distinct_objectives(&per_island),
             migrations_adopted: 0,
         }
@@ -128,12 +124,13 @@ impl<I: IslandSet> EpochLoop<I> {
         Ok(epoch)
     }
 
-    /// Harvests every island and applies the reduction; `g` is the graph
-    /// the islands partition.
+    /// Harvests every island and reduces them by the run's objectives:
+    /// the lowest value wins when the islands share one, a Pareto front is
+    /// built when they run several. `g` is the graph the islands
+    /// partition.
     pub fn harvest(self, g: &Graph) -> Result<EnsembleResult, I::Error> {
         let islands = self.islands.harvest()?;
-        let reduced = self.reduction.reduce(g, &islands, &self.objectives);
-        let best_island = reduced.best_island;
+        let (best_island, pareto) = reduce(g, &islands, &self.objectives);
         // Cross-island merges only make sense within one criterion: merge
         // the primary (first) objective's islands, which for a
         // single-objective run is every island — bit-equal to the
@@ -172,7 +169,7 @@ impl<I: IslandSet> EpochLoop<I> {
             migrations_adopted: self.migrations_adopted,
             trace,
             best_value_per_k,
-            pareto: reduced.pareto,
+            pareto,
             multilevel: None,
             islands,
         })
@@ -259,7 +256,6 @@ impl IslandSet for LocalIslands<'_> {
 mod tests {
     use super::*;
     use crate::migration::MigrationOffer;
-    use crate::reduction::MinEnergy;
     use std::collections::VecDeque;
     use std::sync::{Arc, Mutex};
 
@@ -397,12 +393,7 @@ mod tests {
                 },
             ],
         };
-        let mut epochs = EpochLoop::new(
-            islands,
-            script.base_interval,
-            Box::new(policy),
-            Box::new(MinEnergy),
-        );
+        let mut epochs = EpochLoop::new(islands, script.base_interval, Box::new(policy));
         log.lock().unwrap().clear(); // `new` reads the objectives
         let mut reports = Vec::new();
         loop {

@@ -6,18 +6,19 @@
 //! This crate exploits that with island/ensemble parallelism in the style
 //! of KaFFPaE (Sanders & Schulz, *Distributed Evolutionary Graph
 //! Partitioning*), configured through one front door — the [`Solver`]
-//! builder — with two strategy seams:
+//! builder — with one strategy seam: a [`MigrationPolicy`] decides *what*
+//! moves between islands at each epoch barrier and *when* the next
+//! barrier happens — [`ReplaceIfBetter`] (offer the best molecule, adopt
+//! if strictly better), [`Combine`] (KaFFPaE-style overlap crossover via
+//! [`ff_core::overlap_combine`]), [`Adaptive`] (stagnation-driven interval
+//! stretching).
 //!
-//! * a [`MigrationPolicy`] decides *what* moves between islands at each
-//!   epoch barrier and *when* the next barrier happens —
-//!   [`ReplaceIfBetter`] (offer the best molecule, adopt if strictly
-//!   better), [`Combine`] (KaFFPaE-style overlap crossover via
-//!   [`ff_core::overlap_combine`]), [`Adaptive`] (stagnation-driven
-//!   interval stretching);
-//! * a [`Reduction`] turns harvested islands into one result —
-//!   [`MinEnergy`] (lowest value wins) or [`ParetoFront`] (islands may
-//!   optimize *different* objectives; the deterministic non-dominated
-//!   front survives as a [`ParetoResult`]).
+//! How the harvested islands become one result follows from their
+//! objectives. When they all minimize one, the lowest value wins (ties to
+//! the lowest island). Islands may also optimize *different* objectives;
+//! then the deterministic non-dominated front survives as a
+//! [`ParetoResult`], and its best point under the first objective is the
+//! result.
 //!
 //! In the paper's vocabulary, an **island** is a separate beaker running
 //! its own reaction chain; **migration** pours the most stable molecule
@@ -35,7 +36,7 @@
 //! * islands advance in lockstep **epochs** with a barrier between them;
 //!   policies act only on barrier-time island state and consume no RNG,
 //!   wall-clock or thread identity,
-//! * reductions are deterministic functions of the harvested islands
+//! * the reduction is a deterministic function of the harvested islands
 //!   (ties broken by island index), insensitive to harvest order.
 //!
 //! With a step-based [`ff_metaheur::StopCondition`] the solver's output is
@@ -54,7 +55,7 @@
 //! let a = Solver::on(&g).k(4).islands(4).steps(1_500).seed(42).run().unwrap();
 //! let b = Solver::on(&g).k(4).islands(4).steps(1_500).seed(42).run().unwrap();
 //! assert_eq!(a.best.assignment(), b.best.assignment());
-//! // The min-energy reduction keeps the best island.
+//! // With one objective the lowest-value island wins.
 //! let island_min = a.islands.iter().map(|r| r.best_value).fold(f64::INFINITY, f64::min);
 //! assert_eq!(a.best_value, island_min);
 //! ```
@@ -104,7 +105,7 @@
 //! ## Multi-objective Pareto ensembles
 //!
 //! ```
-//! use ff_engine::{ParetoFront, Solver};
+//! use ff_engine::Solver;
 //! use ff_graph::generators::planted_partition;
 //! use ff_partition::{dominates, Objective};
 //!
@@ -113,12 +114,11 @@
 //!     .k(4)
 //!     .islands(4) // cycles over the objective list: cut, ncut, cut, ncut
 //!     .objectives([Objective::Cut, Objective::NCut])
-//!     .reduction(ParetoFront)
 //!     .steps(1_500)
 //!     .seed(11)
 //!     .run()
 //!     .unwrap();
-//! let front = res.pareto.expect("pareto reduction ran");
+//! let front = res.pareto.expect("two objectives give a front");
 //! assert!(!front.points.is_empty());
 //! for a in &front.points {
 //!     for b in &front.points {
@@ -177,6 +177,6 @@ pub use migration::{
 };
 pub use multilevel::{LevelReport, MultilevelInfo, MultilevelOpts};
 pub use pool::parallel_map;
-pub use reduction::{MinEnergy, ParetoFront, ParetoPoint, ParetoResult, Reduced, Reduction};
+pub use reduction::{ParetoPoint, ParetoResult};
 pub use seeds::derive_seeds;
 pub use solver::{distinct_objectives, islands_to_cover, Solver, SolverRun};

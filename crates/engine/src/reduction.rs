@@ -1,12 +1,11 @@
-//! Pluggable ensemble reductions: how harvested islands become one
-//! result.
-//!
-//! [`MinEnergy`] is the historical rule — keep the island with the lowest
-//! objective value. [`ParetoFront`] is the multi-objective rule: islands
-//! may optimize different criteria, every island's best molecule is
-//! re-scored under *all* of the run's objectives, and the deterministic
-//! non-dominated front survives (dominance from
-//! [`ff_partition::dominance`], ties broken by island index).
+//! How harvested islands become one result. The rule follows from the
+//! run's objectives. When every island minimizes the same one, the island
+//! with the lowest value wins (ties to the lowest index). When they
+//! minimize several, every island's best molecule is scored under *all*
+//! of them and the deterministic non-dominated front survives as a
+//! [`ParetoResult`] (dominance from [`ff_partition::dominance`], ties
+//! broken by island index); its best point under the first objective is
+//! the representative.
 
 use ff_core::FusionFissionResult;
 use ff_graph::Graph;
@@ -41,6 +40,40 @@ pub struct ParetoResult {
 }
 
 impl ParetoResult {
+    /// The front of `molecules`, given as `(island, objective, partition)`
+    /// in island order, where `objective` is the one that island was
+    /// minimizing. Each molecule is scored on `g` under every one of
+    /// `objectives`; only the non-dominated ones are kept, and only they
+    /// are cloned.
+    pub fn new<'a>(
+        g: &Graph,
+        objectives: &[Objective],
+        molecules: impl IntoIterator<Item = (usize, Objective, &'a Partition)>,
+    ) -> ParetoResult {
+        let molecules: Vec<_> = molecules.into_iter().collect();
+        let mut vectors: Vec<Vec<f64>> = molecules
+            .iter()
+            .map(|&(_, _, p)| objectives.iter().map(|o| o.evaluate(g, p)).collect())
+            .collect();
+        let points = pareto_front_indices(&vectors)
+            .into_iter()
+            .map(|i| {
+                let (island, objective, partition) = molecules[i];
+                ParetoPoint {
+                    island,
+                    objective,
+                    values: std::mem::take(&mut vectors[i]),
+                    parts: partition.num_nonempty_parts(),
+                    partition: partition.clone(),
+                }
+            })
+            .collect();
+        ParetoResult {
+            objectives: objectives.to_vec(),
+            points,
+        }
+    }
+
     /// The front point minimizing `objective` (ties → lowest island), or
     /// `None` when the objective wasn't part of the run or the front is
     /// empty.
@@ -54,110 +87,31 @@ impl ParetoResult {
     }
 }
 
-/// What a reduction decided.
-#[derive(Clone, Debug)]
-pub struct Reduced {
-    /// The representative island whose molecule becomes
-    /// `EnsembleResult::best`.
-    pub best_island: usize,
-    /// The non-dominated front, when the reduction computes one.
-    pub pareto: Option<ParetoResult>,
-}
-
-/// An ensemble reduction plugged into the solver
-/// ([`Solver::reduction`](crate::Solver::reduction)).
-pub trait Reduction: Send {
-    /// Stable display name (also the wire/CLI spelling).
-    fn name(&self) -> &'static str;
-
-    /// Reduces harvested islands. `objectives` is the run's distinct
-    /// objective list in island order of first appearance; `islands` is
-    /// in island order. Must be deterministic and insensitive to any
-    /// reordering the caller could have observed the islands in.
-    fn reduce(
-        &self,
-        g: &Graph,
-        islands: &[FusionFissionResult],
-        objectives: &[Objective],
-    ) -> Reduced;
-}
-
-/// The historical reduction: lowest `best_value`, ties to the lowest
-/// island index (NaN never wins). With mixed objectives the comparison is
-/// apples-to-oranges — prefer [`ParetoFront`] there.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MinEnergy;
-
-impl Reduction for MinEnergy {
-    fn name(&self) -> &'static str {
-        "min"
-    }
-
-    fn reduce(
-        &self,
-        _g: &Graph,
-        islands: &[FusionFissionResult],
-        _objectives: &[Objective],
-    ) -> Reduced {
+/// The island whose molecule becomes the run's result, and the front
+/// when the islands minimize more than one distinct objective.
+/// `objectives` is the run's distinct objective list in island order of
+/// first appearance; `islands` is in island order.
+pub(crate) fn reduce(
+    g: &Graph,
+    islands: &[FusionFissionResult],
+    objectives: &[Objective],
+) -> (usize, Option<ParetoResult>) {
+    if objectives.len() < 2 {
         let mut best = 0;
         for i in 1..islands.len() {
             if islands[i].best_value < islands[best].best_value {
                 best = i;
             }
         }
-        Reduced {
-            best_island: best,
-            pareto: None,
-        }
+        return (best, None);
     }
-}
-
-/// The multi-objective reduction: every island's best molecule is scored
-/// under all objectives and the non-dominated front is returned. The
-/// representative island (`best_island`) is the front point minimizing
-/// the *first* objective, ties to the lowest island index.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParetoFront;
-
-impl Reduction for ParetoFront {
-    fn name(&self) -> &'static str {
-        "pareto"
-    }
-
-    fn reduce(
-        &self,
-        g: &Graph,
-        islands: &[FusionFissionResult],
-        objectives: &[Objective],
-    ) -> Reduced {
-        let vectors: Vec<Vec<f64>> = islands
-            .iter()
-            .map(|r| objectives.iter().map(|o| o.evaluate(g, &r.best)).collect())
-            .collect();
-        let front = pareto_front_indices(&vectors);
-        let points: Vec<ParetoPoint> = front
-            .iter()
-            .map(|&i| ParetoPoint {
-                island: i,
-                objective: islands[i].trace.tag().unwrap_or(objectives[0]),
-                values: vectors[i].clone(),
-                parts: islands[i].best.num_nonempty_parts(),
-                partition: islands[i].best.clone(),
-            })
-            .collect();
-        let result = ParetoResult {
-            objectives: objectives.to_vec(),
-            points,
-        };
-        let best_island = result
-            .best_under(objectives[0])
-            .map(|p| p.island)
-            .unwrap_or(0);
-        Reduced {
-            best_island,
-            pareto: Some(result),
-        }
-    }
+    let molecules = islands
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (i, r.trace.tag().unwrap_or(objectives[0]), &r.best));
+    let front = ParetoResult::new(g, objectives, molecules);
+    let best = front.best_under(objectives[0]).map_or(0, |p| p.island);
+    (best, Some(front))
 }
 
 #[cfg(test)]
@@ -191,12 +145,12 @@ mod tests {
     #[test]
     fn min_energy_matches_manual_argmin() {
         let (g, islands) = harvests(&[Objective::MCut, Objective::MCut, Objective::MCut]);
-        let red = MinEnergy.reduce(&g, &islands, &[Objective::MCut]);
+        let (best_island, pareto) = reduce(&g, &islands, &[Objective::MCut]);
         let manual = (0..islands.len())
             .min_by(|&a, &b| islands[a].best_value.total_cmp(&islands[b].best_value))
             .unwrap();
-        assert_eq!(red.best_island, manual);
-        assert!(red.pareto.is_none());
+        assert_eq!(best_island, manual);
+        assert!(pareto.is_none());
     }
 
     #[test]
@@ -204,8 +158,8 @@ mod tests {
         use ff_partition::dominates;
         let objs = [Objective::Cut, Objective::NCut, Objective::MCut];
         let (g, islands) = harvests(&objs);
-        let red = ParetoFront.reduce(&g, &islands, &objs);
-        let front = red.pareto.expect("pareto reduction returns a front");
+        let (best_island, pareto) = reduce(&g, &islands, &objs);
+        let front = pareto.expect("several objectives reduce to a front");
         assert_eq!(front.objectives, objs.to_vec());
         assert!(!front.points.is_empty());
         for a in &front.points {
@@ -224,15 +178,18 @@ mod tests {
             assert!(w[0].island < w[1].island);
         }
         let rep = front.best_under(Objective::Cut).unwrap();
-        assert_eq!(red.best_island, rep.island);
+        assert_eq!(best_island, rep.island);
     }
 
     #[test]
     fn best_under_unknown_objective_is_none() {
         let objs = [Objective::Cut];
         let (g, islands) = harvests(&objs);
-        let red = ParetoFront.reduce(&g, &islands, &objs);
-        let front = red.pareto.unwrap();
+        let molecules = islands
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i, Objective::Cut, &r.best));
+        let front = ParetoResult::new(&g, &objs, molecules);
         assert!(front.best_under(Objective::NCut).is_none());
     }
 }

@@ -2,10 +2,11 @@
 //! engine.
 //!
 //! The builder is one fluent, validated configuration path for a single
-//! search or a whole island ensemble, with two strategy seams:
-//! [`MigrationPolicy`] (what moves between islands, and when) and
-//! [`Reduction`] (how harvested islands become one result, including the
-//! multi-objective Pareto front).
+//! search or a whole island ensemble, with one strategy seam,
+//! [`MigrationPolicy`] (what moves between islands, and when). How the
+//! harvested islands become one result follows from their objectives: a
+//! minimum under one, a Pareto front under several
+//! ([`EnsembleResult::pareto`]).
 //!
 //! ```
 //! use ff_engine::Solver;
@@ -27,13 +28,13 @@ use crate::epoch::{EpochLoop, LocalIslands};
 use crate::migration::{MigrationPolicy, ReplaceIfBetter};
 use crate::multilevel::{MultilevelInfo, MultilevelOpts};
 use crate::obs::{record_coarsen, record_level_reports, EngineObs};
-use crate::reduction::{MinEnergy, ParetoPoint, Reduction};
+use crate::reduction::ParetoResult;
 use crate::seeds::derive_seeds;
 use ff_core::{ConfigError, FusionFission, FusionFissionConfig, FusionFissionRun};
 use ff_graph::Graph;
 use ff_metaheur::{CancelToken, StopCondition};
 use ff_multilevel::{Vcycle, VcycleOpts};
-use ff_partition::{pareto_front_indices, Objective};
+use ff_partition::Objective;
 
 /// The distinct objectives of a per-island cycle list, in first-
 /// appearance order — the axis order of any Pareto front built over it.
@@ -74,7 +75,6 @@ pub struct Solver<'g> {
     max_threads: usize,
     migration_interval: u64,
     migration: Box<dyn MigrationPolicy>,
-    reduction: Box<dyn Reduction>,
     seed: u64,
     island_seeds: Option<Vec<u64>>,
     objectives: Option<Vec<Objective>>,
@@ -84,8 +84,8 @@ pub struct Solver<'g> {
 
 impl<'g> Solver<'g> {
     /// A solver on `g` with the paper-faithful defaults: single island,
-    /// Mcut, seed 1, [`ReplaceIfBetter`] migration every 1024 steps,
-    /// [`MinEnergy`] reduction. `k` **must** be set before starting.
+    /// Mcut, seed 1, [`ReplaceIfBetter`] migration every 1024 steps. `k`
+    /// **must** be set before starting.
     pub fn on(g: &'g Graph) -> Solver<'g> {
         Solver {
             g,
@@ -94,7 +94,6 @@ impl<'g> Solver<'g> {
             max_threads: 0,
             migration_interval: 1024,
             migration: Box::new(ReplaceIfBetter),
-            reduction: Box::new(MinEnergy),
             seed: 1,
             island_seeds: None,
             objectives: None,
@@ -119,8 +118,8 @@ impl<'g> Solver<'g> {
 
     /// Per-island objective overrides: island `i` minimizes
     /// `objectives[i % len]`, so 4 islands over `[Cut, MCut]` run two of
-    /// each. More than one distinct objective usually wants the
-    /// [`ParetoFront`](crate::ParetoFront) reduction.
+    /// each. With more than one distinct objective the result carries the
+    /// Pareto front of the islands ([`EnsembleResult::pareto`]).
     pub fn objectives(mut self, objectives: impl Into<Vec<Objective>>) -> Self {
         self.objectives = Some(objectives.into());
         self
@@ -151,12 +150,6 @@ impl<'g> Solver<'g> {
     /// 1024); `0` disables migration (pure independent multi-start).
     pub fn migration_interval(mut self, interval: u64) -> Self {
         self.migration_interval = interval;
-        self
-    }
-
-    /// The ensemble reduction (default [`MinEnergy`]).
-    pub fn reduction(mut self, reduction: impl Reduction + 'static) -> Self {
-        self.reduction = Box::new(reduction);
         self
     }
 
@@ -308,12 +301,7 @@ impl<'g> Solver<'g> {
         };
         Ok(SolverRun {
             g: self.g,
-            epochs: EpochLoop::new(
-                islands,
-                self.migration_interval,
-                self.migration,
-                self.reduction,
-            ),
+            epochs: EpochLoop::new(islands, self.migration_interval, self.migration),
             obs,
         })
     }
@@ -368,7 +356,6 @@ impl<'g> Solver<'g> {
             max_threads: self.max_threads,
             migration_interval: self.migration_interval,
             migration: self.migration,
-            reduction: self.reduction,
             seed,
             island_seeds: self.island_seeds,
             objectives: self.objectives,
@@ -378,34 +365,24 @@ impl<'g> Solver<'g> {
         let mut run = coarse_solver.start_flat()?;
         drive(&mut run);
         let mut res = run.harvest();
-
-        if let Some(front) = res.pareto.take() {
-            // Refine every front point under its own objective, re-score
-            // under all axes on the fine graph, and re-filter: refinement
-            // can change domination.
-            let axes = front.objectives.clone();
-            let mut points = front.points;
-            let mut reports_per_point = Vec::with_capacity(points.len());
-            for pt in &mut points {
-                let (fine, reports) = vc.refine_up(&pt.partition, pt.objective);
-                if let Some(registry) = &obs_registry {
-                    record_level_reports(registry, &reports);
-                }
-                pt.values = axes.iter().map(|o| o.evaluate(g, &fine)).collect();
-                pt.parts = fine.num_nonempty_parts();
-                pt.partition = fine;
-                reports_per_point.push(reports);
+        let refine = |partition, objective| {
+            let (fine, reports) = vc.refine_up(partition, objective);
+            if let Some(registry) = &obs_registry {
+                record_level_reports(registry, &reports);
             }
-            let vectors: Vec<Vec<f64>> = points.iter().map(|p| p.values.clone()).collect();
-            let keep = pareto_front_indices(&vectors);
-            let (points, reports_per_point): (Vec<ParetoPoint>, Vec<_>) = keep
-                .into_iter()
-                .map(|i| (points[i].clone(), std::mem::take(&mut reports_per_point[i])))
-                .unzip();
-            let front = crate::reduction::ParetoResult {
-                objectives: axes,
-                points,
-            };
+            (fine, reports)
+        };
+        let reports = if let Some(coarse) = res.pareto.take() {
+            // Refine every front point under its own objective, then build
+            // the front again on the fine graph: refinement can change
+            // domination.
+            let refined: Vec<_> = coarse
+                .points
+                .iter()
+                .map(|pt| (pt.island, pt.objective, refine(&pt.partition, pt.objective)))
+                .collect();
+            let molecules = refined.iter().map(|(i, o, (fine, _))| (*i, *o, fine));
+            let front = ParetoResult::new(g, &coarse.objectives, molecules);
             let mut rep_reports = Vec::new();
             if let Some(rep) = front.best_under(front.objectives[0]) {
                 let axis = front
@@ -416,35 +393,26 @@ impl<'g> Solver<'g> {
                 res.best = rep.partition.clone();
                 res.best_value = rep.values[axis];
                 res.best_island = rep.island;
-                let idx = front.points.iter().position(|p| p.island == rep.island);
-                if let Some(idx) = idx {
-                    rep_reports = reports_per_point[idx].clone();
-                }
+                let own = refined.into_iter().find(|&(i, ..)| i == rep.island);
+                rep_reports = own.map(|(.., (_, reports))| reports).unwrap_or_default();
             }
             res.pareto = Some(front);
-            res.multilevel = Some(MultilevelInfo {
-                levels: vc.num_levels(),
-                coarse_vertices: vc.coarsest().num_vertices(),
-                reports: rep_reports,
-            });
-            return Ok(res);
-        }
-
-        // Single-front path: refine the winning partition under the
-        // winning island's own objective.
-        let win_obj = res.islands[res.best_island]
-            .trace
-            .tag()
-            .unwrap_or(base.objective);
-        let (fine, reports) = vc.refine_up(&res.best, win_obj);
-        if let Some(registry) = &obs_registry {
-            record_level_reports(registry, &reports);
-        }
-        res.best_value = reports
-            .last()
-            .map(|r| r.value_after)
-            .unwrap_or(res.best_value);
-        res.best = fine;
+            rep_reports
+        } else {
+            // Refine the winning partition under the winning island's own
+            // objective.
+            let win_obj = res.islands[res.best_island]
+                .trace
+                .tag()
+                .unwrap_or(base.objective);
+            let (fine, reports) = refine(&res.best, win_obj);
+            res.best_value = reports
+                .last()
+                .map(|r| r.value_after)
+                .unwrap_or(res.best_value);
+            res.best = fine;
+            reports
+        };
         res.multilevel = Some(MultilevelInfo {
             levels: vc.num_levels(),
             coarse_vertices: vc.coarsest().num_vertices(),
@@ -544,8 +512,8 @@ impl<'g> SolverRun<'g> {
             .min_by(f64::total_cmp)
     }
 
-    /// Consumes the run, harvesting every island and applying the
-    /// configured [`Reduction`].
+    /// Consumes the run, harvesting every island and reducing them by the
+    /// run's objectives ([`EpochLoop::harvest`]).
     pub fn harvest(self) -> EnsembleResult {
         let Ok(result) = self.epochs.harvest(self.g);
         result

@@ -1,6 +1,6 @@
 //! The refactor-safety net for the pluggable solver:
 //!
-//! 1. **Golden pins** — `Solver` with `ReplaceIfBetter` + `MinEnergy`
+//! 1. **Golden pins** — `Solver` with `ReplaceIfBetter` on one objective
 //!    must reproduce outputs captured from the pre-refactor
 //!    `Ensemble::run` bit-for-bit (hashes recorded before the refactor).
 //! 2. **Reference model** — a property test drives random graphs/seeds
@@ -13,8 +13,7 @@
 
 use ff_core::{FusionFission, FusionFissionConfig, FusionFissionRun};
 use ff_engine::{
-    derive_seeds, Adaptive, Combine, EnsembleResult, MigrationPolicyId, ParetoFront,
-    ReplaceIfBetter, Solver,
+    derive_seeds, Adaptive, Combine, EnsembleResult, MigrationPolicyId, ReplaceIfBetter, Solver,
 };
 use ff_graph::generators::{planted_partition, random_geometric};
 use ff_graph::Graph;
@@ -269,14 +268,13 @@ proptest! {
         root in 0u64..1_000,
         rotation in 0usize..4,
     ) {
-        use ff_engine::{Reduction, ParetoResult};
+        use ff_engine::ParetoResult;
         let g = random_geometric(40, 0.3, gseed);
         let solver = |seed| {
             Solver::on(&g)
                 .k(3)
                 .islands(4)
                 .objectives([Objective::Cut, Objective::NCut, Objective::MCut])
-                .reduction(ParetoFront)
                 .steps(900)
                 .migration_interval(300)
                 .seed(seed)
@@ -299,8 +297,11 @@ proptest! {
         let mut rotated: Vec<_> = islands.to_vec();
         rotated.rotate_left(rotation % islands.len());
         let objectives = [Objective::Cut, Objective::NCut, Objective::MCut];
-        let re = ParetoFront.reduce(&g, &rotated, &objectives);
-        let refront = re.pareto.unwrap();
+        let molecules = rotated
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i, r.trace.tag().unwrap(), &r.best));
+        let refront = ParetoResult::new(&g, &objectives, molecules);
         let n = islands.len();
         let mut original: Vec<usize> = refront
             .points
@@ -403,7 +404,6 @@ fn mixed_objective_front_is_deterministic_end_to_end() {
             .k(4)
             .islands(4)
             .objectives([Objective::Cut, Objective::MCut])
-            .reduction(ParetoFront)
             .migration(Combine)
             .migration_interval(250)
             .steps(1_500)
@@ -702,7 +702,6 @@ fn multilevel_pareto_points_are_fine_and_non_dominated() {
         .k(3)
         .islands(4)
         .objectives(objs)
-        .reduction(ParetoFront)
         .steps(2_000)
         .seed(31)
         .multilevel(MultilevelOpts {
@@ -737,7 +736,6 @@ fn multilevel_pareto_points_are_fine_and_non_dominated() {
         .k(3)
         .islands(4)
         .objectives(objs)
-        .reduction(ParetoFront)
         .steps(2_000)
         .seed(31)
         .multilevel(MultilevelOpts {

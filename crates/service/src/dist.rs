@@ -4,7 +4,7 @@
 //! ## Topology
 //!
 //! ```text
-//!   coordinator (owns the graph, the MigrationPolicy and the Reduction)
+//!   coordinator (owns the graph and the MigrationPolicy, reduces the harvest)
 //!      │ NDJSON: load, wstart, then per epoch wadvance / wmolecule / winject
 //!      ├──────────────┬──────────────┐
 //!   worker 0       worker 1       worker 2     (spawned `ffpart worker`
@@ -53,8 +53,7 @@ use std::time::Duration;
 
 use ff_core::FusionFissionResult;
 use ff_engine::{
-    EnsembleResult, EpochLoop, IslandSet, IslandStatus, MigrationPolicyId, MinEnergy, ParetoFront,
-    Reduction,
+    distinct_objectives, EnsembleResult, EpochLoop, IslandSet, IslandStatus, MigrationPolicyId,
 };
 use ff_graph::Graph;
 use ff_metaheur::AnytimeTrace;
@@ -89,17 +88,19 @@ pub struct DistSpec {
     pub interval: u64,
     /// Migration policy, instantiated coordinator-side.
     pub migration: MigrationPolicyId,
-    /// Reduce with [`ParetoFront`] instead of [`MinEnergy`].
+    /// Whether `objectives` holds more than one distinct objective, in
+    /// which case the result carries a Pareto front. The objectives alone
+    /// decide that: [`solve_distributed`] rejects a spec whose flag
+    /// disagrees with them, and [`DistSpec::for_job`] sets it from the job.
     pub pareto: bool,
 }
 
 impl DistSpec {
     /// The distributed form of `job`, read from the same definition as
     /// [`JobRequest::solver`]: its island seeds and per-island objectives,
-    /// `chunk` as the migration interval, and a Pareto reduction exactly
-    /// when the job is a Pareto job. Running it is byte-identical to
-    /// serving `job`. `source` and `format` tell the workers where to get
-    /// the instance.
+    /// and `chunk` as the migration interval. Running it is
+    /// byte-identical to serving `job`. `source` and `format` tell the
+    /// workers where to get the instance.
     ///
     /// Lockstep epochs need a pure step budget on the flat search, so a
     /// job without `steps`, with `deadline_ms`, or with `multilevel` is an
@@ -201,6 +202,9 @@ pub fn solve_distributed(
     if spec.objectives.len() != n {
         return Err("one objective per island required".into());
     }
+    if spec.pareto != (distinct_objectives(&spec.objectives).len() > 1) {
+        return Err("`pareto` must be set exactly when the islands run several objectives".into());
+    }
     if let Some(registry) = &opts.obs {
         // Pre-register the coordinator's metric families so a clean run
         // still exposes the full catalog (failure counters at zero).
@@ -263,12 +267,7 @@ pub fn solve_distributed(
         opts,
         on_news,
     };
-    let reduction: Box<dyn Reduction> = if spec.pareto {
-        Box::new(ParetoFront)
-    } else {
-        Box::new(MinEnergy)
-    };
-    let mut epochs = EpochLoop::new(shards, spec.interval, spec.migration.build(), reduction);
+    let mut epochs = EpochLoop::new(shards, spec.interval, spec.migration.build());
     while epochs.advance_epoch()?.more {}
     epochs.harvest(g)
 }
@@ -920,5 +919,49 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ok.len(), 3);
+    }
+
+    /// A spec whose `pareto` flag disagrees with its objectives is
+    /// rejected before any worker is contacted: the command below does
+    /// not exist, so reaching the spawn would fail differently.
+    #[test]
+    fn pareto_flag_must_match_the_objectives() {
+        let g = ff_graph::generators::grid2d(3, 3);
+        let job = JobRequest {
+            steps: Some(100),
+            islands: 2,
+            objectives: Some(vec![Objective::Cut, Objective::MCut]),
+            ..JobRequest::new("grid", 2)
+        };
+        let source = GraphSource::Path("g".into());
+        let spec = DistSpec::for_job(&job, source, GraphFormat::Metis).unwrap();
+        let workers = WorkerSet::Spawn {
+            cmd: vec!["/nonexistent/ffpart-worker".into()],
+            count: 1,
+        };
+        let solve = |spec: &DistSpec| {
+            let opts = DistOpts::default();
+            solve_distributed(&g, spec, &workers, &opts, &mut |_, _| {}).unwrap_err()
+        };
+        assert!(
+            solve(&spec).contains("failed to spawn"),
+            "a valid spec spawns"
+        );
+        let single = DistSpec {
+            objectives: vec![Objective::MCut; 2],
+            ..spec.clone()
+        };
+        for bad in [
+            DistSpec {
+                pareto: false,
+                ..spec
+            },
+            DistSpec {
+                pareto: true,
+                ..single
+            },
+        ] {
+            assert!(solve(&bad).contains("`pareto`"), "{bad:?}");
+        }
     }
 }

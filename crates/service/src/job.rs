@@ -15,7 +15,7 @@ use crate::obs::Metrics;
 use crate::protocol::{DoneInfo, Event, Improvement, JobRequest, JobStatus, ParetoPointInfo};
 use crate::sync::lock;
 use ff_core::FusionFissionConfig;
-use ff_engine::{derive_seeds, MultilevelOpts, ParetoFront, ParetoResult, Solver};
+use ff_engine::{derive_seeds, MultilevelOpts, ParetoResult, Solver};
 use ff_graph::Graph;
 use ff_metaheur::{CancelToken, StopCondition};
 use ff_obs::LogValue;
@@ -179,9 +179,6 @@ impl JobRequest {
             .island_seeds(self.island_seeds());
         if let Some(list) = &self.objectives {
             solver = solver.objectives(list.clone());
-        }
-        if self.is_pareto() {
-            solver = solver.reduction(ParetoFront);
         }
         if let Some(target) = self.multilevel {
             let mut opts = MultilevelOpts::default();

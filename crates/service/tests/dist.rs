@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use ff_core::FusionFissionResult;
-use ff_engine::{Adaptive, Combine, MigrationPolicyId, ParetoFront, Solver};
+use ff_engine::{Adaptive, Combine, MigrationPolicyId, Solver};
 use ff_graph::io::read_metis;
 use ff_obs::Registry;
 use ff_partition::Objective;
@@ -168,7 +168,6 @@ fn distributed_pareto_front_matches_in_process() {
         .k(2)
         .islands(2)
         .objectives([Objective::Cut, Objective::MCut])
-        .reduction(ParetoFront)
         .steps(6_000)
         .seed(5)
         .run()

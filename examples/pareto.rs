@@ -1,12 +1,12 @@
 //! Multi-objective Pareto ensemble: islands minimize *different*
-//! criteria (Cut, Ncut, Mcut) and the ensemble reduction returns the
-//! deterministic non-dominated front instead of a single winner.
+//! criteria (Cut, Ncut, Mcut), so the ensemble returns the deterministic
+//! non-dominated front instead of a single winner.
 //!
 //! ```text
 //! cargo run --release --example pareto
 //! ```
 
-use fusionfission::engine::{ParetoFront, Solver};
+use fusionfission::engine::Solver;
 use fusionfission::partition::{dominates, Objective};
 
 fn main() {
@@ -17,20 +17,19 @@ fn main() {
         g.num_edges()
     );
 
-    // Six islands cycle the three objectives (two islands each); the
-    // Pareto reduction re-scores every island's best molecule under all
-    // three criteria and keeps the non-dominated set.
+    // Six islands cycle the three objectives (two islands each), so the
+    // harvest re-scores every island's best molecule under all three
+    // criteria and keeps the non-dominated set.
     let res = Solver::on(&g)
         .k(4)
         .islands(6)
         .objectives([Objective::Cut, Objective::NCut, Objective::MCut])
-        .reduction(ParetoFront)
         .steps(8_000)
         .seed(7)
         .run()
         .expect("valid configuration");
 
-    let front = res.pareto.expect("pareto reduction returns a front");
+    let front = res.pareto.expect("three objectives give a front");
     println!(
         "pareto front: {} point(s) over {:?}",
         front.points.len(),

@@ -12,7 +12,7 @@
 //! | [`multilevel`] (`ff-multilevel`) | heavy-edge multilevel partitioner |
 //! | [`metaheur`] (`ff-metaheur`) | simulated annealing, ant colony, percolation |
 //! | [`core`] (`ff-core`) | the fusion–fission metaheuristic itself |
-//! | [`engine`] (`ff-engine`) | the pluggable `Solver` engine: island ensembles with swappable migration policies and min-energy/Pareto reductions |
+//! | [`engine`] (`ff-engine`) | the pluggable `Solver` engine: island ensembles with swappable migration policies; one objective keeps the best island, several the Pareto front |
 //! | [`service`] (`ff-service`) | multi-client partition server: NDJSON + HTTP/1.1 front-ends, admission control, byte-budgeted LRU instance cache, streaming anytime results, cancel/deadline |
 //! | [`atc`] (`ff-atc`) | synthetic European-airspace FABOP workload |
 //!
@@ -46,8 +46,8 @@ pub use ff_spectral as spectral;
 pub mod prelude {
     pub use ff_core::{ConfigError, FusionFission, FusionFissionConfig, FusionFissionResult};
     pub use ff_engine::{
-        Adaptive, Combine, EnsembleResult, MigrationPolicy, MigrationPolicyId, MinEnergy,
-        ParetoFront, ParetoResult, ReplaceIfBetter, Solver, SolverRun,
+        Adaptive, Combine, EnsembleResult, MigrationPolicy, MigrationPolicyId, ParetoResult,
+        ReplaceIfBetter, Solver, SolverRun,
     };
     pub use ff_graph::{Graph, GraphBuilder};
     pub use ff_metaheur::{

@@ -150,7 +150,6 @@ fn solver_policies_and_pareto_are_deterministic() {
             .config(FusionFissionConfig::fast(5))
             .islands(3)
             .objectives([Objective::Cut, Objective::NCut, Objective::MCut])
-            .reduction(ParetoFront)
             .seed(23)
             .run()
             .unwrap()
