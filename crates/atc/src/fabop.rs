@@ -78,6 +78,19 @@ impl FabopInstance {
                     (fl.max(2), exact - exact.floor())
                 })
                 .collect();
+            // Below 44 sectors the floor of 2 per country can exceed the
+            // request: take the surplus back one sector at a time from the
+            // largest country above 2 (ties to the first).
+            while floor_sum > sectors {
+                let Some(i) = (0..shares.len())
+                    .filter(|&i| shares[i].0 > 2)
+                    .max_by_key(|&i| (shares[i].0, std::cmp::Reverse(i)))
+                else {
+                    break;
+                };
+                shares[i].0 -= 1;
+                floor_sum -= 1;
+            }
             let mut remainder = sectors.saturating_sub(floor_sum);
             let mut order: Vec<usize> = (0..shares.len()).collect();
             order.sort_by(|&a, &b| shares[b].1.partial_cmp(&shares[a].1).unwrap());
@@ -178,7 +191,7 @@ mod tests {
     #[test]
     fn scaled_instances() {
         let cfg = FabopConfig::default();
-        for n in [100usize, 200, 381] {
+        for n in (22usize..=43).chain([100, 200, 381]) {
             let inst = FabopInstance::scaled(n, &cfg);
             assert_eq!(inst.graph.num_vertices(), n, "n = {n}");
             assert!(is_connected(&inst.graph));
