@@ -266,3 +266,58 @@ fn distributed_islands_match_in_process_goldens() {
         handle.join().unwrap();
     }
 }
+
+/// A short served job on the paper's instance (one island, Mcut, k = 32,
+/// the standard preset, 4000 steps) is one search three ways: a plain
+/// `FusionFission::run`, a `FusionFissionRun` advanced 256 steps per
+/// call, and the one-island `Solver` the server builds for the job
+/// (`JobRequest::solver`, migration interval = the default chunk, 512).
+/// The seeds are the first two short-job seeds of a seed-1 `serve_mixed`
+/// benchmark run, whose traced run checks the same equality.
+#[test]
+fn chunked_paper_scale_run_matches_the_served_solver() {
+    use fusionfission::engine::derive_seeds;
+    use fusionfission::service::JobRequest;
+    let g = FabopInstance::paper_scale(&FabopConfig::default()).graph;
+    let cfg = FusionFissionConfig {
+        objective: Objective::MCut,
+        stop: StopCondition::steps(4_000),
+        ..FusionFissionConfig::standard(32)
+    };
+    for seed in derive_seeds(1 ^ 0x5eed, 8).into_iter().take(2) {
+        let one_shot = FusionFission::new(&g, cfg, seed).run();
+        let mut run = FusionFission::new(&g, cfg, seed).start();
+        while run.advance(256) {}
+        let chunked = run.harvest();
+        let job = JobRequest {
+            objective: Objective::MCut,
+            seed,
+            steps: Some(4_000),
+            ..JobRequest::new("fabop", 32)
+        };
+        let served = job.solver(&g).run().unwrap();
+        let runs = [
+            (
+                "chunked",
+                chunked.best.assignment(),
+                chunked.best_value,
+                chunked.steps,
+                &chunked.best_value_per_k,
+            ),
+            (
+                "served",
+                served.best.assignment(),
+                served.best_value,
+                served.steps,
+                &served.best_value_per_k,
+            ),
+        ];
+        for (name, assignment, value, steps, per_k) in runs {
+            assert_eq!(assignment, one_shot.best.assignment(), "{name} {seed}");
+            assert_eq!(value.to_bits(), one_shot.best_value.to_bits(), "{name}");
+            assert_eq!(steps, one_shot.steps, "{name} {seed}");
+            assert_eq!(per_k, &one_shot.best_value_per_k, "{name} {seed}");
+        }
+        assert_eq!(one_shot.steps, 4_000);
+    }
+}
