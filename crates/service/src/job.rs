@@ -536,6 +536,45 @@ mod tests {
         assert_eq!(done.assignment.as_deref().unwrap(), lib.best.assignment());
     }
 
+    /// The served improvement stream of a step-budgeted Pareto job,
+    /// pinned: FNV-1a over every `improvement` event's island, step,
+    /// value bits and objective, in stream order.
+    #[test]
+    fn served_improvement_stream_is_pinned() {
+        let cache = InstanceCache::new();
+        let g = ff_graph::generators::planted_partition(4, 30, 0.3, 0.02, 11);
+        let mut text = Vec::new();
+        ff_graph::io::write_metis(&g, &mut text).unwrap();
+        let source = GraphSource::Data(String::from_utf8(text).unwrap());
+        let (graph, _) = cache.load("pp", source, GraphFormat::Metis).unwrap();
+        let spec = JobRequest {
+            steps: Some(3_000),
+            seed: 16,
+            islands: 3,
+            chunk: 256,
+            objectives: Some(vec![Objective::Cut, Objective::MCut]),
+            ..JobRequest::new("pp", 4)
+        };
+        let (sink, buf) = sink_to_vec();
+        let token = CancelToken::new();
+        let gate = FairGate::new(1);
+        run_job(6, &spec, &graph, &gate, &token, &sink, &metrics(), |_| ());
+        let mut digest = crate::cache::Fnv1a::new();
+        let mut count = 0;
+        for event in events_from(&buf) {
+            if let Event::Improvement(i) = event {
+                let objective = i.objective.map_or("-", |o| o.name());
+                digest = digest
+                    .eat(&(i.island as u64).to_le_bytes())
+                    .eat(&i.step.to_le_bytes())
+                    .eat(&i.value.to_bits().to_le_bytes())
+                    .eat(objective.as_bytes());
+                count += 1;
+            }
+        }
+        assert_eq!((count, digest.finish()), (14, 0x4f0c_08da_ae55_4f74));
+    }
+
     #[test]
     fn multilevel_job_is_deterministic_and_matches_direct_run() {
         let cache = InstanceCache::new();
