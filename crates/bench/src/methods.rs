@@ -369,9 +369,9 @@ pub fn run_method_ensemble(
                 .best
         }
         _ => {
-            let seeds = derive_seeds(seed, islands);
-            let mut outs = parallel_map(islands, max_threads, |i| {
-                run_method(method, g, k, objective, budget, seeds[i])
+            let mut seeds = derive_seeds(seed, islands);
+            let mut outs = parallel_map(&mut seeds, max_threads, |&mut seed| {
+                run_method(method, g, k, objective, budget, seed)
             });
             let values: Vec<f64> = outs
                 .iter()

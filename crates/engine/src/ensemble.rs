@@ -27,7 +27,8 @@ pub struct EnsembleResult {
     pub islands: Vec<FusionFissionResult>,
     /// Ensemble-level best-so-far trace
     /// ([`AnytimeTrace::merged`] over the island traces of the primary —
-    /// first — objective).
+    /// first — objective): points ordered by step, island order breaking
+    /// ties, so under a step budget it is as deterministic as `best`.
     pub trace: AnytimeTrace,
     /// Total steps executed across all islands.
     pub steps: u64,

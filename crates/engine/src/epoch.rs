@@ -2,14 +2,21 @@
 //! ([`IslandSet`]): the islands of one run, wherever they live. A
 //! [`SolverRun`](crate::SolverRun) is the loop over [`LocalIslands`]; a
 //! distributed coordinator runs it over worker processes.
+//!
+//! Every epoch reads each island once, at the barrier, into an
+//! [`IslandReport`]. The migration policy plans on those reports, and
+//! [`Epoch::islands`] hands the same values to everything downstream:
+//! the solver's metrics, a served job's improvement events and a
+//! worker's `wstate` reply.
 
 use crate::ensemble::EnsembleResult;
 use crate::migration::{IslandStatus, MigrationPolicy};
+use crate::pool::parallel_map;
 use crate::reduction::reduce;
 use crate::solver::distinct_objectives;
 use ff_core::{FusionFissionResult, FusionFissionRun};
 use ff_graph::Graph;
-use ff_metaheur::AnytimeTrace;
+use ff_metaheur::{AnytimeTrace, TracePoint};
 use ff_partition::{Objective, Partition};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -22,12 +29,9 @@ pub trait IslandSet {
     /// Why an operation failed.
     type Error;
 
-    /// Advances every island by up to `steps` steps and reports, per
-    /// island, whether it still has work.
-    fn advance(&mut self, steps: u64) -> Result<Vec<bool>, Self::Error>;
-
-    /// Every island's status as of the last barrier, in island order.
-    fn statuses(&self) -> Vec<IslandStatus>;
+    /// Advances every island by up to `steps` steps and returns each
+    /// island's barrier report, in island order.
+    fn advance(&mut self, steps: u64) -> Result<Vec<IslandReport>, Self::Error>;
 
     /// The donor's current best molecule.
     fn fetch(&mut self, donor: usize) -> Result<Self::Molecule, Self::Error>;
@@ -45,11 +49,26 @@ pub trait IslandSet {
     fn harvest(self) -> Result<Vec<FusionFissionResult>, Self::Error>;
 }
 
+/// One island as an epoch barrier finds it.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct IslandReport {
+    /// Whether the island still has work.
+    pub more: bool,
+    /// Best scaled energy so far: the migration policy's input.
+    pub energy: f64,
+    /// Steps executed so far.
+    pub steps: u64,
+    /// Trace points recorded since the island's last report.
+    pub news: Vec<TracePoint>,
+}
+
 /// What one epoch did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Epoch {
     /// Whether any island still has work.
     pub more: bool,
+    /// Every island's barrier report, in island order.
+    pub islands: Vec<IslandReport>,
     /// Offers the policy planned at the barrier.
     pub offers: u64,
     /// Receiver pairs those offers named, one injection each.
@@ -61,33 +80,33 @@ pub struct Epoch {
 /// The epoch scheduler. Each epoch advances every island by the
 /// policy's interval. Then, unless no island has work left (there is no
 /// final exchange), the run has one island, or migration is disabled
-/// (base interval 0), the policy plans over the barrier statuses and the
+/// (base interval 0), the policy plans over the barrier reports and the
 /// loop executes the plan: it fetches each offer's donor once and
 /// injects the molecule into each receiver in plan order.
 pub struct EpochLoop<I> {
     pub(crate) islands: I,
+    /// Each island's objective, in island order.
+    objectives: Vec<Objective>,
     base_interval: u64,
     migration: Box<dyn MigrationPolicy>,
-    pub(crate) objectives: Vec<Objective>,
-    pub(crate) migrations_adopted: u64,
+    migrations_adopted: u64,
 }
 
 impl<I: IslandSet> EpochLoop<I> {
-    /// The loop over `islands`, exchanging under `migration` every
-    /// `base_interval` steps (`0` disables migration).
+    /// The loop over `islands`, island `i` minimizing `objectives[i]`,
+    /// exchanging under `migration` every `base_interval` steps (`0`
+    /// disables migration).
     pub fn new(
         islands: I,
+        objectives: Vec<Objective>,
         base_interval: u64,
         migration: Box<dyn MigrationPolicy>,
     ) -> EpochLoop<I> {
-        // The axis order of any Pareto front: the islands' objectives in
-        // first-appearance order.
-        let per_island: Vec<Objective> = islands.statuses().iter().map(|s| s.objective).collect();
         EpochLoop {
             islands,
+            objectives,
             base_interval,
             migration,
-            objectives: distinct_objectives(&per_island),
             migrations_adopted: 0,
         }
     }
@@ -100,17 +119,24 @@ impl<I: IslandSet> EpochLoop<I> {
         } else {
             interval.max(1)
         };
-        let more = self.islands.advance(chunk)?;
+        let islands = self.islands.advance(chunk)?;
         let mut epoch = Epoch {
-            more: more.contains(&true),
+            more: islands.iter().any(|r| r.more),
+            islands,
             ..Epoch::default()
         };
-        if !epoch.more || more.len() < 2 || self.base_interval == 0 {
+        if !epoch.more || epoch.islands.len() < 2 || self.base_interval == 0 {
             return Ok(epoch);
         }
+        let statuses: Vec<IslandStatus> = std::iter::zip(&self.objectives, &epoch.islands)
+            .map(|(&objective, r)| IslandStatus {
+                objective,
+                best_energy: r.energy,
+            })
+            .collect();
         // Offers move within disjoint objective groups, so a donor holds
         // at fetch time the molecule it held at plan time.
-        for offer in self.migration.plan(&self.islands.statuses()) {
+        for offer in self.migration.plan(&statuses) {
             epoch.offers += 1;
             let molecule = self.islands.fetch(offer.donor)?;
             for &receiver in &offer.receivers {
@@ -130,12 +156,15 @@ impl<I: IslandSet> EpochLoop<I> {
     /// partition.
     pub fn harvest(self, g: &Graph) -> Result<EnsembleResult, I::Error> {
         let islands = self.islands.harvest()?;
-        let (best_island, pareto) = reduce(g, &islands, &self.objectives);
+        // The axis order of any Pareto front: the islands' objectives in
+        // first-appearance order.
+        let objectives = distinct_objectives(&self.objectives);
+        let (best_island, pareto) = reduce(g, &islands, &objectives);
         // Cross-island merges only make sense within one criterion: merge
         // the primary (first) objective's islands, which for a
         // single-objective run is every island — bit-equal to the
         // historical reduction.
-        let primary = self.objectives[0];
+        let primary = objectives[0];
         let primary_islands = || {
             islands
                 .iter()
@@ -177,11 +206,13 @@ impl<I: IslandSet> EpochLoop<I> {
 }
 
 /// In-process islands: [`FusionFissionRun`]s advanced in waves of at
-/// most the [`Solver::threads`](crate::Solver::threads) cap, a wave of
-/// one on the calling thread.
+/// most the [`Solver::threads`](crate::Solver::threads) cap
+/// ([`parallel_map`]).
 pub struct LocalIslands<'g> {
     pub(crate) runs: Vec<FusionFissionRun<'g>>,
     pub(crate) max_threads: usize,
+    /// Per island, how many trace points its reports have carried.
+    pub(crate) reported: Vec<usize>,
 }
 
 impl<'g> LocalIslands<'g> {
@@ -195,38 +226,22 @@ impl IslandSet for LocalIslands<'_> {
     type Molecule = Partition;
     type Error = Infallible;
 
-    fn advance(&mut self, steps: u64) -> Result<Vec<bool>, Infallible> {
-        let n = self.runs.len();
-        let cap = if self.max_threads == 0 {
-            n
-        } else {
-            self.max_threads
-        };
+    fn advance(&mut self, steps: u64) -> Result<Vec<IslandReport>, Infallible> {
         // Each island's state evolution depends only on its own seed and
         // past injections, so wave layout cannot change results.
-        let mut more = vec![false; n];
-        for (wave, flags) in self.runs.chunks_mut(cap).zip(more.chunks_mut(cap)) {
-            // A thread per lone island per epoch buys no parallelism, and
-            // each short-lived thread may leave glibc's allocator a fresh
-            // arena holding its pages, so the process's resident memory
-            // would grow with the epoch count and thread timing.
-            if let ([run], [flag]) = (&mut *wave, &mut *flags) {
-                *flag = run.advance(steps);
-                continue;
-            }
-            std::thread::scope(|scope| {
-                for (run, flag) in wave.iter_mut().zip(flags.iter_mut()) {
-                    scope.spawn(move || {
-                        *flag = run.advance(steps);
-                    });
-                }
+        let more = parallel_map(&mut self.runs, self.max_threads, |run| run.advance(steps));
+        let mut reports = Vec::with_capacity(more.len());
+        for ((run, reported), more) in self.runs.iter().zip(&mut self.reported).zip(more) {
+            let news = run.trace().points_since(*reported).to_vec();
+            *reported += news.len();
+            reports.push(IslandReport {
+                more,
+                energy: run.best_energy(),
+                steps: run.steps(),
+                news,
             });
         }
-        Ok(more)
-    }
-
-    fn statuses(&self) -> Vec<IslandStatus> {
-        self.runs.iter().map(IslandStatus::of).collect()
+        Ok(reports)
     }
 
     fn fetch(&mut self, donor: usize) -> Result<Partition, Infallible> {
@@ -264,7 +279,6 @@ mod tests {
     enum Call {
         Interval(u64),
         Advance(u64),
-        Statuses,
         Plan(Vec<f64>),
         Fetch(usize),
         /// Receiver, molecule (its donor's index), crossover.
@@ -303,10 +317,11 @@ mod tests {
         }
     }
 
-    /// Islands whose work flags and energies follow a script, one entry
-    /// per advance, and whose injections answer from a scripted queue. A
-    /// molecule is its donor's index. Past the script's end the islands
-    /// have no work, keep their last energies and decline every offer.
+    /// Islands whose reported work flags and energies follow a script,
+    /// one entry per advance, and whose injections answer from a scripted
+    /// queue. A molecule is its donor's index. Past the script's end the
+    /// islands have no work, keep their last energies and decline every
+    /// offer.
     struct ScriptedIslands {
         log: Log,
         more: Vec<Vec<bool>>,
@@ -319,23 +334,14 @@ mod tests {
         type Molecule = usize;
         type Error = Infallible;
 
-        fn advance(&mut self, steps: u64) -> Result<Vec<bool>, Infallible> {
+        fn advance(&mut self, steps: u64) -> Result<Vec<IslandReport>, Infallible> {
             record(&self.log, Call::Advance(steps));
             self.advances += 1;
             let flags = self.more.get(self.advances - 1).cloned();
-            Ok(flags.unwrap_or_else(|| vec![false; self.more[0].len()]))
-        }
-
-        fn statuses(&self) -> Vec<IslandStatus> {
-            record(&self.log, Call::Statuses);
+            let flags = flags.unwrap_or_else(|| vec![false; self.more[0].len()]);
             let last = self.energies.len() - 1;
-            self.energies[self.advances.saturating_sub(1).min(last)]
-                .iter()
-                .map(|&best_energy| IslandStatus {
-                    objective: Objective::MCut,
-                    best_energy,
-                })
-                .collect()
+            let energies = &self.energies[(self.advances - 1).min(last)];
+            Ok(island_reports(&flags, energies))
         }
 
         fn fetch(&mut self, donor: usize) -> Result<usize, Infallible> {
@@ -358,6 +364,18 @@ mod tests {
         }
     }
 
+    /// Reports carrying only a work flag and an energy per island.
+    fn island_reports(more: &[bool], energies: &[f64]) -> Vec<IslandReport> {
+        more.iter()
+            .zip(energies)
+            .map(|(&more, &energy)| IslandReport {
+                more,
+                energy,
+                ..IslandReport::default()
+            })
+            .collect()
+    }
+
     struct Script {
         base_interval: u64,
         intervals: Vec<u64>,
@@ -367,9 +385,10 @@ mod tests {
     }
 
     /// Drives the loop until an epoch reports no work left; returns each
-    /// epoch's report, the adopted total, and every call after `new`.
+    /// epoch's report, the adopted total, and every call.
     fn drive(script: Script) -> (Vec<Epoch>, u64, Vec<Call>) {
         let log = Log::default();
+        let objectives = vec![Objective::MCut; script.more[0].len()];
         let islands = ScriptedIslands {
             log: log.clone(),
             more: script.more,
@@ -393,13 +412,14 @@ mod tests {
                 },
             ],
         };
-        let mut epochs = EpochLoop::new(islands, script.base_interval, Box::new(policy));
-        log.lock().unwrap().clear(); // `new` reads the objectives
+        let mut epochs =
+            EpochLoop::new(islands, objectives, script.base_interval, Box::new(policy));
         let mut reports = Vec::new();
         loop {
             let Ok(epoch) = epochs.advance_epoch();
+            let more = epoch.more;
             reports.push(epoch);
-            if !epoch.more {
+            if !more {
                 break;
             }
         }
@@ -421,7 +441,6 @@ mod tests {
         });
         let exchange = |energies: Vec<f64>| {
             vec![
-                Statuses,
                 Plan(energies),
                 Fetch(2),
                 Inject(0, 2, false),
@@ -438,13 +457,26 @@ mod tests {
         // final exchange.
         expected.extend([Interval(100), Advance(1)]);
         assert_eq!(calls, expected);
-        let report = |more, adopted| Epoch {
+        let second = [3.0, 2.0, 1.0, 1.5];
+        let report = |more, islands, adopted| Epoch {
             more,
+            islands,
             offers: 2,
             pairs: 3,
             adopted,
         };
-        assert_eq!(reports, vec![report(t, 2), report(t, 1), Epoch::default()]);
+        let last = Epoch {
+            islands: island_reports(&[f; 4], &second),
+            ..Epoch::default()
+        };
+        assert_eq!(
+            reports,
+            vec![
+                report(t, island_reports(&[t, t, f, t], &[4.0, 3.0, 1.0, 2.0]), 2),
+                report(t, island_reports(&[f, t, f, f], &second), 1),
+                last,
+            ]
+        );
         assert_eq!(adopted, 3, "adopted = injections that returned true");
     }
 

@@ -170,7 +170,7 @@ pub mod seeds;
 pub mod solver;
 
 pub use ensemble::EnsembleResult;
-pub use epoch::{Epoch, EpochLoop, IslandSet, LocalIslands};
+pub use epoch::{Epoch, EpochLoop, IslandReport, IslandSet, LocalIslands};
 pub use migration::{
     Adaptive, Combine, IslandStatus, MigrationOffer, MigrationPolicy, MigrationPolicyId,
     ReplaceIfBetter,

@@ -15,13 +15,13 @@
 //! own donor. Single-objective ensembles form one group, which makes
 //! [`ReplaceIfBetter`] bit-equal to the historical hard-coded rule.
 
-use ff_core::FusionFissionRun;
 use ff_partition::Objective;
 
 /// What a policy sees of one island at an exchange barrier — the full
-/// decision input. Keeping this a plain value (no borrow of the run) is
-/// what lets the epoch loop plan over island state reported by worker
-/// *processes* and still land on the identical plan.
+/// decision input. The epoch loop builds it from the island's objective
+/// and its [`IslandReport`](crate::IslandReport), plain values a worker
+/// *process* reports exactly as an in-process run does, so both land on
+/// the identical plan.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IslandStatus {
     /// The objective this island optimizes (exchange never crosses
@@ -39,8 +39,9 @@ pub struct MigrationOffer {
     pub donor: usize,
     /// Islands the molecule is offered to, in execution order.
     pub receivers: Vec<usize>,
-    /// `false` → offer via [`FusionFissionRun::inject`]; `true` → via
-    /// [`FusionFissionRun::inject_crossover`] (KaFFPaE-style combine).
+    /// `false` → offer via [`ff_core::FusionFissionRun::inject`]; `true` →
+    /// via [`ff_core::FusionFissionRun::inject_crossover`] (KaFFPaE-style
+    /// combine).
     pub crossover: bool,
 }
 
@@ -72,16 +73,6 @@ pub trait MigrationPolicy: Send {
     /// called when at least two islands are live and migration is
     /// enabled.
     fn plan(&mut self, islands: &[IslandStatus]) -> Vec<MigrationOffer>;
-}
-
-impl IslandStatus {
-    /// The status an in-process run presents at a barrier.
-    pub fn of(run: &FusionFissionRun<'_>) -> IslandStatus {
-        IslandStatus {
-            objective: run.config().objective,
-            best_energy: run.best_energy(),
-        }
-    }
 }
 
 impl MigrationPolicy for Box<dyn MigrationPolicy> {

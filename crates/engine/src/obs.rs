@@ -2,13 +2,12 @@
 //! [`Solver::observe`](crate::Solver::observe).
 //!
 //! Everything here is **observation-only**: the epoch loop reports what
-//! it planned and what was adopted, and [`EngineObs::record_epoch`] only
-//! counts it, so the decision stream — and therefore every partition
-//! byte — is identical with and without observation. The test suite pins
-//! that contract.
+//! it planned and what was adopted, with every island's barrier report,
+//! and [`EngineObs::record_epoch`] only counts it, so the decision
+//! stream — and therefore every partition byte — is identical with and
+//! without observation. The test suite pins that contract.
 
 use crate::epoch::Epoch;
-use ff_core::FusionFissionRun;
 use ff_multilevel::LevelReport;
 use ff_obs::{Counter, Histogram, Registry};
 use std::time::Duration;
@@ -20,8 +19,8 @@ const TIMING_BUCKET_MS: [f64; 5] = [1.0, 10.0, 100.0, 1000.0, 10000.0];
 /// Upper bounds for trace-point improvement deltas (objective units).
 const IMPROVEMENT_BUCKETS: [f64; 5] = [1e-4, 1e-3, 1e-2, 1e-1, 1.0];
 
-/// Per-run registry handles plus the trace cursors that turn each
-/// island's improvement stream into observed deltas exactly once.
+/// Per-run registry handles plus each island's last trace value, which
+/// turns the island's reported trace points into improvement deltas.
 pub(crate) struct EngineObs {
     epochs: Counter,
     epoch_ms: Histogram,
@@ -29,8 +28,6 @@ pub(crate) struct EngineObs {
     accepts: Counter,
     rejects: Counter,
     improvement: Histogram,
-    /// Per-island count of trace points already observed.
-    cursors: Vec<usize>,
     /// Per-island last trace value, the minuend of the next delta.
     last_value: Vec<Option<f64>>,
 }
@@ -67,37 +64,29 @@ impl EngineObs {
                 "Objective improvement per island trace point",
                 &IMPROVEMENT_BUCKETS,
             ),
-            cursors: vec![0; islands],
             last_value: vec![None; islands],
         }
     }
 
     /// Records one epoch: timing, the offers planned, accept/reject
-    /// accounting over the receiver pairs planned, and any new trace
-    /// points.
-    pub(crate) fn record_epoch(
-        &mut self,
-        elapsed: Duration,
-        epoch: &Epoch,
-        runs: &[FusionFissionRun<'_>],
-    ) {
+    /// accounting over the receiver pairs planned, and the trace points
+    /// each island reported.
+    pub(crate) fn record_epoch(&mut self, elapsed: Duration, epoch: &Epoch) {
         self.epochs.inc();
         self.epoch_ms.observe(elapsed.as_secs_f64() * 1e3);
         self.offers.add(epoch.offers);
         self.accepts.add(epoch.adopted);
         self.rejects.add(epoch.pairs - epoch.adopted);
-        for (i, run) in runs.iter().enumerate() {
-            let fresh = run.trace().points_since(self.cursors[i]);
-            for pt in fresh {
-                if let Some(prev) = self.last_value[i] {
+        for (report, last) in epoch.islands.iter().zip(&mut self.last_value) {
+            for pt in &report.news {
+                if let Some(prev) = *last {
                     let delta = prev - pt.value;
                     if delta.is_finite() && delta >= 0.0 {
                         self.improvement.observe(delta);
                     }
                 }
-                self.last_value[i] = Some(pt.value);
+                *last = Some(pt.value);
             }
-            self.cursors[i] += fresh.len();
         }
     }
 }

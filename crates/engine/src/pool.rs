@@ -1,44 +1,44 @@
 //! Deterministic scoped-thread fan-out.
 
-/// Runs `f(0..jobs)` on scoped OS threads, at most `max_threads` at a time
-/// (`0` = all at once), and returns the results **in job order** — the
-/// output is independent of thread scheduling. Panics in a job propagate.
-///
-/// This is the generic fan-out used to give non-fusion-fission methods
-/// (simulated annealing, ant colony, the constructive baselines) the same
-/// multi-seed ensemble treatment: run N independently seeded jobs, reduce
-/// deterministically.
+/// Runs `f` on every item on scoped OS threads, at most `max_threads` at
+/// a time (`0` = all at once), and returns the results **in item order**
+/// — the output is independent of thread scheduling. Panics in a job
+/// propagate. This one fan-out advances a [`Solver`](crate::Solver)'s
+/// in-process islands and runs the other methods' multi-seed ensembles.
 ///
 /// ```
-/// let squares = ff_engine::parallel_map(5, 2, |i| i * i);
+/// let squares = ff_engine::parallel_map(&mut [0, 1, 2, 3, 4], 2, |x| *x * *x);
 /// assert_eq!(squares, vec![0, 1, 4, 9, 16]);
 /// ```
-pub fn parallel_map<T, F>(jobs: usize, max_threads: usize, f: F) -> Vec<T>
+pub fn parallel_map<T, R, F>(items: &mut [T], max_threads: usize, f: F) -> Vec<R>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    R: Send,
+    F: Fn(&mut T) -> R + Sync,
 {
-    let cap = if max_threads == 0 {
-        jobs.max(1)
-    } else {
-        max_threads
+    let cap = match max_threads {
+        0 => items.len().max(1),
+        cap => cap,
     };
-    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
-    let fref = &f;
-    let mut base = 0;
-    for wave in out.chunks_mut(cap) {
-        let wave_len = wave.len();
+    let f = &f;
+    let mut out = Vec::with_capacity(items.len());
+    for wave in items.chunks_mut(cap) {
+        // A thread for a lone item buys no parallelism, and each
+        // short-lived thread may leave glibc's allocator a fresh arena
+        // holding its pages, so the process's resident memory would grow
+        // with the call count and thread timing.
+        if let [item] = wave {
+            out.push(f(item));
+            continue;
+        }
         std::thread::scope(|scope| {
-            for (j, slot) in wave.iter_mut().enumerate() {
-                let i = base + j;
-                scope.spawn(move || {
-                    *slot = Some(fref(i));
-                });
+            let jobs: Vec<_> = wave.iter_mut().map(|x| scope.spawn(move || f(x))).collect();
+            for job in jobs {
+                out.push(job.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
             }
         });
-        base += wave_len;
     }
-    out.into_iter().map(|o| o.expect("job completed")).collect()
+    out
 }
 
 #[cfg(test)]
@@ -49,14 +49,29 @@ mod tests {
     fn preserves_job_order_for_any_thread_cap() {
         let expected: Vec<usize> = (0..17).map(|i| i * 3).collect();
         for cap in [0, 1, 2, 5, 17, 64] {
-            assert_eq!(parallel_map(17, cap, |i| i * 3), expected, "cap {cap}");
+            let mut items: Vec<usize> = (0..17).collect();
+            let out = parallel_map(&mut items, cap, |i| {
+                *i += 1;
+                (*i - 1) * 3
+            });
+            assert_eq!(out, expected, "cap {cap}");
+            assert_eq!(items, (1..18).collect::<Vec<_>>(), "cap {cap}");
         }
     }
 
     #[test]
     fn zero_jobs() {
-        let out: Vec<u8> = parallel_map(0, 4, |_| 0);
+        let out: Vec<u8> = parallel_map(&mut [0u8; 0], 4, |_| 0);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_lone_item_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        for (len, cap) in [(1, 0), (3, 1)] {
+            let ids = parallel_map(&mut vec![(); len], cap, |_| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id == me), "{len} items, cap {cap}");
+        }
     }
 
     #[test]
@@ -64,7 +79,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let in_flight = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        parallel_map(4, 4, |_| {
+        parallel_map(&mut [(); 4], 4, |_| {
             let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(30));

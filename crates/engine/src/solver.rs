@@ -24,7 +24,7 @@
 //! ```
 
 use crate::ensemble::EnsembleResult;
-use crate::epoch::{EpochLoop, LocalIslands};
+use crate::epoch::{Epoch, EpochLoop, LocalIslands};
 use crate::migration::{MigrationPolicy, ReplaceIfBetter};
 use crate::multilevel::{MultilevelInfo, MultilevelOpts};
 use crate::obs::{record_coarsen, record_level_reports, EngineObs};
@@ -298,11 +298,13 @@ impl<'g> Solver<'g> {
         let islands = LocalIslands {
             runs,
             max_threads: self.max_threads,
+            reported: vec![0; n],
         };
         Ok(SolverRun {
             g: self.g,
-            epochs: EpochLoop::new(islands, self.migration_interval, self.migration),
+            epochs: EpochLoop::new(islands, per_island, self.migration_interval, self.migration),
             obs,
+            last: Epoch::default(),
         })
     }
 
@@ -425,7 +427,8 @@ impl<'g> Solver<'g> {
 /// A live, resumable solver run: the [`EpochLoop`] over [`LocalIslands`].
 /// Islands advance in lockstep epochs and exchange molecules at each
 /// barrier under the migration policy. Produced by [`Solver::start`];
-/// drive with [`SolverRun::advance_epoch`], harvest with
+/// drive with [`SolverRun::advance_epoch`], read each epoch's island
+/// reports through [`SolverRun::last_epoch`], harvest with
 /// [`SolverRun::harvest`].
 ///
 /// ## Determinism
@@ -439,6 +442,7 @@ pub struct SolverRun<'g> {
     g: &'g Graph,
     epochs: EpochLoop<LocalIslands<'g>>,
     obs: Option<EngineObs>,
+    last: Epoch,
 }
 
 impl<'g> SolverRun<'g> {
@@ -450,10 +454,19 @@ impl<'g> SolverRun<'g> {
     pub fn advance_epoch(&mut self) -> bool {
         let epoch_start = self.obs.as_ref().map(|_| std::time::Instant::now());
         let Ok(epoch) = self.epochs.advance_epoch();
+        self.last = epoch;
         if let (Some(obs), Some(start)) = (&mut self.obs, epoch_start) {
-            obs.record_epoch(start.elapsed(), &epoch, self.epochs.islands.runs());
+            obs.record_epoch(start.elapsed(), &self.last);
         }
-        epoch.more
+        self.last.more
+    }
+
+    /// What the last [`advance_epoch`](SolverRun::advance_epoch) did,
+    /// with every island's barrier report: the streaming tap. Each
+    /// island's trace points reach exactly one report, tagged with that
+    /// island's objective. Empty before the first epoch.
+    pub fn last_epoch(&self) -> &Epoch {
+        &self.last
     }
 
     /// Binds one cooperative cancellation token to every island: when it
@@ -465,14 +478,6 @@ impl<'g> SolverRun<'g> {
         }
     }
 
-    /// The live island runs, in island order — read-only access for
-    /// streaming taps (each island's
-    /// [`trace`](FusionFissionRun::trace) is the per-island improvement
-    /// stream, tagged with that island's objective).
-    pub fn islands(&self) -> &[FusionFissionRun<'g>] {
-        self.epochs.islands.runs()
-    }
-
     /// The islands without their scheduler — how a worker session hosts
     /// its shard of a distributed run, whose coordinator owns the epoch
     /// loop.
@@ -480,25 +485,14 @@ impl<'g> SolverRun<'g> {
         self.epochs.islands
     }
 
-    /// The distinct objectives this run optimizes, in island order of
-    /// first appearance.
-    pub fn objectives(&self) -> &[Objective] {
-        &self.epochs.objectives
-    }
-
     /// Whether every island has finished (stop condition or cancellation).
     pub fn finished(&self) -> bool {
-        self.islands().iter().all(|r| r.finished())
+        self.epochs.islands.runs.iter().all(|r| r.finished())
     }
 
     /// Total steps executed so far across all islands.
     pub fn total_steps(&self) -> u64 {
-        self.islands().iter().map(|r| r.steps()).sum()
-    }
-
-    /// Migration offers adopted so far.
-    pub fn migrations_adopted(&self) -> u64 {
-        self.epochs.migrations_adopted
+        self.epochs.islands.runs.iter().map(|r| r.steps()).sum()
     }
 
     /// Best objective value held at the target k so far, minimized across
@@ -506,9 +500,8 @@ impl<'g> SolverRun<'g> {
     /// meaningful for single-objective runs — mixed-objective values are
     /// not comparable.
     pub fn best_value_at_target(&self) -> Option<f64> {
-        self.islands()
-            .iter()
-            .filter_map(|r| r.best_at_target().map(|(v, _)| v))
+        let runs = self.epochs.islands.runs.iter();
+        runs.filter_map(|r| r.best_at_target().map(|(v, _)| v))
             .min_by(f64::total_cmp)
     }
 

@@ -370,6 +370,127 @@ fn every_policy_is_byte_identical_across_reruns_and_thread_caps() {
     }
 }
 
+/// FNV-1a over every field of `res` except the wall-clock ones: each
+/// trace point's `elapsed` and each level report's `refine_ms`.
+fn result_digest(res: &EnsembleResult) -> u64 {
+    fn word(b: &mut Vec<u8>, x: u64) {
+        b.extend_from_slice(&x.to_le_bytes());
+    }
+    fn name(b: &mut Vec<u8>, o: Option<Objective>) {
+        b.extend_from_slice(o.map_or("-", |o| o.name()).as_bytes());
+    }
+    fn partition(b: &mut Vec<u8>, p: &ff_partition::Partition) {
+        word(b, p.num_parts() as u64);
+        p.assignment().iter().for_each(|&x| word(b, x as u64));
+    }
+    fn trace(b: &mut Vec<u8>, t: &ff_metaheur::AnytimeTrace) {
+        name(b, t.tag());
+        word(b, t.len() as u64);
+        for p in t.points() {
+            word(b, p.step);
+            word(b, p.value.to_bits());
+            name(b, p.objective);
+        }
+    }
+    fn per_k(b: &mut Vec<u8>, m: &std::collections::BTreeMap<usize, f64>) {
+        word(b, m.len() as u64);
+        for (&k, &v) in m {
+            word(b, k as u64);
+            word(b, v.to_bits());
+        }
+    }
+    let mut b = Vec::new();
+    partition(&mut b, &res.best);
+    word(&mut b, res.best_value.to_bits());
+    word(&mut b, res.best_island as u64);
+    word(&mut b, res.steps);
+    word(&mut b, res.migrations_adopted);
+    trace(&mut b, &res.trace);
+    per_k(&mut b, &res.best_value_per_k);
+    word(&mut b, res.islands.len() as u64);
+    for r in &res.islands {
+        partition(&mut b, &r.best);
+        word(&mut b, r.best_value.to_bits());
+        word(&mut b, r.best_energy.to_bits());
+        word(&mut b, r.steps);
+        trace(&mut b, &r.trace);
+        per_k(&mut b, &r.best_value_per_k);
+    }
+    if let Some(front) = &res.pareto {
+        front.objectives.iter().for_each(|&o| name(&mut b, Some(o)));
+        for p in &front.points {
+            word(&mut b, p.island as u64);
+            name(&mut b, Some(p.objective));
+            p.values.iter().for_each(|v| word(&mut b, v.to_bits()));
+            word(&mut b, p.parts as u64);
+            partition(&mut b, &p.partition);
+        }
+    }
+    if let Some(info) = &res.multilevel {
+        word(&mut b, info.levels as u64);
+        word(&mut b, info.coarse_vertices as u64);
+        for r in &info.reports {
+            word(&mut b, r.level as u64);
+            word(&mut b, r.vertices as u64);
+            word(&mut b, r.value_before.to_bits());
+            word(&mut b, r.value_after.to_bits());
+            word(&mut b, r.moves as u64);
+        }
+    }
+    fnv1a(b.into_iter())
+}
+
+/// Every result field but the wall-clock ones is a function of the seed
+/// alone: a rerun and thread caps 0, 1 and 2 agree, merged trace
+/// included, on 30 seeds.
+#[test]
+fn every_result_field_is_identical_across_reruns_and_thread_caps() {
+    let g = planted_partition(3, 90, 0.15, 0.006, 11);
+    for seed in 1..=30 {
+        let run = |threads| {
+            let res = Solver::on(&g)
+                .k(3)
+                .objective(Objective::MCut)
+                .islands(4)
+                .steps(1_500)
+                .migration_interval(250)
+                .seed(seed)
+                .threads(threads)
+                .run()
+                .unwrap();
+            result_digest(&res)
+        };
+        let first = run(0);
+        for threads in [0, 1, 2] {
+            assert_eq!(run(threads), first, "seed {seed}, {threads} threads");
+        }
+    }
+}
+
+/// Each island trace point reaches the engine's observation exactly once:
+/// every point after an island's first adds one improvement delta.
+#[test]
+fn observed_improvements_count_each_trace_point_once() {
+    let registry = ff_obs::Registry::new();
+    let res = Solver::on(&random_geometric(60, 0.25, 7))
+        .k(4)
+        .objective(Objective::Cut)
+        .islands(4)
+        .steps(3_000)
+        .migration_interval(200)
+        .seed(3)
+        .observe(registry.clone())
+        .run()
+        .unwrap();
+    let bounds = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]; // the family's buckets
+    let deltas = registry
+        .histogram("ff_engine_improvement_delta", "", &bounds)
+        .count();
+    let expected: usize = res.islands.iter().map(|r| r.trace.len() - 1).sum();
+    assert!(expected > 0, "no island improved twice");
+    assert_eq!(deltas, expected as u64);
+}
+
 /// The adaptive policy's interval stretching must not break the lockstep
 /// step accounting: total steps stay a pure function of the budget.
 #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One improvement event: after `elapsed`, the best objective was `value`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TracePoint {
     /// Wall-clock time since the run started.
     pub elapsed: Duration,
@@ -22,7 +22,9 @@ pub struct TracePoint {
     pub step: u64,
     /// Which criterion `value` measures, when the producing trace was
     /// tagged ([`AnytimeTrace::with_tag`]) — how multi-objective
-    /// ensembles keep provenance through [`AnytimeTrace::merged`].
+    /// ensembles keep provenance through [`AnytimeTrace::merged`], and
+    /// how a consumer of an island's reported points tells the island's
+    /// objective. Every fusion–fission run tags its trace.
     pub objective: Option<Objective>,
 }
 
@@ -83,11 +85,9 @@ impl AnytimeTrace {
         self.points.is_empty()
     }
 
-    /// The events recorded at or after index `from` — the streaming tap:
-    /// a consumer that remembers how many points it has already seen
-    /// (`cursor = trace.len()` after each read) observes every improvement
-    /// exactly once, as it happens, without the trace having to know who is
-    /// listening. An out-of-range `from` yields an empty slice.
+    /// The events recorded at or after index `from` (none if `from` is out
+    /// of range) — the streaming tap: a consumer that counts the points it
+    /// has read observes every improvement exactly once, as it happens.
     pub fn points_since(&self, from: usize) -> &[TracePoint] {
         self.points.get(from..).unwrap_or(&[])
     }
@@ -110,13 +110,13 @@ impl AnytimeTrace {
     /// Merges best-so-far traces from parallel runs (ensemble islands)
     /// into the ensemble-level best-so-far trace.
     ///
-    /// The reduction is deterministic for a fixed set of input points,
-    /// independent of argument order and thread scheduling: all points are
-    /// sorted by `(elapsed, step, value)` and only strictly-improving
-    /// values are kept, so the result is non-increasing like any single
-    /// trace. (The timestamps themselves are wall-clock, so two wall-clock
-    /// *runs* still differ in `elapsed`; the value sequence is what the
-    /// reduction pins down.)
+    /// All points are ordered by `step`, points at equal steps in argument
+    /// order, and only strictly-improving values are kept, so the result
+    /// is non-increasing like any single trace. Islands advance in
+    /// lockstep epochs, so their step counts are comparable, and the
+    /// merged points are a function of the input points alone, never of
+    /// thread timing. Each point keeps its wall-clock `elapsed` as a
+    /// reporting field; it plays no part in the order.
     pub fn merged<'a, I>(traces: I) -> AnytimeTrace
     where
         I: IntoIterator<Item = &'a AnytimeTrace>,
@@ -125,12 +125,7 @@ impl AnytimeTrace {
             .into_iter()
             .flat_map(|t| t.points.iter().copied())
             .collect();
-        pts.sort_by(|a, b| {
-            a.elapsed
-                .cmp(&b.elapsed)
-                .then(a.step.cmp(&b.step))
-                .then(a.value.total_cmp(&b.value))
-        });
+        pts.sort_by_key(|p| p.step); // stable: argument order breaks ties
         let mut out = AnytimeTrace::new();
         let mut best = f64::INFINITY;
         for p in pts {

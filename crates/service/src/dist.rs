@@ -17,10 +17,11 @@
 //! by the same [`Solver`](ff_engine::Solver) an in-process run uses. The
 //! coordinator runs the engine's own epoch loop ([`EpochLoop`]) over the
 //! shards; this module implements its [`IslandSet`] seam as `w*` calls.
-//! A `wstate` carries each island's barrier-time energy, which the
-//! migration policy plans on, and its streamed improvements; a planned
-//! molecule crosses the process boundary as an assignment vector
-//! (`wmolecule` → `winject`).
+//! A `wstate` carries each hosted island's barrier report
+//! ([`IslandReport`]) field for field: the energy the migration policy
+//! plans on, and the improvements found since the last barrier. A
+//! planned molecule crosses the process boundary as an assignment
+//! vector (`wmolecule` → `winject`).
 //!
 //! ## Determinism contract
 //!
@@ -53,14 +54,14 @@ use std::time::Duration;
 
 use ff_core::FusionFissionResult;
 use ff_engine::{
-    distinct_objectives, EnsembleResult, EpochLoop, IslandSet, IslandStatus, MigrationPolicyId,
+    distinct_objectives, EnsembleResult, EpochLoop, IslandReport, IslandSet, MigrationPolicyId,
 };
 use ff_graph::Graph;
 use ff_metaheur::AnytimeTrace;
 use ff_partition::{Objective, Partition};
 
 use crate::cache::{GraphFormat, GraphSource};
-use crate::protocol::{Event, JobRequest, MoleculeInfo, Request, WNews, WorkerStart};
+use crate::protocol::{Event, JobRequest, MoleculeInfo, Request, WIslandState, WNews, WorkerStart};
 
 /// What to solve, distributed. `seeds` and `objectives` are the full
 /// per-island lists in global island order, fixed exactly as the
@@ -247,15 +248,6 @@ pub fn solve_distributed(
     }
 
     let shards = Shards {
-        statuses: spec
-            .objectives
-            .iter()
-            .map(|&objective| IslandStatus {
-                objective,
-                best_energy: f64::INFINITY,
-            })
-            .collect(),
-        more: vec![true; n],
         traces: spec
             .objectives
             .iter()
@@ -267,7 +259,8 @@ pub fn solve_distributed(
         opts,
         on_news,
     };
-    let mut epochs = EpochLoop::new(shards, spec.interval, spec.migration.build());
+    let objectives = spec.objectives.clone();
+    let mut epochs = EpochLoop::new(shards, objectives, spec.interval, spec.migration.build());
     while epochs.advance_epoch()?.more {}
     epochs.harvest(g)
 }
@@ -275,10 +268,7 @@ pub fn solve_distributed(
 /// A distributed run's islands, sharded across worker connections: the
 /// [`IslandSet`] the engine's epoch loop drives with `w*` calls.
 struct Shards<'a> {
-    /// Per island, as of the last `wstate`: the policy's input, whether
-    /// it has work, and its trace rebuilt from the news.
-    statuses: Vec<IslandStatus>,
-    more: Vec<bool>,
+    /// Per island, its trace rebuilt from the news.
     traces: Vec<AnytimeTrace>,
     /// Index of the next `wadvance`.
     epoch: u64,
@@ -292,30 +282,34 @@ impl IslandSet for Shards<'_> {
     type Molecule = MoleculeInfo;
     type Error = String;
 
-    fn advance(&mut self, steps: u64) -> Result<Vec<bool>, String> {
+    fn advance(&mut self, steps: u64) -> Result<Vec<IslandReport>, String> {
+        let mut reports = vec![IslandReport::default(); self.traces.len()];
         for conn in &mut self.conns {
             let req = Request::WAdvance {
                 session: conn.session,
                 epoch: self.epoch,
                 steps,
             };
-            match conn.call_logged(req, self.opts, true)? {
-                Event::WState { islands, .. } => {
-                    for st in islands {
-                        let gi = conn.global(st.island)?;
-                        self.statuses[gi].best_energy = st.energy;
-                        self.more[gi] = st.more;
-                        for news in &st.news {
-                            self.traces[gi].record(
-                                Duration::from_millis(news.elapsed_ms),
-                                news.value,
-                                news.step,
-                            );
-                            (self.on_news)(gi, news);
-                        }
-                    }
-                }
+            let islands = match conn.call_logged(req, self.opts, true)? {
+                Event::WState { islands, .. } => islands,
                 other => return Err(conn.unexpected("wstate", &other)),
+            };
+            conn.check_each_hosted_once(&islands)?;
+            for st in islands {
+                let gi = conn.islands[st.island];
+                let trace = &mut self.traces[gi];
+                let from = trace.len();
+                for wire in &st.news {
+                    let elapsed = Duration::from_millis(wire.elapsed_ms);
+                    trace.record(elapsed, wire.value, wire.step);
+                    (self.on_news)(gi, wire);
+                }
+                reports[gi] = IslandReport {
+                    more: st.more,
+                    energy: st.energy,
+                    steps: st.steps,
+                    news: trace.points()[from..].to_vec(),
+                };
             }
             // Each shard's gauge advances as its `wadvance` completes,
             // so a scrape mid-epoch reads the true lag (max − min).
@@ -331,16 +325,12 @@ impl IslandSet for Shards<'_> {
                 ("workers", ff_obs::LogValue::U64(self.conns.len() as u64)),
                 (
                     "live_islands",
-                    ff_obs::LogValue::U64(self.more.iter().filter(|&&b| b).count() as u64),
+                    ff_obs::LogValue::U64(reports.iter().filter(|r| r.more).count() as u64),
                 ),
             ],
         );
         self.epoch += 1;
-        Ok(self.more.clone())
-    }
-
-    fn statuses(&self) -> Vec<IslandStatus> {
-        self.statuses.clone()
+        Ok(reports)
     }
 
     /// Read-only, so not logged: the injections it feeds carry the
@@ -523,6 +513,25 @@ impl WorkerConn {
             .get(local)
             .copied()
             .ok_or(format!("{}: reported unknown island {local}", self.label))
+    }
+
+    /// Checks that a `wstate` names each island this worker hosts exactly
+    /// once, before any of its news is recorded.
+    fn check_each_hosted_once(&self, islands: &[WIslandState]) -> Result<(), String> {
+        let mut named = vec![false; self.islands.len()];
+        for st in islands {
+            let gi = self.global(st.island)?;
+            if std::mem::replace(&mut named[st.island], true) {
+                return Err(format!("{}: wstate names island {gi} twice", self.label));
+            }
+        }
+        let omitted = named
+            .iter()
+            .position(|&seen| !seen)
+            .map(|l| self.islands[l]);
+        omitted.map_or(Ok(()), |gi| {
+            Err(format!("{}: wstate omits island {gi}", self.label))
+        })
     }
 
     fn unexpected(&self, wanted: &str, got: &Event) -> String {
@@ -919,6 +928,68 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ok.len(), 3);
+    }
+
+    /// A `wstate` that omits a hosted island, names one twice or names
+    /// one the worker does not host is an error naming the island and the
+    /// worker, raised before any of the reply's news is recorded.
+    #[test]
+    fn a_wstate_must_name_each_hosted_island_once() {
+        let state = |island| WIslandState {
+            island,
+            more: true,
+            energy: 1.0,
+            steps: 8,
+            news: vec![WNews {
+                step: 3,
+                value: 2.0,
+                elapsed_ms: 1,
+            }],
+        };
+        let g = ff_graph::generators::grid2d(2, 2);
+        let opts = DistOpts::default();
+        for (named, error) in [
+            (vec![0], "worker 0 (test): wstate omits island 2"),
+            (
+                vec![0, 0, 1],
+                "worker 0 (test): wstate names island 0 twice",
+            ),
+            (vec![0, 1, 2], "worker 0 (test): reported unknown island 2"),
+        ] {
+            // The reply waits in the reader channel; requests go nowhere.
+            let (tx, rx) = mpsc::channel();
+            let islands = named.iter().map(|&i| state(i)).collect();
+            let reply = Event::WState {
+                session: 0,
+                epoch: 0,
+                islands,
+            };
+            tx.send(Ok(reply.to_value().to_string())).unwrap();
+            let conn = WorkerConn {
+                session: 0,
+                label: "worker 0 (test)".into(),
+                target: Target::Addr("test".into()),
+                child: None,
+                writer: Box::new(io::sink()),
+                rx,
+                islands: vec![0, 2],
+                history: Vec::new(),
+                respawns: 0,
+            };
+            let mut news = 0;
+            let mut on_news = |_: usize, _: &WNews| news += 1;
+            let mut shards = Shards {
+                traces: vec![AnytimeTrace::with_tag(Objective::MCut); 3],
+                epoch: 0,
+                conns: vec![conn],
+                g: &g,
+                opts: &opts,
+                on_news: &mut on_news,
+            };
+            assert_eq!(shards.advance(8).unwrap_err(), error, "{named:?}");
+            assert!(shards.traces.iter().all(|t| t.is_empty()), "{named:?}");
+            assert_eq!(news, 0, "{named:?}");
+        }
     }
 
     /// A spec whose `pareto` flag disagrees with its objectives is

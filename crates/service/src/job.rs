@@ -1,9 +1,9 @@
 //! One job's lifecycle: cooperative chunked execution on the worker pool.
 //!
 //! A job thread is cheap — it spends its life parked on the
-//! [`FairGate`] — and only *advances* its search
-//! while holding a gate permit, `chunk` steps (or one migration epoch) at
-//! a time. Between chunks it drains the engine's anytime-trace tap into
+//! [`FairGate`] — and only *advances* its search while holding a gate
+//! permit, `chunk` steps (or one migration epoch) at a time. Between
+//! chunks it turns the trace points of each island's epoch report into
 //! `improvement` events and checks for cancellation, so M in-flight jobs
 //! share the pool's N compute slots fairly and react to cancel/deadline
 //! within one chunk.
@@ -232,13 +232,12 @@ pub(crate) fn run_job(
     let res = solver
         .run_with(|run| {
             run.bind_cancel(token.clone());
-            let mut cursors = vec![0usize; spec.islands];
             // Per-objective best-so-far: improvements stream only when an
             // island's value beats the best of *its own criterion* (for a
             // single-objective job that is the historical global filter;
             // island order then chronological, so step-budgeted jobs
             // stream deterministic values).
-            let mut best: HashMap<Objective, f64> = HashMap::new();
+            let mut best: HashMap<Option<Objective>, f64> = HashMap::new();
             for epoch in 1u64.. {
                 let permit = gate.acquire();
                 if poisoned {
@@ -260,10 +259,9 @@ pub(crate) fn run_job(
                         ),
                     ],
                 );
-                for (i, island) in run.islands().iter().enumerate() {
-                    let objective = island.config().objective;
-                    for p in island.trace().points_since(cursors[i]) {
-                        let entry = best.entry(objective).or_insert(f64::INFINITY);
+                for (i, island) in run.last_epoch().islands.iter().enumerate() {
+                    for p in &island.news {
+                        let entry = best.entry(p.objective).or_insert(f64::INFINITY);
                         if p.value < *entry {
                             *entry = p.value;
                             let ev = Event::Improvement(Improvement {
@@ -272,7 +270,7 @@ pub(crate) fn run_job(
                                 step: p.step,
                                 elapsed_ms: p.elapsed.as_millis() as u64,
                                 island: i,
-                                objective: multi.then_some(objective),
+                                objective: p.objective.filter(|_| multi),
                             });
                             if sink.send(&ev).is_err() {
                                 // Client gone: nobody will harvest this
@@ -283,7 +281,6 @@ pub(crate) fn run_job(
                             }
                         }
                     }
-                    cursors[i] = island.trace().len();
                 }
                 if !more {
                     break;

@@ -200,7 +200,6 @@ fn run_session(
         }
     };
     let count = shard.runs().len();
-    let mut cursors = vec![0usize; count];
     let mut next_epoch = 0u64;
     if sink
         .send(&Event::WReady {
@@ -245,34 +244,27 @@ fn run_session(
                         job: None,
                     }
                 } else {
-                    let Ok(more) = {
+                    let Ok(reports) = {
                         let _permit = gate.acquire();
                         shard.advance(steps)
                     };
-                    let islands = shard
-                        .runs()
-                        .iter()
-                        .zip(more)
+                    let islands = reports
+                        .into_iter()
                         .enumerate()
-                        .map(|(i, (run, more))| {
-                            let news = run
-                                .trace()
-                                .points_since(cursors[i])
+                        .map(|(island, r)| WIslandState {
+                            island,
+                            more: r.more,
+                            energy: r.energy,
+                            steps: r.steps,
+                            news: r
+                                .news
                                 .iter()
                                 .map(|p| WNews {
                                     step: p.step,
                                     value: p.value,
                                     elapsed_ms: p.elapsed.as_millis() as u64,
                                 })
-                                .collect();
-                            cursors[i] = run.trace().len();
-                            WIslandState {
-                                island: i,
-                                more,
-                                energy: run.best_energy(),
-                                steps: run.steps(),
-                                news,
-                            }
+                                .collect(),
                         })
                         .collect();
                     next_epoch += 1;

@@ -5,9 +5,9 @@
 
 use std::time::{Duration, Instant};
 
-use ff_core::FusionFissionResult;
 use ff_engine::{Adaptive, Combine, MigrationPolicyId, Solver};
 use ff_graph::io::read_metis;
+use ff_metaheur::AnytimeTrace;
 use ff_obs::Registry;
 use ff_partition::Objective;
 use ff_service::dist::{solve_distributed, DistOpts, DistSpec, WorkerSet};
@@ -34,15 +34,10 @@ fn spec(islands: usize, seed: u64, migration: MigrationPolicyId) -> DistSpec {
     }
 }
 
-/// An island's improvement trace as `(step, value)` pairs — everything
-/// but the wall-clock stamps, which differ between processes.
-fn trace_points(island: &FusionFissionResult) -> Vec<(u64, f64)> {
-    island
-        .trace
-        .points()
-        .iter()
-        .map(|p| (p.step, p.value))
-        .collect()
+/// A trace as `(step, value)` pairs — everything but the wall-clock
+/// stamps, which differ between processes.
+fn trace_points(trace: &AnytimeTrace) -> Vec<(u64, f64)> {
+    trace.points().iter().map(|p| (p.step, p.value)).collect()
 }
 
 fn run_dist(spec: &DistSpec, workers: usize) -> ff_engine::EnsembleResult {
@@ -86,14 +81,13 @@ fn distributed_replace_matches_in_process_for_any_worker_count() {
         assert_eq!(dist.steps, local.steps);
         assert_eq!(dist.migrations_adopted, local.migrations_adopted);
         assert_eq!(dist.best_value_per_k, local.best_value_per_k);
+        assert_eq!(trace_points(&dist.trace), trace_points(&local.trace));
         assert_eq!(dist.islands.len(), local.islands.len());
         for (a, b) in dist.islands.iter().zip(&local.islands) {
             assert_eq!(a.best.assignment(), b.best.assignment());
             assert_eq!(a.best_energy, b.best_energy);
             assert_eq!(a.steps, b.steps);
-            // Per island, not merged: the merged trace orders islands'
-            // points by wall-clock.
-            assert_eq!(trace_points(a), trace_points(b));
+            assert_eq!(trace_points(&a.trace), trace_points(&b.trace));
         }
     }
 }
@@ -138,7 +132,7 @@ fn distributed_adaptive_matches_in_process() {
         assert_eq!(a.best_energy, b.best_energy);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.best_value_per_k, b.best_value_per_k);
-        assert_eq!(trace_points(a), trace_points(b));
+        assert_eq!(trace_points(&a.trace), trace_points(&b.trace));
     }
 }
 
